@@ -8,6 +8,7 @@ endings); identical inputs produce byte-identical output. Exit codes:
 from __future__ import annotations
 
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,18 +35,20 @@ def _envelope(command: str, inputs: dict, result, warnings: list[str]) -> dict:
     }
 
 
+# Every click.echo names its stream: without file=, click caches a wrapper per
+# sys.stdout object, and each in-process invocation (CliRunner) leaks one.
 def _emit(doc: dict, out):
     text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def _fail(exc: QuinticError):
     doc = {"error": {"code": exc.code, "message": str(exc)}}
-    click.echo(json.dumps(doc, indent=2), err=True)
+    click.echo(json.dumps(doc, indent=2), file=sys.stderr)
     sys.exit(exc.exit_code)
 
 
@@ -59,7 +62,7 @@ def _guard(fn):
         except QuinticError as exc:
             _fail(exc)
         except ZeroDivisionError as exc:
-            click.echo(json.dumps({"error": {"code": "division-by-zero", "message": str(exc)}}), err=True)
+            click.echo(json.dumps({"error": {"code": "division-by-zero", "message": str(exc)}}), file=sys.stderr)
             sys.exit(2)
 
     return wrapper
@@ -247,6 +250,7 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
     chunks = [(a, min(a + _ENUM_CHUNK - 1, hi), form_filter) for a in range(lo, hi + 1, _ENUM_CHUNK)]
+    workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_rows = list(pool.map(_row_chunk, chunks))
@@ -264,7 +268,7 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 @main.command("selftest")
@@ -278,9 +282,10 @@ def selftest_cmd(suite_name):
     failed = False
     for res in results:
         status = "ok" if res.passed else "FAIL"
-        click.echo(f"suite {res.name}: {res.checks} checks, {len(res.failures)} failures [{status}]")
+        click.echo(f"suite {res.name}: {res.checks} checks, {len(res.failures)} failures [{status}]",
+                   file=sys.stdout)
         for msg in res.failures[:10]:
-            click.echo(f"  - {msg}")
+            click.echo(f"  - {msg}", file=sys.stdout)
         failed = failed or not res.passed
     sys.exit(1 if failed else 0)
 

@@ -3,10 +3,12 @@
 Absolute side: the genus field of Gamma is Gamma composed with the unique
 degree-5 subfields M(p) of Q(zeta_p) for each prime p = 1 mod 5 dividing n;
 M(p) is represented by the minimal polynomial of its Gaussian periods,
-computed exactly. Relative side: the genus field of k/k0 is k adjoined the
-fifth root of a product of normalized prime elements; the admissible
-exponent patterns are enumerated per family and filtered by the
-hyperprimary congruence, one representative per Kummer class.
+computed exactly in O(p) from the cyclotomic numbers of order 5, with the
+Theta(p^2) expansion over zeta_p exponents kept as its oracle. Relative
+side: the genus field of k/k0 is k adjoined the fifth root of a product of
+normalized prime elements; the admissible exponent patterns are enumerated
+per family and filtered by the hyperprimary congruence, one representative
+per Kummer class.
 
 The ramified-prime count d feeds the ambiguous-rank formula
 rank = d - 3 + q*; under the standing rank-1 hypothesis q* is inferred
@@ -56,13 +58,14 @@ class PeriodPolynomial:
 def period_polynomial(p: int, root: int | None = None) -> PeriodPolynomial:
     """Minimal polynomial of the five Gaussian periods of degree (p-1)/5.
 
-    With g a primitive root mod p and H the index-5 subgroup of the units,
-    eta_j = sum over h in H of zeta_p^(g^j * h); the product of (x - eta_j)
-    is expanded exactly over length-p integer vectors of zeta_p-exponent
-    counts, and the vanishing-sum relation (sum of all zeta_p^i = 0) is
-    applied only when each coefficient is read off as a rational integer.
-    The period set does not depend on the choice of g, so any primitive
-    root may be passed in to cross-check the construction.
+    With g a primitive root mod p and C_i = {g^(i + 5m)} the cosets of the
+    index-5 subgroup of the units, eta_i = sum over x in C_i of zeta_p^x. The
+    product of (X - eta_j) is expanded exactly in the ring spanned by 1 and
+    eta_0..eta_4, whose structure constants are the cyclotomic numbers of
+    order 5, at O(p) cost (see _period_ring_product). The period set does
+    not depend on the choice of g, so any primitive root may be passed in to
+    cross-check the construction; brute_force_period_coefficients is the
+    independent Theta(p^2) oracle.
     """
     if not is_prime(p) or p % 5 != 1:
         raise InputError(f"{p} is not a prime congruent to 1 mod 5")
@@ -75,6 +78,71 @@ def period_polynomial(p: int, root: int | None = None) -> PeriodPolynomial:
             raise InputError(f"{root} is not a primitive root mod {p}")
         g = root
 
+    result = _rational_coefficients(_period_ring_product(p, g), p)
+    if result[5] != 1 or result[4] != 1:
+        # trace of the periods is -1, so the X^4 coefficient must be 1
+        raise InternalCheckError(f"period polynomial for p = {p} has a bad leading part")
+    if _irreducibility_witness(result) is None:
+        raise InternalCheckError(f"could not certify irreducibility for p = {p}")
+    return PeriodPolynomial(p, result)
+
+
+def _period_ring_product(p: int, g: int) -> list[list[int]]:
+    """Coefficients of prod_j (X - eta_j) as vectors (a, c_0..c_4) = a + sum c_k eta_k.
+
+    With ind(x) = log_g(x) mod 5 and f = (p-1)/5, the cyclotomic numbers of
+    order 5 are (h, k) = #{t in 1..p-2 : ind(t) = h, ind(t+1) = k}.
+    Substituting y = x*t in eta_i * eta_j and splitting off t = -1 gives
+
+        eta_i * eta_j = f * [-1 in C_(j-i)] + sum_k (j-i, k) * eta_(i+k)
+
+    (Gauss, Disquisitiones sec. VII; Berndt-Evans-Williams ch. 2-3). Since
+    p = 1 mod 10, f is even, so -1 = g^(5f/2) lies in C_0.
+    """
+    f = (p - 1) // 5
+    ind = bytearray(p)
+    x = 1
+    for i in range(p - 1):
+        ind[x] = i % 5
+        x = x * g % p
+    cyc = [[0] * 5 for _ in range(5)]
+    for t in range(1, p - 1):
+        cyc[ind[t]][ind[t + 1]] += 1
+
+    def times_eta(vec: list[int], j: int) -> list[int]:
+        out = [0] * 6
+        out[1 + j] = vec[0]
+        for i in range(5):
+            c = vec[1 + i]
+            d = (j - i) % 5
+            if d == 0:
+                out[0] += f * c
+            for k, count in enumerate(cyc[d]):
+                out[1 + (i + k) % 5] += c * count
+        return out
+
+    poly = [[1, 0, 0, 0, 0, 0]]
+    for j in range(5):
+        new = [[0] * 6 for _ in range(len(poly) + 1)]
+        for k, vec in enumerate(poly):
+            up, down = new[k + 1], new[k]
+            for i, v in enumerate(vec):
+                up[i] += v
+            for i, v in enumerate(times_eta(vec, j)):
+                down[i] -= v
+        poly = new
+    return poly
+
+
+def brute_force_period_coefficients(p: int, g: int) -> tuple[int, ...]:
+    """Oracle for period_polynomial: Theta(p^2) expansion over zeta_p exponents.
+
+    Shares no cyclotomic numbers with the fast path: the product of
+    (X - eta_j) is expanded over length-p integer vectors of zeta_p-exponent
+    counts, and the vanishing-sum relation (sum of all zeta_p^i = 0) is
+    applied only when each coefficient is read off as a rational integer.
+    g must be a primitive root mod the prime p = 1 mod 5.
+    """
     cosets: list[list[int]] = [[] for _ in range(5)]
     x = 1
     for i in range(p - 1):
@@ -95,20 +163,23 @@ def period_polynomial(p: int, root: int | None = None) -> PeriodPolynomial:
                     for ex in support:
                         down[(i + ex) % p] -= c
         poly = new
+    return _rational_coefficients(poly, p)
 
+
+def _rational_coefficients(poly: list[list[int]], p: int) -> tuple[int, ...]:
+    """Read each vector (a, c_1, c_2, ...) as a rational integer a - c_1.
+
+    Both expansions write a coefficient as a + sum c_k * b_k over basis
+    elements b_k (the zeta_p^i, or the eta_k) whose only rational relation
+    is that they sum to -1, so the value is rational exactly when all c_k agree.
+    """
     coeffs = []
     for vec in poly:
         tail = vec[1]
         if any(v != tail for v in vec[2:]):
             raise InternalCheckError(f"non-rational period coefficient for p = {p}")
         coeffs.append(vec[0] - tail)
-    if coeffs[5] != 1 or coeffs[4] != 1:
-        # trace of the periods is -1, so the X^4 coefficient must be 1
-        raise InternalCheckError(f"period polynomial for p = {p} has a bad leading part")
-    result = tuple(coeffs)
-    if _irreducibility_witness(result) is None:
-        raise InternalCheckError(f"could not certify irreducibility for p = {p}")
-    return PeriodPolynomial(p, result)
+    return tuple(coeffs)
 
 
 def _poly_discriminant(coeffs: tuple[int, ...]) -> int:

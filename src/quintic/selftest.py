@@ -119,6 +119,10 @@ def _suite_periods(limit: int = 100) -> SuiteResult:
         poly = genus.period_polynomial(p)
         res.note(poly.coefficients[4] == 1, f"trace at {p}")
         g0 = primitive_root(p)
+        res.note(
+            genus.brute_force_period_coefficients(p, g0) == poly.coefficients,
+            f"expansion oracle at {p}",
+        )
         g1 = next(g for g in range(g0 + 1, p) if is_primitive_root(g, p))
         res.note(
             genus.period_polynomial(p, g1).coefficients == poly.coefficients,

@@ -1,4 +1,7 @@
+import gc
 import json
+import os
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -109,6 +112,13 @@ def test_genus_command(runner):
     assert doc["result"]["relative_candidates"]
 
 
+def test_genus_at_the_period_prime_cap(runner):
+    res = invoke(runner, "genus", "99991")
+    assert res.exit_code == 0
+    doc = json.loads(res.output)["result"]
+    assert doc["r"] == 1 and doc["absolute_components"][0]["p"] == 99991
+
+
 def test_report_is_deterministic(runner):
     a = invoke(runner, "report", "95").output
     b = invoke(runner, "report", "95").output
@@ -147,6 +157,62 @@ def test_enumerate_resume_from(runner):
     resumed = invoke(runner, "enumerate", "2", "200", "--from", "100").output.splitlines()
     tail = [line for line in full if json.loads(line)["n"] >= 100]
     assert resumed == tail
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, hi, want",
+    [
+        (64, 4, 700, 3),  # 3 chunks of 256
+        (64, 2, 2000, 2),  # 8 chunks, 2 CPUs
+        (3, 8, 2000, 3),
+        (64, None, 2000, None),  # cpu_count unknown: serial, no pool
+        (64, 4, 200, None),  # one chunk: serial, no pool
+    ],
+)
+def test_enumerate_workers_are_clamped(runner, monkeypatch, workers, cpus, hi, want):
+    import quintic.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    parallel = invoke(runner, "enumerate", "2", str(hi), "--workers", str(workers)).output
+    assert _RecordingPool.sizes == ([] if want is None else [want])
+    assert parallel == invoke(runner, "enumerate", "2", str(hi)).output
+
+
+def test_in_process_invocations_retain_no_memory(runner):
+    def retained_after(calls):
+        for _ in range(calls):
+            runner.invoke(main, ["classify", "95"])
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        base = retained_after(50)  # warm caches and lazy imports
+        grown = retained_after(300) - base
+    finally:
+        tracemalloc.stop()
+    # a stream wrapper cached per invocation retains about 5 KB each
+    assert grown < 300 * 256
 
 
 def test_enumerate_out_file(runner, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from quintic.errors import (
 )
 from quintic.genus import (
     absolute_genus,
+    brute_force_period_coefficients,
     build_genus_report,
     corollary_report,
     count_ramified_d,
@@ -25,6 +27,7 @@ from quintic.genus import (
 from quintic.intarith import is_primitive_root, primitive_root, sieve_primes
 
 SPLIT_PRIMES_UNDER_200 = [p for p in sieve_primes(200) if p % 5 == 1]
+CAP_PRIME = 99991  # the largest prime = 1 mod 5 under the p <= 100000 cap
 
 
 def numeric_period_coefficients(p: int) -> list[complex]:
@@ -64,21 +67,21 @@ def test_trace_coefficient_is_one(p):
     assert period_polynomial(p).coefficients[4] == 1
 
 
-@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200)
+@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200 + [CAP_PRIME])
 def test_recomputation_with_another_primitive_root(p):
     g0 = primitive_root(p)
     g1 = next(g for g in range(g0 + 1, p) if is_primitive_root(g, p))
     assert period_polynomial(p, g0).coefficients == period_polynomial(p, g1).coefficients
 
 
-@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200)
+@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200 + [CAP_PRIME])
 def test_irreducibility_via_sympy(p):
     x = sympy.symbols("x")
     f = sum(c * x**k for k, c in enumerate(period_polynomial(p).coefficients))
     assert sympy.Poly(f, x).is_irreducible
 
 
-@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200)
+@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200 + [CAP_PRIME])
 def test_discriminant_is_p4_times_a_coprime_square(p):
     poly = period_polynomial(p)
     x = sympy.symbols("x")
@@ -92,6 +95,21 @@ def test_discriminant_is_p4_times_a_coprime_square(p):
     assert v == 4
     s = math.isqrt(d)
     assert s * s == d and math.gcd(s, p) == 1
+
+
+@pytest.mark.parametrize("p", [p for p in sieve_primes(1000) if p % 5 == 1])
+def test_cyclotomic_numbers_match_the_expansion_oracle(p):
+    g = primitive_root(p)
+    assert period_polynomial(p, g).coefficients == brute_force_period_coefficients(p, g)
+
+
+def test_declared_cap_is_reachable_within_budget():
+    # root independence, irreducibility and the discriminant at the cap are
+    # checked by the tests parametrized over CAP_PRIME above
+    t0 = time.perf_counter()
+    period_polynomial(CAP_PRIME)  # raises unless certified irreducible
+    # generous for the O(p) path; the Theta(p^2) expansion takes tens of minutes
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_discriminant_for_eleven_is_exactly_p4():
