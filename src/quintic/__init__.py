@@ -70,6 +70,7 @@ from .classgroup import (  # noqa: F401
     brute_force_rank_check,
     build_lattice,
     canonical_model,
+    capitulation_constants,
     enumerate_capitulation_types,
     generator_certificate,
     model_survey,

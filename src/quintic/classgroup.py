@@ -12,10 +12,10 @@ unramified quintic extensions K1..K6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
-from .errors import InputError, ModelInvariantError, NoWitnessFound
-from .intarith import sieve_primes
+from .errors import InputError, InternalCheckError, ModelInvariantError
 from .cyclo import CycInt
 from .radicand import RadicandForm, Verdict, classify
 
@@ -368,12 +368,28 @@ def enumerate_capitulation_types(
     return tuple(sorted(out))
 
 
+#: what enumerate_capitulation_types() returns with every constraint active:
+#: i1 in {0, 1}, and i2..i6 all equal and in {0, 1}
 EXPECTED_CAPITULATION_TYPES = (
     (0, 0, 0, 0, 0, 0),
     (0, 1, 1, 1, 1, 1),
     (1, 0, 0, 0, 0, 0),
     (1, 1, 1, 1, 1, 1),
 )
+
+
+@cache
+def capitulation_constants() -> tuple[tuple[tuple[int, ...], ...], SubgroupLattice, tuple[int, ...]]:
+    """(admissible types, lattice, tau^2 permutation) of the canonical model.
+
+    The same for every classified radicand, so built once per process, on
+    first use. The types are the literal EXPECTED_CAPITULATION_TYPES; the
+    brute force enumerate_capitulation_types() stays the oracle it is
+    checked against (selftest suite "capitulation" and the tests).
+    """
+    model = canonical_model()
+    lattice = build_lattice(model)
+    return EXPECTED_CAPITULATION_TYPES, lattice, tau2_permutation(model, lattice)
 
 
 TAU2_PROOF_NOTE = (
@@ -401,15 +417,13 @@ class Condition:
 
 @dataclass(frozen=True)
 class GeneratorCertificate:
-    """Symbolic generators of the class group with their residue conditions."""
+    """The family's fixed residue condition, and why no generators follow from it."""
 
     n: int
     verdict: Verdict
     applicable: bool
     conditions: tuple[Condition, ...]
-    generators: tuple[dict, ...] | None
     splitting: str
-    auxiliary_prime: int | None
 
     def to_json(self) -> dict:
         return {
@@ -417,13 +431,11 @@ class GeneratorCertificate:
             "form": self.verdict.value,
             "applicable": self.applicable,
             "conditions": [c.to_json() for c in self.conditions],
-            "generators": list(self.generators) if self.generators else None,
+            "generators": None,
             "splitting": self.splitting,
-            "auxiliary_prime": self.auxiliary_prime,
+            "auxiliary_prime": None,
         }
 
-
-_WITNESS_BOUND = 10**4
 
 RESIDUE_READING_NOTE = (
     "residue conditions at p = -1 mod 5 are evaluated in the residue field "
@@ -445,60 +457,31 @@ def _nonresidue_condition(a: int, p: int, label: str) -> Condition:
     return Condition(f"{label} is not a quintic residue modulo {p}", i, i != 0)
 
 
-def _find_witness(p: int, excluded: set[int]) -> tuple[int, Condition]:
-    for l in sieve_primes(_WITNESS_BOUND):
-        if l in excluded:
-            continue
-        cond = _nonresidue_condition(l, p, f"l = {l}")
-        if cond.passed:
-            return l, cond
-    raise NoWitnessFound(
-        f"no auxiliary prime l <= {_WITNESS_BOUND} is a quintic non-residue mod {p}"
-    )
-
-
 def generator_certificate(n: int, form: RadicandForm | None = None) -> GeneratorCertificate:
-    """Generators of the class group under the family's residue conditions.
+    """The family's fixed residue condition, evaluated; always inapplicable.
 
-    Forms I and II: when the fixed condition (5, resp. q, a quintic
-    non-residue mod p) holds, the group is generated by [P1] above p and
-    [L]^(1-tau^2) for the smallest auxiliary non-residue prime l; p splits
-    in k as p*O_k = P1^5 * P2^5. Form III: when 5 is a non-residue mod p,
-    the classes of two of the five primes above 5 generate, with
-    5*O_k = B1^4 ... B5^4. A failed fixed condition marks the certificate
-    inapplicable instead of emitting generators.
+    Forms I and II would take generators [P1] above p and [L]^(1-tau^2)
+    when 5, resp. q, is a quintic non-residue mod p; Form III would take
+    [B1], [B2] above 5 when 5 is. But every family prime p is 4 mod 5
+    (Form III's is 24 mod 25), and at such p every rational integer is a
+    fifth power in the residue field F_{p^2} (RESIDUE_READING_NOTE). So the
+    fixed condition never holds and no generators are emitted. It is still
+    evaluated, and a pass would expose a bug in the symbol layer.
     """
     if form is None:
         form = classify(n)
     if form.verdict is Verdict.NONE:
         raise InputError(f"{n} is not in any of the three families")
     p = form.p
-
     if form.verdict is Verdict.FORM_III:
-        fixed = _nonresidue_condition(5, p, "5")
-        if not fixed.passed:
-            return GeneratorCertificate(n, form.verdict, False, (fixed,), None,
-                                        "5 O_k = B1^4 B2^4 B3^4 B4^4 B5^4", None)
-        generators = (
-            {"class": "[B1]", "ideal": "B1", "above": 5, "operator": "1"},
-            {"class": "[B2]", "ideal": "B2", "above": 5, "operator": "1"},
-        )
-        return GeneratorCertificate(
-            n, form.verdict, True, (fixed,), generators,
-            "5 O_k = B1^4 B2^4 B3^4 B4^4 B5^4", None,
-        )
-
-    fixed_value = 5 if form.verdict is Verdict.FORM_I else form.q
+        fixed_value, splitting = 5, "5 O_k = B1^4 B2^4 B3^4 B4^4 B5^4"
+    else:
+        fixed_value = 5 if form.verdict is Verdict.FORM_I else form.q
+        splitting = f"{p} O_k = P1^5 P2^5"
     fixed = _nonresidue_condition(fixed_value, p, str(fixed_value))
-    if not fixed.passed:
-        return GeneratorCertificate(n, form.verdict, False, (fixed,), None,
-                                    f"{p} O_k = P1^5 P2^5", None)
-    excluded = {5, p} if form.verdict is Verdict.FORM_I else {5, p, form.q}
-    l, aux = _find_witness(p, excluded)
-    generators = (
-        {"class": "[P1]", "ideal": "P1", "above": p, "operator": "1"},
-        {"class": "[L]^(1-tau^2)", "ideal": "L", "above": l, "operator": "1-tau^2"},
-    )
-    return GeneratorCertificate(
-        n, form.verdict, True, (fixed, aux), generators, f"{p} O_k = P1^5 P2^5", l
-    )
+    if fixed.passed:
+        raise InternalCheckError(
+            f"{fixed_value} is a quintic non-residue at a prime above {p} = {p % 5} mod 5, "
+            f"where every rational integer is a fifth power"
+        )
+    return GeneratorCertificate(n, form.verdict, False, (fixed,), splitting)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -150,9 +149,9 @@ def _resolve_h_gamma(n, h_gamma, table):
     return None
 
 
-def _corollary_section(n, h):
+def _corollary_section(n, h, fac):
     try:
-        return genus.corollary_report(n, h).to_json()
+        return genus.corollary_report(n, h, factorization=fac).to_json()
     except QuinticError as exc:
         return {"error": {"code": exc.code, "message": str(exc)}}
 
@@ -168,8 +167,9 @@ def _corollary_section(n, h):
 def genus_cmd(n, h_gamma, table, as_json, out):
     """Genus-field report for N: r, 5^r, period polynomials, d, q*, generators."""
     h = _resolve_h_gamma(n, h_gamma, table)
-    report = genus.build_genus_report(n).to_json()
-    report["corollary"] = _corollary_section(n, h) if h is not None else None
+    fac = radicand.radicand_factorization(n)
+    report = genus.build_genus_report(n, factorization=fac).to_json()
+    report["corollary"] = _corollary_section(n, h, fac) if h is not None else None
     _emit(_envelope("genus", {"n": n, "h_gamma": h}, report, [HYPOTHESIS_NOTE]), out)
 
 
@@ -184,17 +184,18 @@ def report(n, h_gamma, table, out):
     """Full pipeline for N: classification, factorization, genus, generators,
     admissible capitulation types."""
     h = _resolve_h_gamma(n, h_gamma, table)
-    form = radicand.classify(n)
+    fac = radicand.radicand_factorization(n)
+    form = radicand.classify(n, factorization=fac)
     warnings = [HYPOTHESIS_NOTE, TAU2_PROOF_NOTE]
     doc = {
         "radicand": form.to_json(),
-        "factorization": factor_radicand(n).to_json(),
+        "factorization": factor_radicand(n, factorization=fac).to_json(),
         "genus": None,
-        "corollary": _corollary_section(n, h) if h is not None else None,
+        "corollary": _corollary_section(n, h, fac) if h is not None else None,
         "capitulation": None,
     }
     try:
-        doc["genus"] = genus.build_genus_report(n).to_json()
+        doc["genus"] = genus.build_genus_report(n, form=form, factorization=fac).to_json()
     except QuinticError as exc:
         doc["genus"] = {"error": {"code": exc.code, "message": str(exc)}}
     if form.verdict is not Verdict.NONE:
@@ -205,14 +206,13 @@ def report(n, h_gamma, table, out):
                 warnings.append(RESIDUE_READING_NOTE)
         except QuinticError as exc:
             certificate = {"error": {"code": exc.code, "message": str(exc)}}
-        model = classgroup.canonical_model()
-        lattice = classgroup.build_lattice(model)
+        types, lattice, perm = classgroup.capitulation_constants()
         doc["capitulation"] = {
             "n": n,
             "form": form.verdict.value,
-            "admissible_types": [list(t) for t in classgroup.enumerate_capitulation_types()],
+            "admissible_types": [list(t) for t in types],
             "certificate": certificate,
-            "tau2_permutation": list(classgroup.tau2_permutation(model, lattice)),
+            "tau2_permutation": list(perm),
             "subgroups": lattice.to_json()["subgroups"],
         }
     _emit(_envelope("report", {"n": n, "h_gamma": h}, doc, warnings), out)
@@ -252,6 +252,9 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     chunks = [(a, min(a + _ENUM_CHUNK - 1, hi), form_filter) for a in range(lo, hi + 1, _ENUM_CHUNK)]
     workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_rows = list(pool.map(_row_chunk, chunks))
     else:

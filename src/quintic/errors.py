@@ -77,10 +77,6 @@ class NoAdmissibleGenerator(QuinticError):
         self.rejections = tuple(rejections)
 
 
-class NoWitnessFound(QuinticError):
-    code = "no-witness-found"
-
-
 class ModelInvariantError(QuinticError):
     code = "model-invariant-violated"
 

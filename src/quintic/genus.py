@@ -36,7 +36,7 @@ from .primes import (
     primary_normalize,
     splitting_count,
 )
-from .radicand import Verdict, classify
+from .radicand import RadicandForm, Verdict, classify, radicand_factorization
 
 _PERIOD_PRIME_BOUND = 100_000
 
@@ -272,21 +272,28 @@ class AbsoluteGenus:
         }
 
 
-def genus_prime_count(n: int) -> int:
+# The optional keyword arguments below save recomputation: ``factorization``
+# must be factorize(n) and ``form`` must be classify(n). The commands compute
+# each once per n and pass it down.
+
+
+def genus_prime_count(n: int, *, factorization: dict[int, int] | None = None) -> int:
     """r = number of distinct primes p = 1 mod 5 dividing n."""
-    return sum(1 for p in factorize(n) if p % 5 == 1)
+    fac = factorize(n) if factorization is None else factorization
+    return sum(1 for p in fac if p % 5 == 1)
 
 
-def absolute_genus(n: int) -> AbsoluteGenus:
+def absolute_genus(n: int, *, factorization: dict[int, int] | None = None) -> AbsoluteGenus:
     """Genus field data of Gamma: r, genus number 5^r, and the M(p) components."""
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
-    ps = sorted(p for p in factorize(n) if p % 5 == 1)
+    fac = factorize(n) if factorization is None else factorization
+    ps = sorted(p for p in fac if p % 5 == 1)
     comps = tuple(period_polynomial(p) for p in ps)
     return AbsoluteGenus(n, len(ps), 5 ** len(ps), comps)
 
 
-def count_ramified_d(n: int) -> int:
+def count_ramified_d(n: int, *, factorization: dict[int, int] | None = None) -> int:
     """Number of primes of k0 ramified in k = k0(n^(1/5)).
 
     Each prime of k0 dividing the prime-to-5 part of n ramifies; lambda
@@ -295,18 +302,26 @@ def count_ramified_d(n: int) -> int:
     """
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
-    d = sum(splitting_count(p) for p in factorize(n) if p != 5)
+    fac = factorize(n) if factorization is None else factorization
+    d = sum(splitting_count(p) for p in fac if p != 5)
     if hyperprimary_class(CycInt(n)) is None:
         d += 1
     return d
 
 
-def infer_qstar(n: int, assumed_rank: int = 1) -> int:
+def infer_qstar(
+    n: int,
+    assumed_rank: int = 1,
+    *,
+    form: RadicandForm | None = None,
+    factorization: dict[int, int] | None = None,
+) -> int:
     """q* back-solved from rank = d - 3 + q* under the rank hypothesis."""
-    form = classify(n)
+    if form is None:
+        form = classify(n, factorization=factorization)
     if form.verdict is Verdict.NONE:
         raise InputError(f"{n} is not in any of the three families")
-    d = count_ramified_d(n)
+    d = count_ramified_d(n, factorization=factorization)
     q = assumed_rank + 3 - d
     if q not in (0, 1, 2):
         raise QstarOutOfRange(
@@ -351,7 +366,7 @@ def _kummer_orbit(exps: tuple[int, ...]) -> tuple[int, ...]:
     return min(tuple(x * j % 5 for x in exps) for j in range(1, 5))
 
 
-def relative_genus(n: int) -> tuple[KummerGenerator, ...]:
+def relative_genus(n: int, *, form: RadicandForm | None = None) -> tuple[KummerGenerator, ...]:
     """Admissible Kummer generators for the relative genus field of k/k0.
 
     Shapes by family (pi_i the primary-normalized primes above p, q inert):
@@ -365,7 +380,8 @@ def relative_genus(n: int) -> tuple[KummerGenerator, ...]:
     smallest representative per class is returned. The lambda-divisible
     Form I admits every exponent pattern (reduced to class representatives).
     """
-    form = classify(n)
+    if form is None:
+        form = classify(n)
     if form.verdict is Verdict.NONE:
         raise InputError(f"{n} is not in any of the three families")
     pis = tuple(primary_normalize(q) for q in factor_rational_prime(form.p))
@@ -442,17 +458,26 @@ class GenusReport:
         }
 
 
-def build_genus_report(n: int, assumed_rank: int = 1) -> GenusReport:
+def build_genus_report(
+    n: int,
+    assumed_rank: int = 1,
+    *,
+    form: RadicandForm | None = None,
+    factorization: dict[int, int] | None = None,
+) -> GenusReport:
     """Assemble absolute and relative genus data; rank fields stay None when
     n falls outside the three families."""
-    ag = absolute_genus(n)
-    form = classify(n)
+    fac = radicand_factorization(n) if factorization is None else factorization
+    ag = absolute_genus(n, factorization=fac)
+    if form is None:
+        form = classify(n, factorization=fac)
     if form.verdict is Verdict.NONE:
-        return GenusReport(n, ag.r, ag.genus_number, ag.components, (), count_ramified_d(n), None, None)
-    q = infer_qstar(n, assumed_rank)
-    d = count_ramified_d(n)
+        d = count_ramified_d(n, factorization=fac)
+        return GenusReport(n, ag.r, ag.genus_number, ag.components, (), d, None, None)
+    q = infer_qstar(n, assumed_rank, form=form, factorization=fac)
+    d = count_ramified_d(n, factorization=fac)
     return GenusReport(
-        n, ag.r, ag.genus_number, ag.components, relative_genus(n), d, q, d - 3 + q
+        n, ag.r, ag.genus_number, ag.components, relative_genus(n, form=form), d, q, d - 3 + q
     )
 
 
@@ -476,7 +501,9 @@ class CorollaryReport:
         }
 
 
-def corollary_report(n: int, h_gamma: int | None = None) -> CorollaryReport:
+def corollary_report(
+    n: int, h_gamma: int | None = None, *, factorization: dict[int, int] | None = None
+) -> CorollaryReport:
     """Field-coincidence consequences of 5 || h_Gamma, checked against r.
 
     When 5 divides h_Gamma exactly, at most one prime p = 1 mod 5 can divide
@@ -484,7 +511,7 @@ def corollary_report(n: int, h_gamma: int | None = None) -> CorollaryReport:
     field equals the Hilbert 5-class field of Gamma and the five composita
     k * HCF(conjugate of Gamma) coincide; with r = 0 they are distinct.
     """
-    r = genus_prime_count(n)
+    r = genus_prime_count(n, factorization=factorization)
     if h_gamma is None:
         return CorollaryReport(n, r, None, None, (f"r = {r}; no class number supplied",))
     exact = h_gamma % 5 == 0 and h_gamma % 25 != 0

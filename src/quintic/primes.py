@@ -16,6 +16,10 @@ from .cyclo import EPSILON, LAMBDA, ZETA, CycInt
 from .errors import InputError, InternalCheckError, NoPrimaryAssociate
 from .intarith import element_of_order_five, factorize, is_prime, sqrt_mod
 
+#: entries kept by each memo table here and in symbols; a bound keeps a long
+#: in-process run (many distinct primes) from growing without limit
+MEMO_SIZE = 64
+
 
 class SplittingType(Enum):
     RAMIFIED = "ramified"
@@ -84,7 +88,7 @@ def splitting_count(p: int) -> int:
     }[splitting_type(p)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def factor_rational_prime(p: int) -> tuple[CycPrime, ...]:
     """The primes of Z[zeta5] above p, as canonical-associate elements.
 
@@ -124,11 +128,14 @@ def factor_rational_prime(p: int) -> tuple[CycPrime, ...]:
     return result
 
 
-def factor_radicand(n: int) -> CycFactorization:
-    """Full factorization of a rational integer n >= 2 over Z[zeta5]."""
+def factor_radicand(n: int, *, factorization: dict[int, int] | None = None) -> CycFactorization:
+    """Full factorization of a rational integer n >= 2 over Z[zeta5].
+
+    ``factorization``, when given, must be factorize(n); it is not recomputed.
+    """
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
-    fac = factorize(n)
+    fac = factorize(n) if factorization is None else factorization
     factors: list[tuple[CycPrime, int]] = []
     for p in sorted(fac):
         a = fac[p]
@@ -147,7 +154,7 @@ def factor_radicand(n: int) -> CycFactorization:
 _EPS_EXPONENTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _eps_power(m: int) -> CycInt:
     if m >= 0:
         return EPSILON**m

@@ -93,11 +93,24 @@ def is_fifth_power_free(n: int) -> bool:
     return True
 
 
-def classify(n: int, _factorization: dict[int, int] | None = None) -> RadicandForm:
-    """Check n against the three family shapes and return the verdict ledger."""
+def radicand_factorization(n: int) -> dict[int, int]:
+    """factorize(n) for a radicand, refusing n < 2 first as classify does.
+
+    The commands factor n once through this and pass the result down.
+    """
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
-    fac = factorize(n) if _factorization is None else _factorization
+    return factorize(n)
+
+
+def classify(n: int, *, factorization: dict[int, int] | None = None) -> RadicandForm:
+    """Check n against the three family shapes and return the verdict ledger.
+
+    ``factorization``, when given, must be factorize(n); it is not recomputed.
+    """
+    if n < 2:
+        raise InputError(f"radicand must be >= 2, got {n}")
+    fac = factorize(n) if factorization is None else factorization
     if any(a >= 5 for a in fac.values()):
         raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
 

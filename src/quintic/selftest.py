@@ -171,6 +171,10 @@ def _suite_capitulation() -> SuiteResult:
     m = classgroup.canonical_model()
     perm = classgroup.tau2_permutation(m)
     res.note(perm == (1, 2, 6, 5, 4, 3), "canonical tau2 involution")
+    served_types, served_lattice, served_perm = classgroup.capitulation_constants()
+    res.note(served_types == types, "served capitulation types")
+    res.note(served_lattice == classgroup.build_lattice(m), "served subgroup lattice")
+    res.note(served_perm == perm, "served tau2 permutation")
     return res
 
 

@@ -22,7 +22,7 @@ from .errors import (
     SymbolUndefined,
 )
 from .intarith import is_prime
-from .primes import CycPrime, factor_rational_prime
+from .primes import MEMO_SIZE, CycPrime, factor_rational_prime
 
 _PHI5 = (1, 1, 1, 1, 1)
 _BRUTE_FORCE_LIMIT = 10**6
@@ -41,7 +41,7 @@ class ResidueField:
         return self.p**self.f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def residue_field(q: CycPrime) -> ResidueField:
     """Residue field of a prime q != lambda, with zeta's image."""
     if q.p == 5:
@@ -58,7 +58,7 @@ def residue_field(q: CycPrime) -> ResidueField:
     return rf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _zeta_powers(rf: ResidueField) -> tuple[tuple[int, ...], ...]:
     out = [(1,)]
     for _ in range(4):
@@ -89,7 +89,7 @@ def quintic_symbol(a: CycInt, q: CycPrime) -> int:
     return _symbol_from_power(s, rf)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _fifth_powers(rf: ResidueField) -> frozenset:
     """All fifth powers y*y*y*y*y, built by direct multiplication (no powmod)."""
     from itertools import product
@@ -104,7 +104,7 @@ def _fifth_powers(rf: ResidueField) -> frozenset:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _dlog_table(rf: ResidueField) -> tuple[dict, tuple[int, ...]]:
     """Discrete logs of every unit, by one multiplicative sweep of a generator."""
     from itertools import product

@@ -21,7 +21,7 @@ from quintic.classgroup import (
     tau2_permutation,
 )
 from quintic.cyclo import CycInt
-from quintic.errors import InputError, ModelInvariantError
+from quintic.errors import InputError, InternalCheckError, ModelInvariantError
 from quintic.primes import factor_rational_prime
 from quintic.radicand import Verdict
 from quintic.symbols import brute_force_symbol
@@ -142,11 +142,9 @@ def test_certificate_form_one():
     q = factor_rational_prime(19)[0]
     assert fixed.symbol == brute_force_symbol(CycInt(5), q)
     assert fixed.passed == (fixed.symbol != 0)
-    if cert.applicable:
-        assert cert.generators[1]["operator"] == "1-tau^2"
-        assert cert.auxiliary_prime not in (5, 19)
-    else:
-        assert cert.generators is None
+    assert cert.applicable is False
+    doc = cert.to_json()
+    assert doc["generators"] is None and doc["auxiliary_prime"] is None
 
 
 def test_certificate_form_two():
@@ -165,8 +163,8 @@ def test_certificate_form_three():
     assert cert.splitting == "5 O_k = B1^4 B2^4 B3^4 B4^4 B5^4"
     (fixed,) = cert.conditions
     assert "5" in fixed.description and "149" in fixed.description
-    if cert.applicable:
-        assert {g["ideal"] for g in cert.generators} == {"B1", "B2"}
+    assert cert.applicable is False
+    assert cert.to_json()["generators"] is None
 
 
 def test_certificate_conditions_match_the_oracle_for_rational_values():
@@ -195,3 +193,39 @@ def test_certificate_json_shape():
         "splitting",
         "auxiliary_prime",
     }
+
+
+@pytest.mark.parametrize("n", [95, 57, 149])
+def test_certificate_raises_if_the_fixed_condition_ever_passes(monkeypatch, n):
+    # every family prime is 4 mod 5, where no rational integer is a quintic
+    # non-residue; a passing condition can only come from a broken symbol layer
+    import quintic.classgroup as cg
+
+    def passing(a, p, label):
+        return cg.Condition(f"{label} is not a quintic residue modulo {p}", 1, True)
+
+    monkeypatch.setattr(cg, "_nonresidue_condition", passing)
+    with pytest.raises(InternalCheckError):
+        generator_certificate(n)
+
+
+def test_certificate_condition_fails_for_every_classified_radicand():
+    from quintic.radicand import classify, is_fifth_power_free
+
+    forms = [classify(n) for n in range(2, 3000) if is_fifth_power_free(n)]
+    forms = [f for f in forms if f.verdict is not Verdict.NONE]
+    assert len(forms) > 50
+    for form in forms:
+        cert = generator_certificate(form.n, form)
+        assert cert.applicable is False and cert.conditions[0].symbol == 0
+
+
+def test_served_capitulation_constants_match_the_oracles():
+    from quintic.classgroup import capitulation_constants
+
+    types, lattice, perm = capitulation_constants()
+    assert types == enumerate_capitulation_types()
+    model = canonical_model()
+    assert lattice == build_lattice(model)
+    assert perm == tau2_permutation(model) == (1, 2, 6, 5, 4, 3)
+    assert capitulation_constants() is capitulation_constants()

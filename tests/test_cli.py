@@ -1,6 +1,8 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -188,9 +190,9 @@ class _RecordingPool:
     ],
 )
 def test_enumerate_workers_are_clamped(runner, monkeypatch, workers, cpus, hi, want):
-    import quintic.cli as cli_mod
+    import concurrent.futures
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     parallel = invoke(runner, "enumerate", "2", str(hi), "--workers", str(workers)).output
@@ -213,6 +215,91 @@ def test_in_process_invocations_retain_no_memory(runner):
         tracemalloc.stop()
     # a stream wrapper cached per invocation retains about 5 KB each
     assert grown < 300 * 256
+
+
+def _classified(count):
+    from quintic.radicand import Verdict, classify, is_fifth_power_free
+
+    out, n = [], 2
+    while len(out) < count:
+        if is_fifth_power_free(n) and classify(n).verdict is not Verdict.NONE:
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_report_memo_tables_are_bounded(runner):
+    # 400 distinct classified radicands, nearly one new prime each: with
+    # unbounded memo tables in primes and symbols every new prime stays
+    # cached (about 1 KB per report); bounded tables only replace entries
+    ns = _classified(400)
+
+    def retained_after(batch):
+        for n in batch:
+            assert runner.invoke(main, ["report", str(n)]).exit_code == 0
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    # start empty, so that every entry a table evicts was allocated under tracemalloc
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quintic."):
+            for value in vars(mod).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    tracemalloc.start()
+    try:
+        base = retained_after(ns[:100])  # fills every table past its bound
+        grown = retained_after(ns[100:]) - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 300 * 256
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    code = (
+        "import sys, quintic.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    assert res.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """Counts calls of intarith.factorize through every module binding of it."""
+    import quintic.intarith
+
+    orig = quintic.intarith.factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return orig(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "quintic" or name.startswith("quintic."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [95, 475, 57, 1682, 149, 149**3, 599])
+def test_report_factors_the_radicand_once(runner, factorize_calls, n):
+    res = invoke(runner, "report", str(n))
+    assert json.loads(res.output)["result"]["capitulation"]["form"] in ("I", "II", "III")
+    assert factorize_calls == [n]
+
+
+@pytest.mark.parametrize("p, c", [(11, 2), (31, 3), (1021, 7), (2011, 38), (99991, 4)])
+def test_genus_factors_n_and_p_minus_1_once_each(runner, factorize_calls, p, c):
+    res = invoke(runner, "genus", str(p * c))
+    assert json.loads(res.output)["result"]["r"] == 1
+    assert sorted(factorize_calls) == sorted([p * c, p - 1])
 
 
 def test_enumerate_out_file(runner, tmp_path):

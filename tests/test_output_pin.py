@@ -1,0 +1,74 @@
+"""Byte-identity pin for classify, genus and report.
+
+Each digest is a sha256 over the arguments, exit code, stdout and stderr of
+every invocation in its case list. They were recorded on the code before the
+capitulation section was served from constants and each radicand was
+factored once per command; any change to the CLI's bytes, error codes or
+error order shows up here.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from quintic.cli import main
+
+_RANGE = range(2, 1001)
+
+# README examples, error paths (n < 2, a fifth power dividing n, a prime
+# p = 1 mod 5 above the period cap, an uncertified factorization, a bad
+# table) and the order in which those errors surface when several apply
+_EXTRA = (
+    ("classify", "95"),
+    ("genus", "149"),
+    ("report", "149"),
+    ("report", "341", "--h-gamma", "5"),
+    ("genus", "341", "--h-gamma", "5"),
+    ("report", "11", "--table", "h.csv"),
+    ("genus", "11", "--table", "h.csv"),
+    ("report", "1", "--table", "bad.csv"),
+    ("genus", "1", "--table", "bad.csv"),
+    ("genus", "100151"),
+    ("report", "100151"),
+    *((cmd, n) for cmd in ("classify", "genus", "report")
+      for n in ("1", "0", "32", "161051", str(32 * 100151), str(1000003 * 1000033))),
+)
+
+PINNED = {
+    "classify": "b799812489c4f6f2cdb97d0335c05a35299f9bfd10a6ab23a76d1e12c5565e07",
+    "genus": "8199f7ff1081abcffedd7f84952b98d595fc5ab46ad3c00c9be1f1bdcff6dc2c",
+    "report": "63bc8032c081c3bce620f79018fe0fc757f2c537f78f7343a3269b6f8710d9de",
+    "extra": "578a541db0e502eef202d0877fff1971d1cbc3d1186bda28c4b5398000538732",
+}
+
+
+def _cases(name):
+    if name == "extra":
+        return _EXTRA
+    return [(name, str(n)) for n in _RANGE]
+
+
+def pin_digest(name: str) -> str:
+    runner = CliRunner()
+    h = hashlib.sha256()
+    with runner.isolated_filesystem():
+        with open("h.csv", "w", encoding="utf-8") as fh:
+            fh.write("# demo\n11,5\n")
+        with open("bad.csv", "w", encoding="utf-8") as fh:
+            fh.write("11;5\n")
+        for args in _cases(name):
+            res = runner.invoke(main, list(args))
+            h.update(f"{' '.join(args)}\0exit {res.exit_code}\0".encode())
+            h.update(res.stdout_bytes + b"\0" + res.stderr_bytes + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_output_is_byte_identical_to_the_pin(name):
+    assert pin_digest(name) == PINNED[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(PINNED):
+        print(f'    "{name}": "{pin_digest(name)}",')
