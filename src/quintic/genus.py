@@ -315,13 +315,18 @@ def infer_qstar(
     *,
     form: RadicandForm | None = None,
     factorization: dict[int, int] | None = None,
+    d: int | None = None,
 ) -> int:
-    """q* back-solved from rank = d - 3 + q* under the rank hypothesis."""
+    """q* back-solved from rank = d - 3 + q* under the rank hypothesis.
+
+    ``d``, when given, must be count_ramified_d(n); it is not recomputed.
+    """
     if form is None:
         form = classify(n, factorization=factorization)
     if form.verdict is Verdict.NONE:
         raise InputError(f"{n} is not in any of the three families")
-    d = count_ramified_d(n, factorization=factorization)
+    if d is None:
+        d = count_ramified_d(n, factorization=factorization)
     q = assumed_rank + 3 - d
     if q not in (0, 1, 2):
         raise QstarOutOfRange(
@@ -471,11 +476,10 @@ def build_genus_report(
     ag = absolute_genus(n, factorization=fac)
     if form is None:
         form = classify(n, factorization=fac)
-    if form.verdict is Verdict.NONE:
-        d = count_ramified_d(n, factorization=fac)
-        return GenusReport(n, ag.r, ag.genus_number, ag.components, (), d, None, None)
-    q = infer_qstar(n, assumed_rank, form=form, factorization=fac)
     d = count_ramified_d(n, factorization=fac)
+    if form.verdict is Verdict.NONE:
+        return GenusReport(n, ag.r, ag.genus_number, ag.components, (), d, None, None)
+    q = infer_qstar(n, assumed_rank, form=form, factorization=fac, d=d)
     return GenusReport(
         n, ag.r, ag.genus_number, ag.components, relative_genus(n, form=form), d, q, d - 3 + q
     )

@@ -3,15 +3,26 @@
 Primality is decided by a deterministic Miller-Rabin base set, proven
 correct below 3.317e24 (covers 64-bit inputs with a wide margin); larger
 candidates are rejected rather than tested probabilistically.
+
+Factorization is trial division by the primes up to 10^6 followed by a
+primality certificate for the cofactor. The primes sit in one table, built
+on first use only as far as a call needs, in blocks of 256 with the product
+of each block; a block that shares no factor with the cofactor is skipped
+after one gcd (Bernstein, "How to find smooth parts of integers", 2004).
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import BoundExceeded, FactorizationError, InputError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_LIMIT = 3317044064679887385961981
 _TRIAL_LIMIT = 10**6
+_BLOCK = 256  # primes per gcd block
 
 
 def is_prime(n: int) -> bool:
@@ -40,29 +51,88 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Certified prime factorization as ``{prime: exponent}``.
+class _PrimeTable:
+    """The primes up to ``limit``, grown on demand, with one product per block.
 
-    Trial division up to 10^6, then the cofactor must itself be a certified
-    prime; composite cofactors are rejected.
+    ``primes`` is an ``array('I')``; ``products[k]`` is the product of
+    ``primes[k * _BLOCK : (k + 1) * _BLOCK]`` (the last block may be short
+    until the table reaches the trial bound). No slice of the array is kept.
+    """
+
+    def __init__(self) -> None:
+        self.limit = 1
+        self.primes = array("I")
+        self.products: list[int] = []
+
+    def extend(self, bound: int) -> None:
+        """Hold every prime <= bound, sieving only the odd numbers above limit."""
+        lo = self.limit
+        if bound <= lo:
+            return
+        old_len = len(self.primes)
+        if lo < 2:
+            self.primes.append(2)
+        first = (lo + 1) | 1  # first odd number above lo, at least 3
+        flags = bytearray(b"\x01") * ((bound - first) // 2 + 1)
+        for p in sieve_primes(isqrt(bound) + 1)[1:]:
+            s = max(p * p, -(-first // p) * p)
+            if s % 2 == 0:
+                s += p
+            i = (s - first) // 2
+            flags[i::p] = bytes(len(range(i, len(flags), p)))
+        self.primes.extend(compress(range(first, bound + 1, 2), flags))
+        del flags
+        self.limit = bound
+        # the block that held the old last prime may have grown: recompute from it
+        k = old_len // _BLOCK
+        del self.products[k:]
+        for start in range(k * _BLOCK, len(self.primes), _BLOCK):
+            self.products.append(prod(self.primes[start : start + _BLOCK]))
+
+
+_TABLE = _PrimeTable()  # built lazily by factorize, never at import
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Certified prime factorization as ``{prime: exponent}``, primes ascending.
+
+    Trial division by the primes up to 10^6, a block of 256 at a time: one
+    ``gcd`` of the cofactor with the block's product skips every block that
+    divides nothing, and only a block with a common factor is divided prime
+    by prime. Division stops at the first prime p with p^2 > cofactor, as
+    plain trial division would, so the cofactor left over is the same; it
+    must then be a certified prime, and composite cofactors are rejected.
+    The prime table grows with the cofactor's square root, doubling at
+    least, up to 10^6.
     """
     if n < 1:
         raise InputError(f"cannot factor {n}")
+    table = _TABLE
+    primes, products = table.primes, table.products  # both grow in place
     fac: dict[int, int] = {}
     m = n
-    for p in (2, 3, 5):
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # skips multiples of 2, 3, 5 starting at 7
-    i = 0
-    while d * d <= m and d <= _TRIAL_LIMIT:
-        while m % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            m //= d
-        d += wheel[i]
-        i = (i + 1) % 8
+    k = 0
+    while True:
+        if k + 1 >= len(products) and table.limit < _TRIAL_LIMIT and table.limit**2 < m:
+            table.extend(min(_TRIAL_LIMIT, max(isqrt(m), 2 * table.limit)))
+        if k >= len(products):
+            break
+        start = k * _BLOCK
+        if primes[start] ** 2 > m:
+            break
+        g = gcd(products[k], m)
+        if g > 1:
+            for p in primes[start : start + _BLOCK]:
+                if p * p > m:
+                    break
+                if g % p == 0:
+                    g //= p
+                    while m % p == 0:
+                        fac[p] = fac.get(p, 0) + 1
+                        m //= p
+                    if g == 1:
+                        break
+        k += 1
     if m > 1:
         if not is_prime(m):
             raise FactorizationError(

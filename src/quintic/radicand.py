@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InputError, InternalCheckError, NotFifthPowerFree
+from .errors import (
+    BoundExceeded,
+    FactorizationError,
+    InputError,
+    InternalCheckError,
+    NotFifthPowerFree,
+)
 from .intarith import factorize
 
 #: residues mod 25 equal to +-1 or +-7 (the rational hyperprimary classes)
@@ -215,13 +221,23 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
 
 
 def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
-    """Yield (n, RadicandForm) for fifth-power-free n in [lo, hi], ascending."""
+    """Yield (n, RadicandForm) for fifth-power-free n in [lo, hi], ascending.
+
+    Each n is factored once. An n whose factorization cannot be certified is
+    still skipped when a fifth power divides it; otherwise the error stands.
+    """
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
     for n in range(lo, hi + 1):
-        if not is_fifth_power_free(n):
+        try:
+            fac = factorize(n)
+        except (FactorizationError, BoundExceeded):
+            if not is_fifth_power_free(n):
+                continue
+            raise
+        if any(a >= 5 for a in fac.values()):
             continue
-        form = classify(n)
+        form = classify(n, factorization=fac)
         if verdict is None or form.verdict is verdict:
             yield n, form
 

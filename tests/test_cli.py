@@ -154,6 +154,18 @@ def test_enumerate_invalid_range_exits_2(runner):
     assert res.exit_code == 2
 
 
+def test_enumerate_uncertified_window_exits_2_with_the_error(runner):
+    n = 1000003 * 1000033
+    res = runner.invoke(main, ["enumerate", str(n - 5), str(n + 5)])
+    assert res.exit_code == 2
+    assert res.stdout_bytes == b""
+    assert res.stderr_bytes == (
+        b'{\n  "error": {\n    "code": "uncertified-factorization",\n'
+        b'    "message": "cofactor 1000036000099 of 1000036000099 is composite and beyond'
+        b' the trial-division bound"\n  }\n}\n'
+    )
+
+
 def test_enumerate_resume_from(runner):
     full = invoke(runner, "enumerate", "2", "200").output.splitlines()
     resumed = invoke(runner, "enumerate", "2", "200", "--from", "100").output.splitlines()
@@ -268,31 +280,47 @@ def test_importing_the_cli_loads_no_multiprocessing():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.fixture
-def factorize_calls(monkeypatch):
-    """Counts calls of intarith.factorize through every module binding of it."""
-    import quintic.intarith
-
-    orig = quintic.intarith.factorize
+def record_calls(monkeypatch, orig):
+    """Records the first argument of every call of orig, through every module binding of it."""
     calls = []
 
-    def counting(n):
+    def recording(n, *args, **kwargs):
         calls.append(n)
-        return orig(n)
+        return orig(n, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name == "quintic" or name.startswith("quintic."):
             for attr, value in list(vars(mod).items()):
                 if value is orig:
-                    monkeypatch.setattr(mod, attr, counting)
+                    monkeypatch.setattr(mod, attr, recording)
     return calls
 
 
-@pytest.mark.parametrize("n", [95, 475, 57, 1682, 149, 149**3, 599])
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    import quintic.intarith
+
+    return record_calls(monkeypatch, quintic.intarith.factorize)
+
+
+_CLASSIFIED = [95, 475, 57, 1682, 149, 149**3, 599]
+
+
+@pytest.mark.parametrize("n", _CLASSIFIED)
 def test_report_factors_the_radicand_once(runner, factorize_calls, n):
     res = invoke(runner, "report", str(n))
     assert json.loads(res.output)["result"]["capitulation"]["form"] in ("I", "II", "III")
     assert factorize_calls == [n]
+
+
+@pytest.mark.parametrize("n", _CLASSIFIED)
+def test_report_counts_ramified_primes_once(runner, monkeypatch, n):
+    import quintic.genus
+
+    calls = record_calls(monkeypatch, quintic.genus.count_ramified_d)
+    res = invoke(runner, "report", str(n))
+    assert json.loads(res.output)["result"]["genus"]["qstar_inferred"] in (0, 1, 2)
+    assert calls == [n]
 
 
 @pytest.mark.parametrize("p, c", [(11, 2), (31, 3), (1021, 7), (2011, 38), (99991, 4)])

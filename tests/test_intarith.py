@@ -1,0 +1,125 @@
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+
+import pytest
+
+from quintic import intarith
+from quintic.errors import BoundExceeded, FactorizationError
+from quintic.intarith import factorize, is_prime
+
+_TRIAL_LIMIT = 10**6
+_MR_PROVEN_LIMIT = 3317044064679887385961981
+
+
+def wheel_factorize(n):
+    """Oracle: trial division by a mod-30 wheel up to min(sqrt(m), 10^6)."""
+    fac = {}
+    m = n
+    for p in (2, 3, 5):
+        while m % p == 0:
+            fac[p] = fac.get(p, 0) + 1
+            m //= p
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while d * d <= m and d <= _TRIAL_LIMIT:
+        while m % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            m //= d
+        d += wheel[i]
+        i = (i + 1) % 8
+    if m > 1:
+        if not is_prime(m):
+            raise FactorizationError(
+                f"cofactor {m} of {n} is composite and beyond the trial-division bound"
+            )
+        fac[m] = fac.get(m, 0) + 1
+    return fac
+
+
+def outcome(f, n):
+    """The dict as an ordered item list, or the exception's type and message."""
+    try:
+        return list(f(n).items())
+    except (FactorizationError, BoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_oracle(ns):
+    for n in ns:
+        assert outcome(factorize, n) == outcome(wheel_factorize, n), n
+
+
+def test_factorize_matches_the_oracle_below_20000():
+    assert_matches_oracle(range(1, 20001))
+
+
+@pytest.mark.parametrize("exp", [6, 12, 16, 20])
+def test_factorize_matches_the_oracle_near_powers_of_ten(exp):
+    rng = random.Random(exp)
+    center = 10**exp
+    assert_matches_oracle(rng.randrange(center - center // 100, center + center // 100)
+                          for _ in range(30))
+
+
+def test_factorize_matches_the_oracle_at_block_boundaries():
+    p256, p257 = 1619, 1621  # the first two blocks of 256 primes meet here
+    assert intarith.sieve_primes(p257 + 1)[255:] == [p256, p257]
+    big, above = 999983, 1000003  # the largest prime below the trial bound, the next prime
+    ns = [p256**2, p257**2, p256 * p257, p256**2 * p257**3, 2**7 * p257,
+          big**2, big * above, big**2 * above, 3 * big * above]
+    assert_matches_oracle(ns)
+
+
+def test_factorize_matches_the_oracle_on_uncertifiable_cofactors():
+    ns = [1000003 * 1000033, 1000003**2, 2**5 * 1000003 * 1000033, 7 * 1000003**2]
+    for n in ns:
+        assert outcome(factorize, n)[0] is FactorizationError
+    assert_matches_oracle(ns)
+
+
+def test_factorize_matches_the_oracle_above_the_miller_rabin_limit():
+    ns = [_MR_PROVEN_LIMIT, 8 * _MR_PROVEN_LIMIT]
+    for n in ns:
+        assert outcome(factorize, n)[0] is BoundExceeded
+    assert_matches_oracle(ns)
+
+
+def test_full_prime_table_is_compact():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = intarith._PrimeTable()
+        table.extend(_TRIAL_LIMIT)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.primes) == 78498 and table.primes[-1] == 999983
+    assert len(table.products) == -(-78498 // 256)
+    assert retained - before <= 640 * 1024
+    assert peak - before <= 1024 * 1024
+
+
+def test_factorize_builds_the_table_as_far_as_the_cofactor_needs(monkeypatch):
+    monkeypatch.setattr(intarith, "_TABLE", intarith._PrimeTable())
+    assert factorize(95) == {5: 1, 19: 1}
+    assert intarith._TABLE.limit <= 9 and list(intarith._TABLE.primes) == [2, 3, 5, 7]
+    # a prime near 10^12 needs every prime up to 10^6
+    assert factorize(10**12 + 39) == {10**12 + 39: 1}
+    assert intarith._TABLE.limit == _TRIAL_LIMIT and len(intarith._TABLE.primes) == 78498
+
+
+def test_importing_the_cli_builds_no_prime_table():
+    code = (
+        "import quintic.cli, quintic.intarith as ia\n"
+        "print(ia._TABLE.limit, len(ia._TABLE.primes), len(ia._TABLE.products))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    assert res.stdout.split() == ["1", "0", "0"]

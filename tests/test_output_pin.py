@@ -1,10 +1,12 @@
-"""Byte-identity pin for classify, genus and report.
+"""Byte-identity pin for classify, genus, report and enumerate.
 
 Each digest is a sha256 over the arguments, exit code, stdout and stderr of
-every invocation in its case list. They were recorded on the code before the
-capitulation section was served from constants and each radicand was
-factored once per command; any change to the CLI's bytes, error codes or
-error order shows up here.
+every invocation in its case list. The classify, genus, report and extra
+digests were recorded on the code before the capitulation section was served
+from constants and each radicand was factored once per command; the
+enumerate digest was recorded before trial division moved to block gcds
+over a prime table. Any change to the CLI's bytes, error codes or error
+order shows up here.
 """
 
 import hashlib
@@ -35,17 +37,32 @@ _EXTRA = (
       for n in ("1", "0", "32", "161051", str(32 * 100151), str(1000003 * 1000033))),
 )
 
+# enumerate as JSONL, CSV and filtered; a Form II window at 10^12; a window
+# that reaches an uncertifiable fifth-power-free n (exit 2); and a
+# non-fifth-power-free n whose cofactor is uncertifiable (skipped)
+_ENUMERATE = (
+    ("enumerate", "2", "3000"),
+    ("enumerate", "2", "3000", "--csv"),
+    ("enumerate", "2", "3000", "--form", "II"),
+    ("enumerate", "1000000000000", "1000000000400", "--form", "II"),
+    ("enumerate", "1000036000090", "1000036000110"),
+    ("enumerate", str(2**5 * 1000003 * 1000033), str(2**5 * 1000003 * 1000033)),
+)
+
 PINNED = {
     "classify": "b799812489c4f6f2cdb97d0335c05a35299f9bfd10a6ab23a76d1e12c5565e07",
     "genus": "8199f7ff1081abcffedd7f84952b98d595fc5ab46ad3c00c9be1f1bdcff6dc2c",
     "report": "63bc8032c081c3bce620f79018fe0fc757f2c537f78f7343a3269b6f8710d9de",
     "extra": "578a541db0e502eef202d0877fff1971d1cbc3d1186bda28c4b5398000538732",
+    "enumerate": "410e07dc956936ddf39c050821d9e44bf1872f6a5451fed797f9889ce18bd810",
 }
 
 
 def _cases(name):
     if name == "extra":
         return _EXTRA
+    if name == "enumerate":
+        return _ENUMERATE
     return [(name, str(n)) for n in _RANGE]
 
 

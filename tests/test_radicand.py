@@ -1,6 +1,6 @@
 import pytest
 
-from quintic.errors import InputError, NotFifthPowerFree
+from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
 from quintic.radicand import (
     CHECK_NAMES,
     Verdict,
@@ -98,6 +98,19 @@ def test_enumerate_rejects_bad_ranges():
         list(enumerate_radicands(100, 2))
     with pytest.raises(InputError):
         list(enumerate_radicands(0, 10))
+
+
+def test_enumerate_skips_a_fifth_power_with_an_uncertifiable_cofactor():
+    n = 2**5 * 1000003 * 1000033
+    assert list(enumerate_radicands(n - 1, n + 1)) == [
+        (m, classify(m)) for m in (n - 1, n + 1)
+    ]
+
+
+def test_enumerate_raises_on_a_fifth_power_free_uncertifiable_n():
+    n = 1000003 * 1000033
+    with pytest.raises(FactorizationError, match=f"cofactor {n} of {n} is composite"):
+        list(enumerate_radicands(n, n))
 
 
 def test_crosscheck_agrees_on_a_window():
