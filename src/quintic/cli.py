@@ -218,17 +218,17 @@ def report(n, h_gamma, table, out):
     _emit(_envelope("report", {"n": n, "h_gamma": h}, doc, warnings), out)
 
 
-def _row_chunk(args: tuple[int, int, str | None]) -> list[dict]:
-    lo, hi, verdict_value = args
+def _row_chunk(args: tuple[int, int, str | None, bool]) -> str:
+    """The output lines of one chunk of the range, as JSONL or CSV text."""
+    lo, hi, verdict_value, as_jsonl = args
     verdict = None if verdict_value is None else Verdict(verdict_value)
-    return [form.to_json() for _, form in radicand.enumerate_radicands(lo, hi, verdict)]
+    line = radicand.RadicandForm.json_line if as_jsonl else _csv_row
+    return "".join([line(form) + "\n" for _, form in radicand.enumerate_radicands(lo, hi, verdict)])
 
 
-def _csv_row(row: dict) -> str:
-    cells = [str(row["n"]), row["verdict"], *( "" if row[k] is None else str(row[k]) for k in ("e", "p", "q"))]
-    by_name = {c["name"]: c for c in row["checks"]}
-    for name in radicand.CHECK_NAMES:
-        cells.append("pass" if by_name[name]["passed"] else "fail")
+def _csv_row(form: radicand.RadicandForm) -> str:
+    cells = [str(form.n), form.verdict.value, *("" if v is None else str(v) for v in (form.e, form.p, form.q))]
+    cells.extend("pass" if c.passed else "fail" for c in form.checks)
     return ",".join(cells)
 
 
@@ -249,24 +249,19 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
         lo = max(lo, from_n)
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
-    chunks = [(a, min(a + _ENUM_CHUNK - 1, hi), form_filter) for a in range(lo, hi + 1, _ENUM_CHUNK)]
+    chunks = [(a, min(a + _ENUM_CHUNK - 1, hi), form_filter, as_jsonl) for a in range(lo, hi + 1, _ENUM_CHUNK)]
     workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers > 1:
         # imported here: it pulls in multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_rows = list(pool.map(_row_chunk, chunks))
+            chunk_texts = list(pool.map(_row_chunk, chunks))
     else:
-        chunk_rows = [_row_chunk(c) for c in chunks]
+        chunk_texts = [_row_chunk(c) for c in chunks]
 
-    lines = []
-    if not as_jsonl:
-        lines.append("n,verdict,e,p,q," + ",".join(radicand.CHECK_NAMES))
-    for rows in chunk_rows:
-        for row in rows:
-            lines.append(json.dumps(row, sort_keys=False, separators=(",", ":")) if as_jsonl else _csv_row(row))
-    text = "".join(line + "\n" for line in lines)
+    header = "" if as_jsonl else "n,verdict,e,p,q," + ",".join(radicand.CHECK_NAMES) + "\n"
+    text = header + "".join(chunk_texts)
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

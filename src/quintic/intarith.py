@@ -9,6 +9,9 @@ primality certificate for the cofactor. The primes sit in one table, built
 on first use only as far as a call needs, in blocks of 256 with the product
 of each block; a block that shares no factor with the cofactor is skipped
 after one gcd (Bernstein, "How to find smooth parts of integers", 2004).
+A cofactor below 10^12 is certified by the trial division itself, which has
+then ruled out every prime up to its square root; only a larger one goes to
+Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -102,6 +105,8 @@ def factorize(n: int) -> dict[int, int]:
     by prime. Division stops at the first prime p with p^2 > cofactor, as
     plain trial division would, so the cofactor left over is the same; it
     must then be a certified prime, and composite cofactors are rejected.
+    A cofactor below 10^12 is prime by the trial division alone; one of at
+    least 10^12 is certified by the deterministic Miller-Rabin ``is_prime``.
     The prime table grows with the cofactor's square root, doubling at
     least, up to 10^6.
     """
@@ -133,8 +138,13 @@ def factorize(n: int) -> dict[int, int]:
                     if g == 1:
                         break
         k += 1
+    # Every prime <= min(isqrt(m), 10^6) has now been ruled out: the table is
+    # grown to isqrt(m) (capped at 10^6) before its last block is divided, and
+    # division only stops early at a prime p with p^2 > m. Below 10^12 that
+    # covers isqrt(m), so a cofactor m > 1 there has no prime factor <= its
+    # square root and is prime; Miller-Rabin is needed only from 10^12 on.
     if m > 1:
-        if not is_prime(m):
+        if m >= _TRIAL_LIMIT**2 and not is_prime(m):
             raise FactorizationError(
                 f"cofactor {m} of {n} is composite and beyond the trial-division bound"
             )

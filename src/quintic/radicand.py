@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import (
     BoundExceeded,
@@ -38,7 +39,7 @@ class Verdict(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     name: str
     passed: bool
@@ -67,6 +68,17 @@ class RadicandForm:
             ],
         }
 
+    def json_line(self) -> str:
+        """``json.dumps(self.to_json(), separators=(",", ":"))``, built without the dicts."""
+        rows = ",".join([_JSON_ROW_PREFIX[c.name][c.passed] + _json_str(c.witness) + "}"
+                         for c in self.checks])
+        e, p, q = self.e, self.p, self.q
+        return (
+            f'{{"n":{self.n},"verdict":{_json_str(self.verdict.value)},'
+            f'"e":{"null" if e is None else e},"p":{"null" if p is None else p},'
+            f'"q":{"null" if q is None else q},"checks":[{rows}]}}'
+        )
+
 
 #: fixed check schema, one row per tested condition regardless of verdict
 CHECK_NAMES = (
@@ -85,6 +97,34 @@ CHECK_NAMES = (
     "form3-p-24-mod-25",
     "form3-n-pm1pm7-mod-25",
 )
+
+#: per check name, the compact JSON of a ledger row up to its witness, for passed False and True
+_JSON_ROW_PREFIX = {
+    name: tuple(f'{{"name":{_json_str(name)},"passed":{flag},"witness":' for flag in ("false", "true"))
+    for name in CHECK_NAMES
+}
+
+# Ledger rows that depend on nothing but n % 25, or on no prime at all, are
+# shared: Check is frozen, so every RadicandForm can hold the same instance.
+_NO_PRIME_1_MOD_5 = Check("no-prime-factor-1-mod-5", True, "none divides n")
+_FORM1_N_MOD_25 = tuple(
+    Check("form1-n-not-pm1pm7-mod-25", r not in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25)
+)
+_FORM2_N_MOD_25 = tuple(
+    Check("form2-n-pm1pm7-mod-25", r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25)
+)
+_FORM3_N_MOD_25 = tuple(
+    Check("form3-n-pm1pm7-mod-25", r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25)
+)
+# the rows about p and q when the shape fails: there is no p or q to test
+_FORM1_NO_P = (Check("form1-p-4-mod-5", False, "-"), Check("form1-p-not-24-mod-25", False, "-"))
+_FORM2_NO_PQ = (
+    Check("form2-p-4-mod-5", False, "-"),
+    Check("form2-p-not-24-mod-25", False, "-"),
+    Check("form2-q-pm2-mod-5", False, "-"),
+    Check("form2-q-not-pm7-mod-25", False, "-"),
+)
+_FORM3_NO_P = Check("form3-p-24-mod-25", False, "-")
 
 
 def is_fifth_power_free(n: int) -> bool:
@@ -121,96 +161,79 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
         raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
 
     primes = sorted(fac)
-    checks: list[Check] = []
     bad = next((p for p in primes if p % 5 == 1), None)
-    checks.append(
-        Check(
-            "no-prime-factor-1-mod-5",
-            bad is None,
-            f"{bad} = 1 mod 5 divides n" if bad else "none divides n",
-        )
+    no_bad = (
+        _NO_PRIME_1_MOD_5
+        if bad is None
+        else Check("no-prime-factor-1-mod-5", False, f"{bad} = 1 mod 5 divides n")
     )
     n25 = n % 25
     hyper = n25 in HYPER_MOD_25
-    fac_str = " * ".join(f"{p}^{fac[p]}" if fac[p] > 1 else f"{p}" for p in primes)
+    shape_witness = "n = " + " * ".join(f"{p}^{fac[p]}" if fac[p] > 1 else f"{p}" for p in primes)
+    two = len(primes) == 2
 
     # Form I: n = 5^e * p
-    others = [p for p in primes if p != 5]
-    shape1 = 5 in fac and 1 <= fac[5] <= 4 and len(others) == 1 and fac[others[0]] == 1
-    p1 = others[0] if shape1 else None
-    checks.append(Check("form1-shape-5e-p", shape1, f"n = {fac_str}"))
-    checks.append(
-        Check(
-            "form1-p-4-mod-5",
-            shape1 and p1 % 5 == 4,
-            f"{p1} % 5 = {p1 % 5}" if p1 else "-",
+    p1 = None
+    if two and 5 in fac:
+        other = primes[0] if primes[1] == 5 else primes[1]
+        if fac[other] == 1:
+            p1 = other
+    if p1 is None:
+        form1 = False
+        rows1 = _FORM1_NO_P
+    else:
+        r5, r25 = p1 % 5, p1 % 25
+        form1 = r5 == 4 and r25 != 24 and not hyper
+        rows1 = (
+            Check("form1-p-4-mod-5", r5 == 4, f"{p1} % 5 = {r5}"),
+            Check("form1-p-not-24-mod-25", r25 != 24, f"{p1} % 25 = {r25}"),
         )
-    )
-    checks.append(
-        Check(
-            "form1-p-not-24-mod-25",
-            shape1 and p1 % 25 != 24,
-            f"{p1} % 25 = {p1 % 25}" if p1 else "-",
-        )
-    )
-    checks.append(Check("form1-n-not-pm1pm7-mod-25", not hyper, f"n % 25 = {n25}"))
-    form1 = all(c.passed for c in checks[1:5])
 
-    # Form II: n = p^e * q
+    # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
     p2 = q2 = None
-    shape2 = False
-    if 5 not in fac and len(primes) == 2:
-        cand_p = [p for p in primes if p % 5 == 4]
-        if len(cand_p) == 1:
-            pp = cand_p[0]
-            qq = next(p for p in primes if p != pp)
-            if 1 <= fac[pp] <= 4 and fac[qq] == 1:
-                shape2, p2, q2 = True, pp, qq
-    checks.append(Check("form2-shape-pe-q", shape2, f"n = {fac_str}"))
-    checks.append(Check("form2-n-pm1pm7-mod-25", hyper, f"n % 25 = {n25}"))
-    checks.append(
-        Check("form2-p-4-mod-5", shape2, f"{p2} % 5 = {p2 % 5}" if p2 else "-")
-    )
-    checks.append(
-        Check(
-            "form2-p-not-24-mod-25",
-            shape2 and p2 % 25 != 24,
-            f"{p2} % 25 = {p2 % 25}" if p2 else "-",
+    if two and 5 not in fac:
+        a, b = primes
+        if (a % 5 == 4) != (b % 5 == 4):
+            pp, qq = (a, b) if a % 5 == 4 else (b, a)
+            if fac[qq] == 1:
+                p2, q2 = pp, qq
+    if p2 is None:
+        form2 = False
+        rows2 = _FORM2_NO_PQ
+    else:
+        p25, q5, q25 = p2 % 25, q2 % 5, q2 % 25
+        form2 = hyper and p25 != 24 and q5 in (2, 3) and q25 not in (7, 18)
+        rows2 = (
+            Check("form2-p-4-mod-5", True, f"{p2} % 5 = {p2 % 5}"),
+            Check("form2-p-not-24-mod-25", p25 != 24, f"{p2} % 25 = {p25}"),
+            Check("form2-q-pm2-mod-5", q5 in (2, 3), f"{q2} % 5 = {q5}"),
+            Check("form2-q-not-pm7-mod-25", q25 not in (7, 18), f"{q2} % 25 = {q25}"),
         )
-    )
-    checks.append(
-        Check(
-            "form2-q-pm2-mod-5",
-            shape2 and q2 % 5 in (2, 3),
-            f"{q2} % 5 = {q2 % 5}" if q2 else "-",
-        )
-    )
-    checks.append(
-        Check(
-            "form2-q-not-pm7-mod-25",
-            shape2 and q2 % 25 not in (7, 18),
-            f"{q2} % 25 = {q2 % 25}" if q2 else "-",
-        )
-    )
-    form2 = all(c.passed for c in checks[5:11])
 
     # Form III: n = p^e
-    shape3 = len(primes) == 1 and primes[0] != 5 and 1 <= fac[primes[0]] <= 4
-    p3 = primes[0] if shape3 else None
-    checks.append(Check("form3-shape-pe", shape3, f"n = {fac_str}"))
-    checks.append(
-        Check(
-            "form3-p-24-mod-25",
-            shape3 and p3 % 25 == 24,
-            f"{p3} % 25 = {p3 % 25}" if p3 else "-",
-        )
-    )
-    checks.append(Check("form3-n-pm1pm7-mod-25", hyper, f"n % 25 = {n25}"))
-    form3 = all(c.passed for c in checks[11:14])
+    p3 = primes[0] if len(primes) == 1 and primes[0] != 5 else None
+    if p3 is None:
+        form3 = False
+        row3 = _FORM3_NO_P
+    else:
+        r25 = p3 % 25
+        form3 = r25 == 24 and hyper
+        row3 = Check("form3-p-24-mod-25", r25 == 24, f"{p3} % 25 = {r25}")
 
-    if sum((form1, form2, form3)) > 1:
+    if form1 + form2 + form3 > 1:
         raise InternalCheckError(f"n = {n} matched more than one family")
-    rows = tuple(checks)
+    rows = (
+        no_bad,
+        Check("form1-shape-5e-p", p1 is not None, shape_witness),
+        *rows1,
+        _FORM1_N_MOD_25[n25],
+        Check("form2-shape-pe-q", p2 is not None, shape_witness),
+        _FORM2_N_MOD_25[n25],
+        *rows2,
+        Check("form3-shape-pe", p3 is not None, shape_witness),
+        row3,
+        _FORM3_N_MOD_25[n25],
+    )
     if form1:
         return RadicandForm(n, Verdict.FORM_I, fac[5], p1, None, rows)
     if form2:

@@ -212,6 +212,29 @@ def test_enumerate_workers_are_clamped(runner, monkeypatch, workers, cpus, hi, w
     assert parallel == invoke(runner, "enumerate", "2", str(hi)).output
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-process pool")
+@pytest.mark.parametrize("fmt", ["--jsonl", "--csv"])
+def test_enumerate_with_a_real_process_pool_matches_serial(runner, monkeypatch, fmt):
+    import concurrent.futures
+
+    pids = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        """The real executor, recording the worker processes that served the map."""
+
+        def map(self, fn, *iterables):
+            out = list(super().map(fn, *iterables))
+            pids.extend(self._processes)
+            return out
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    res = runner.invoke(main, ["enumerate", "2", "1000", fmt, "--workers", "2"], catch_exceptions=False)
+    serial = runner.invoke(main, ["enumerate", "2", "1000", fmt], catch_exceptions=False)
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert (res.exit_code, res.stdout_bytes, res.stderr_bytes) == (0, serial.stdout_bytes, b"")
+    assert serial.exit_code == 0 and serial.stderr_bytes == b""
+
+
 def test_in_process_invocations_retain_no_memory(runner):
     def retained_after(calls):
         for _ in range(calls):

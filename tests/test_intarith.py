@@ -123,3 +123,45 @@ def test_importing_the_cli_builds_no_prime_table():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=60)
     assert res.stdout.split() == ["1", "0", "0"]
+
+
+@pytest.fixture
+def is_prime_calls(monkeypatch):
+    """Records every argument factorize passes to is_prime, its only primality test."""
+    calls = []
+
+    def recording(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(intarith, "is_prime", recording)
+    return calls
+
+
+def test_trial_division_certifies_every_cofactor_below_20000(is_prime_calls):
+    for n in range(2, 20001):
+        factorize(n)
+    assert is_prime_calls == []
+
+
+def test_trial_division_certifies_a_cofactor_below_the_squared_bound(is_prime_calls):
+    # 1000003 is the first prime above the table, yet below 10^12 no prime <= its root is left
+    assert factorize(2 * 1000003) == {2: 1, 1000003: 1}
+    assert is_prime_calls == []
+
+
+@pytest.mark.parametrize("n, want", [
+    (10**12 + 39, {10**12 + 39: 1}),  # the first prime above 10^12
+    (999983 * 1000000000039, {999983: 1, 1000000000039: 1}),
+])
+def test_cofactors_from_the_squared_bound_on_go_to_miller_rabin(is_prime_calls, n, want):
+    assert factorize(n) == want
+    assert is_prime_calls == [max(want)]
+
+
+def test_a_composite_cofactor_above_the_squared_bound_is_still_refused(is_prime_calls):
+    n = 1000003 * 1000033
+    with pytest.raises(FactorizationError) as exc:
+        factorize(n)
+    assert str(exc.value) == f"cofactor {n} of {n} is composite and beyond the trial-division bound"
+    assert is_prime_calls == [n]

@@ -1,8 +1,13 @@
+import json
+
 import pytest
 
+from quintic.cli import _csv_row
 from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
 from quintic.radicand import (
     CHECK_NAMES,
+    Check,
+    RadicandForm,
     Verdict,
     classify,
     crosscheck_verdicts,
@@ -128,3 +133,36 @@ def test_json_shape():
     assert doc["n"] == 57 and doc["verdict"] == "II"
     assert doc["e"] == 1 and doc["p"] == 19 and doc["q"] == 3
     assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
+
+
+def csv_row_from_dict(row):
+    """Oracle: the CSV row as the CLI built it from to_json()."""
+    cells = [str(row["n"]), row["verdict"], *("" if row[k] is None else str(row[k]) for k in ("e", "p", "q"))]
+    by_name = {c["name"]: c for c in row["checks"]}
+    for name in CHECK_NAMES:
+        cells.append("pass" if by_name[name]["passed"] else "fail")
+    return ",".join(cells)
+
+
+def _serializer_forms():
+    yield from (form for _, form in enumerate_radicands(2, 20000))
+    yield from (classify(n) for n in (95, 57, 149))
+    yield from (form for _, form in enumerate_radicands(10**12, 10**12 + 400, Verdict.FORM_II))
+
+
+def test_json_line_and_csv_row_match_the_dict_serializers():
+    verdicts, large = set(), 0
+    for form in _serializer_forms():
+        row = form.to_json()
+        assert form.json_line() == json.dumps(row, separators=(",", ":")), form.n
+        assert _csv_row(form) == csv_row_from_dict(row), form.n
+        verdicts.add(form.verdict)
+        large += form.n > 10**12
+    assert verdicts == set(Verdict) and large > 0
+
+
+def test_json_line_escapes_witnesses_as_json_dumps_does():
+    form = classify(57)
+    odd = [Check(c.name, c.passed, 'q "\\ \n\u00e9\U0001d4b3') for c in form.checks]
+    form = RadicandForm(form.n, form.verdict, form.e, form.p, form.q, tuple(odd))
+    assert form.json_line() == json.dumps(form.to_json(), separators=(",", ":"))
