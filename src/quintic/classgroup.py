@@ -339,7 +339,6 @@ def model_survey() -> ModelSurvey:
 
 
 def enumerate_capitulation_types(
-    require_nontrivial_kernel: bool = True,
     require_ambiguous_capitulates: bool = True,
     require_uniform_conjugates: bool = True,
 ) -> tuple[tuple[int, ...], ...]:
@@ -354,12 +353,11 @@ def enumerate_capitulation_types(
           i_j in {0, 1};
       (c) the tau^2 conjugacy of K2..K6 forces entries 2..6 to agree.
 
-    With all three active exactly four tuples survive.
+    (b) and (c) are the two flags; with both active exactly four tuples
+    survive.
     """
     out = []
     for t in product(range(7), repeat=6):
-        if require_nontrivial_kernel and not all(0 <= e <= 6 for e in t):
-            continue
         if require_ambiguous_capitulates and not all(e in (0, 1) for e in t):
             continue
         if require_uniform_conjugates and len(set(t[1:])) != 1:

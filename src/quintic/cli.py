@@ -45,9 +45,12 @@ def _emit(doc: dict, out):
         click.echo(text, nl=False, file=sys.stdout)
 
 
+def _error_doc(exc: QuinticError) -> dict:
+    return {"error": {"code": exc.code, "message": str(exc)}}
+
+
 def _fail(exc: QuinticError):
-    doc = {"error": {"code": exc.code, "message": str(exc)}}
-    click.echo(json.dumps(doc, indent=2), file=sys.stderr)
+    click.echo(json.dumps(_error_doc(exc), indent=2), file=sys.stderr)
     sys.exit(exc.exit_code)
 
 
@@ -153,7 +156,7 @@ def _corollary_section(n, h, fac):
     try:
         return genus.corollary_report(n, h, factorization=fac).to_json()
     except QuinticError as exc:
-        return {"error": {"code": exc.code, "message": str(exc)}}
+        return _error_doc(exc)
 
 
 @main.command("genus")
@@ -197,7 +200,7 @@ def report(n, h_gamma, table, out):
     try:
         doc["genus"] = genus.build_genus_report(n, form=form, factorization=fac).to_json()
     except QuinticError as exc:
-        doc["genus"] = {"error": {"code": exc.code, "message": str(exc)}}
+        doc["genus"] = _error_doc(exc)
     if form.verdict is not Verdict.NONE:
         try:
             cert = classgroup.generator_certificate(n, form)
@@ -205,7 +208,7 @@ def report(n, h_gamma, table, out):
             if not cert.applicable:
                 warnings.append(RESIDUE_READING_NOTE)
         except QuinticError as exc:
-            certificate = {"error": {"code": exc.code, "message": str(exc)}}
+            certificate = _error_doc(exc)
         types, lattice, perm = classgroup.capitulation_constants()
         doc["capitulation"] = {
             "n": n,

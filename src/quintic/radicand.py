@@ -246,8 +246,9 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
 def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
     """Yield (n, RadicandForm) for fifth-power-free n in [lo, hi], ascending.
 
-    Each n is factored once. An n whose factorization cannot be certified is
-    still skipped when a fifth power divides it; otherwise the error stands.
+    Each n is factored once, and classify's own fifth-power check skips n.
+    An n whose factorization cannot be certified is still skipped when a
+    fifth power divides it; otherwise the error stands.
     """
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
@@ -258,9 +259,10 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
             if not is_fifth_power_free(n):
                 continue
             raise
-        if any(a >= 5 for a in fac.values()):
+        try:
+            form = classify(n, factorization=fac)
+        except NotFifthPowerFree:
             continue
-        form = classify(n, factorization=fac)
         if verdict is None or form.verdict is verdict:
             yield n, form
 

@@ -2,15 +2,22 @@
 
 Each suite returns the number of checks it ran and a list of failure
 descriptions; the CLI turns nonempty failure lists into a nonzero exit.
+Each suite takes its limits as keyword parameters. The defaults are what
+``quintic selftest`` runs; the acceptance tests call the same suites with
+larger limits, so every oracle comparison is written here and only here.
+An exception a suite does not expect propagates, and the CLI reports its
+error code.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from . import classgroup, cyclo, genus, radicand, symbols
 from .cyclo import CycInt
+from .errors import NotCoprime
 from .intarith import is_primitive_root, primitive_root, sieve_primes
 from .primes import factor_rational_prime
 
@@ -31,14 +38,14 @@ class SuiteResult:
         return not self.failures
 
 
-def _suite_ring(seed: int = 20240501) -> SuiteResult:
+def _suite_ring(seed: int = 20240501, pairs: int = 2000, bits: int = 64) -> SuiteResult:
     res = SuiteResult("ring")
     rng = random.Random(seed)
 
-    def rnd(bits=64):
+    def rnd():
         return CycInt(tuple(rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(4)))
 
-    for _ in range(2000):
+    for _ in range(pairs):
         a, b = rnd(), rnd()
         res.note(cyclo.norm(a * b) == cyclo.norm(a) * cyclo.norm(b), f"norm mult {a!r} {b!r}")
         if b:
@@ -60,8 +67,8 @@ def _suite_splitting(limit: int = 2000) -> SuiteResult:
     res = SuiteResult("splitting")
     for p in sieve_primes(limit):
         qs = factor_rational_prime(p)
-        g = len(qs)
-        res.note(qs[0].e * qs[0].f * g == 4, f"efg at {p}")
+        e, f, g = qs[0].e, qs[0].f, len(qs)
+        res.note(e * f * g == 4, f"efg at {p}")
         prod = CycInt(1)
         for q in qs:
             res.note(cyclo.norm(q.element) == p**q.f, f"norm at {p}")
@@ -69,14 +76,14 @@ def _suite_splitting(limit: int = 2000) -> SuiteResult:
         unit = cyclo.exact_div(CycInt(p), prod)
         res.note(cyclo.norm(unit) == 1, f"unit cofactor at {p}")
         order = 1 if p == 5 else next(k for k in (1, 2, 4) if pow(p, k, 5) == 1)
-        want_g = {1: 4, 2: 2, 4: 1}[order] if p != 5 else 1
-        res.note(g == want_g, f"pattern at {p}")
+        want = (4, 1, 1) if p == 5 else (1, order, 4 // order)
+        res.note((e, f, g) == want, f"pattern at {p}")
     return res
 
 
-def _suite_symbols() -> SuiteResult:
+def _suite_symbols(limit: int = 42, triples: int = 200, seed: int = 99) -> SuiteResult:
     res = SuiteResult("symbols")
-    for p in (11, 19, 29, 31, 41):
+    for p in [p for p in sieve_primes(limit) if p % 5 in (1, 4)]:
         for q in factor_rational_prime(p):
             rf = symbols.residue_field(q)
             if rf.f == 1:
@@ -94,19 +101,20 @@ def _suite_symbols() -> SuiteResult:
                 res.note(s == symbols.brute_force_symbol(a, q), f"oracle {p} {a!r}")
                 zeros += s == 0
             res.note(zeros == (rf.order() - 1) // 5, f"fifth-power count above {p}")
-    rng = random.Random(99)
-    qs = factor_rational_prime(19) + factor_rational_prime(11)
-    for _ in range(200):
-        q = qs[rng.randrange(len(qs))]
-        a = CycInt(tuple(rng.randrange(-40, 41) for _ in range(4)))
-        b = CycInt(tuple(rng.randrange(-40, 41) for _ in range(4)))
+    rng = random.Random(seed)
+    pool = factor_rational_prime(11) + factor_rational_prime(19) + factor_rational_prime(29)
+    done = 0
+    while done < triples:
+        q = pool[rng.randrange(len(pool))]
+        a = CycInt(tuple(rng.randrange(-100, 101) for _ in range(4)))
+        b = CycInt(tuple(rng.randrange(-100, 101) for _ in range(4)))
         try:
             sa = symbols.quintic_symbol(a, q)
             sb = symbols.quintic_symbol(b, q)
-            sab = symbols.quintic_symbol(a * b, q)
-        except Exception:
+        except NotCoprime:
             continue
-        res.note(sab == (sa + sb) % 5, f"multiplicativity above {q.p}")
+        res.note(symbols.quintic_symbol(a * b, q) == (sa + sb) % 5, f"multiplicativity above {q.p}")
+        done += 1
     return res
 
 
@@ -128,15 +136,15 @@ def _suite_periods(limit: int = 100) -> SuiteResult:
             genus.period_polynomial(p, g1).coefficients == poly.coefficients,
             f"root independence at {p}",
         )
+        # the p-part is exactly p^4 (the field discriminant); the cofactor is
+        # the square of the period-order index, coprime to p
         d = abs(poly.discriminant())
         v = 0
         while d % p == 0:
             d //= p
             v += 1
-        import math
-
         s = math.isqrt(d)
-        res.note(v == 4 and s * s == d, f"discriminant shape at {p}")
+        res.note(v == 4 and s * s == d and math.gcd(s, p) == 1, f"discriminant shape at {p}")
     return res
 
 
@@ -158,17 +166,23 @@ def _suite_capitulation() -> SuiteResult:
     res.note(survey.pairs_total == 480, "pair count")
     res.note(survey.kernel_dim_one == survey.pairs_total, "ambiguous rank")
     res.note(survey.kernel_equals_image == survey.pairs_total, "principal genus")
+    # tau^2 carries the ambiguous line to itself in every model; whether it
+    # acts there by +1 or -1 the matrix relations leave open, and each
+    # happens in half of them (the canonical model lies in the +1 half)
     res.note(survey.kernel_tau2_stable == survey.pairs_total, "tau2 stability")
+    res.note(
+        (survey.tau2_pointwise_fixed, survey.tau2_pointwise_inverted) == (240, 240),
+        "tau2 sign split",
+    )
     res.note(survey.ambiguity_operator_ok, "ambiguity operator")
     rank = classgroup.brute_force_rank_check()
     res.note(rank.order5_count == 24 and rank.all_fixed_lines, "order-5 fixed lines")
     types = classgroup.enumerate_capitulation_types()
     res.note(types == classgroup.EXPECTED_CAPITULATION_TYPES, "capitulation types")
-    res.note(
-        len(classgroup.enumerate_capitulation_types(require_uniform_conjugates=False)) > len(types),
-        "uniformity constraint is active",
-    )
+    loose = classgroup.enumerate_capitulation_types(require_uniform_conjugates=False)
+    res.note(set(types) < set(loose), "uniformity constraint is active")
     m = classgroup.canonical_model()
+    res.note(classgroup.plus_eigenline(m) == classgroup.ambiguous_subgroup(m), "canonical plus eigenline")
     perm = classgroup.tau2_permutation(m)
     res.note(perm == (1, 2, 6, 5, 4, 3), "canonical tau2 involution")
     served_types, served_lattice, served_perm = classgroup.capitulation_constants()

@@ -396,3 +396,35 @@ def test_selftest_reports_failing_suites_by_name(runner, monkeypatch):
     assert res.exit_code == 1
     assert "suite capitulation" in res.output and "FAIL" in res.output
     assert "injected fault" in res.output
+
+
+def test_selftest_surfaces_unexpected_symbol_errors(runner, monkeypatch):
+    from quintic import symbols
+    from quintic.errors import InternalCheckError
+
+    real = symbols.quintic_symbol
+
+    def faulty(a, q):
+        # the multiplicativity products are the suite's only inputs with a
+        # coordinate above 100
+        if max(abs(c) for c in a.c) > 100:
+            raise InternalCheckError("injected fault")
+        return real(a, q)
+
+    monkeypatch.setattr(symbols, "quintic_symbol", faulty)
+    res = runner.invoke(main, ["selftest", "--suite", "symbols"])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == {"code": "internal-check-failed", "message": "injected fault"}
+
+
+def test_selftest_summary_pin(runner):
+    res = runner.invoke(main, ["selftest"])
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == [
+        "suite ring: 6800 checks, 0 failures [ok]",
+        "suite splitting: 1504 checks, 0 failures [ok]",
+        "suite symbols: 2936 checks, 0 failures [ok]",
+        "suite periods: 22 checks, 0 failures [ok]",
+        "suite classifier: 38574 checks, 0 failures [ok]",
+        "suite capitulation: 14 checks, 0 failures [ok]",
+    ]
