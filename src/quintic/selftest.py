@@ -4,7 +4,7 @@ Each suite returns the number of checks it ran and a list of failure
 descriptions; the CLI turns nonempty failure lists into a nonzero exit.
 Each suite takes its limits as keyword parameters. The defaults are what
 ``quintic selftest`` runs; the acceptance tests call the same suites with
-larger limits, so every oracle comparison is written here and only here.
+larger limits, so no oracle comparison is written both here and in them.
 An exception a suite does not expect propagates, and the CLI reports its
 error code.
 """
@@ -38,12 +38,12 @@ class SuiteResult:
         return not self.failures
 
 
-def _suite_ring(seed: int = 20240501, pairs: int = 2000, bits: int = 64) -> SuiteResult:
+def _suite_ring(seed: int = 20240501, pairs: int = 2000) -> SuiteResult:
     res = SuiteResult("ring")
     rng = random.Random(seed)
 
     def rnd():
-        return CycInt(tuple(rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(4)))
+        return CycInt(tuple(rng.randrange(-(1 << 128), (1 << 128) + 1) for _ in range(4)))
 
     for _ in range(pairs):
         a, b = rnd(), rnd()
@@ -81,7 +81,7 @@ def _suite_splitting(limit: int = 2000) -> SuiteResult:
     return res
 
 
-def _suite_symbols(limit: int = 42, triples: int = 200, seed: int = 99) -> SuiteResult:
+def _suite_symbols(limit: int = 42, triples: int = 200) -> SuiteResult:
     res = SuiteResult("symbols")
     for p in [p for p in sieve_primes(limit) if p % 5 in (1, 4)]:
         for q in factor_rational_prime(p):
@@ -101,7 +101,8 @@ def _suite_symbols(limit: int = 42, triples: int = 200, seed: int = 99) -> Suite
                 res.note(s == symbols.brute_force_symbol(a, q), f"oracle {p} {a!r}")
                 zeros += s == 0
             res.note(zeros == (rf.order() - 1) // 5, f"fifth-power count above {p}")
-    rng = random.Random(seed)
+    # one fixed seed: a shorter run draws a prefix of a longer run's triples
+    rng = random.Random(31415)
     pool = factor_rational_prime(11) + factor_rational_prime(19) + factor_rational_prime(29)
     done = 0
     while done < triples:

@@ -51,7 +51,7 @@ def classified_up_to_1e5():
 
 def test_criterion_01_ring_correctness():
     t0 = time.perf_counter()
-    res = _suite("ring", seed=0xC0FFEE, pairs=10_000, bits=128)
+    res = _suite("ring", seed=0xC0FFEE, pairs=10_000)
     _report(1, time.perf_counter() - t0, 10.0,
             f"10000 random pairs, coefficients to 2^128, {res.checks} checks")
 
@@ -64,7 +64,7 @@ def test_criterion_02_prime_splitting():
 
 def test_criterion_03_symbol_oracle_equivalence():
     t0 = time.perf_counter()
-    res = _suite("symbols", limit=200, triples=1000, seed=31415)
+    res = _suite("symbols", limit=200, triples=1000)
     _report(3, time.perf_counter() - t0, 60.0,
             f"{res.checks} checks: every residue class above the split primes below 200, "
             "1000 multiplicativity triples")

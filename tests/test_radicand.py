@@ -10,10 +10,10 @@ from quintic.radicand import (
     RadicandForm,
     Verdict,
     classify,
-    crosscheck_verdicts,
     enumerate_radicands,
     is_fifth_power_free,
 )
+from quintic.selftest import SUITES
 
 
 def test_fifth_power_free():
@@ -119,13 +119,9 @@ def test_enumerate_raises_on_a_fifth_power_free_uncertifiable_n():
 
 
 def test_crosscheck_agrees_on_a_window():
-    for n in range(2, 20001):
-        if not is_fifth_power_free(n):
-            continue
-        matches = crosscheck_verdicts(n)
-        assert len(matches) <= 1, n
-        want = matches[0] if matches else "none"
-        assert classify(n).verdict.value == want, n
+    # the comparison is the classifier suite's; the selftest summary pin runs
+    # it to 2*10^4 and acceptance criterion 4 to 10^5
+    assert SUITES["classifier"](limit=2000).failures == []
 
 
 def test_json_shape():
