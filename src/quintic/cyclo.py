@@ -35,7 +35,7 @@ class CycInt:
         if o is None:
             return NotImplemented
         a, b = self.c, o.c
-        return CycInt((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        return _wrap((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
 
     __radd__ = __add__
 
@@ -44,7 +44,7 @@ class CycInt:
         if o is None:
             return NotImplemented
         a, b = self.c, o.c
-        return CycInt((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        return _wrap((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -54,7 +54,7 @@ class CycInt:
 
     def __neg__(self):
         a = self.c
-        return CycInt((-a[0], -a[1], -a[2], -a[3]))
+        return _wrap((-a[0], -a[1], -a[2], -a[3]))
 
     def __mul__(self, other):
         o = _coerce(other)
@@ -70,7 +70,7 @@ class CycInt:
         c5 = a2 * b3 + a3 * b2
         c6 = a3 * b3
         # fold zeta^5 = 1, zeta^6 = zeta, then zeta^4 = -(1 + zeta + zeta^2 + zeta^3)
-        return CycInt((c0 + c5 - c4, c1 + c6 - c4, c2 - c4, c3 - c4))
+        return _wrap((c0 + c5 - c4, c1 + c6 - c4, c2 - c4, c3 - c4))
 
     __rmul__ = __mul__
 
@@ -127,8 +127,19 @@ def _coerce(x):
     if isinstance(x, CycInt):
         return x
     if isinstance(x, int):
-        return CycInt(x)
+        return _wrap((x, 0, 0, 0))
     return None
+
+
+_new = object.__new__
+
+
+def _wrap(c: tuple) -> CycInt:
+    # internal constructor for a 4-tuple of ints computed in this module; the
+    # public CycInt(...) validates outside input, this skips the re-check
+    obj = _new(CycInt)
+    obj.c = c
+    return obj
 
 
 ZERO = CycInt(0)
@@ -152,11 +163,28 @@ def galois_apply(t: int, a: CycInt) -> CycInt:
     for j, coef in enumerate(a.c):
         v[j * e % 5] += coef
     k = v[4]
-    return CycInt((v[0] - k, v[1] - k, v[2] - k, v[3] - k))
+    return _wrap((v[0] - k, v[1] - k, v[2] - k, v[3] - k))
 
 
 def norm(a: CycInt) -> int:
-    """Field norm N(a) = product of the four conjugates; a rational integer >= 0."""
+    """Field norm N(a), a rational integer >= 0, from one product.
+
+    b = a * tau^2(a) is a times its complex conjugate, so it lies in the real
+    subring Z[t], t = zeta + zeta^4 = (-1, 0, -1, -1). Writing b = x + y*t =
+    (x - y, 0, -y, -y) gives y = -b2 and x = b0 - b2; then N(a) = N(b) over
+    Q(sqrt 5) = (x + y*t)(x + y*t'), and t + t' = t*t' = -1 make it
+    x^2 - x*y - y^2. brute_force_norm, the four-conjugate product, is the oracle.
+    """
+    b = (a * galois_apply(2, a)).c
+    if b[1] or b[2] != b[3]:
+        raise InternalCheckError(f"a * conj(a) for {a!r} did not reduce to Z[zeta + zeta^4]")
+    y = -b[2]
+    x = b[0] + y
+    return x * x - x * y - y * y
+
+
+def brute_force_norm(a: CycInt) -> int:
+    """Oracle for norm: the product of the four conjugates of a."""
     m = a * galois_apply(1, a) * galois_apply(2, a) * galois_apply(3, a)
     if m.c[1] or m.c[2] or m.c[3]:
         raise InternalCheckError(f"norm of {a!r} did not reduce to a rational integer")
@@ -168,7 +196,7 @@ def _round_div(x: int, n: int) -> int:
     return (2 * x + n) // (2 * n)
 
 
-_OFFSETS = tuple(d for d in _cartesian((-1, 0, 1), repeat=4) if d != (0, 0, 0, 0))
+_OFFSETS = tuple(_wrap(d) for d in _cartesian((-1, 0, 1), repeat=4) if d != (0, 0, 0, 0))
 
 
 def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
@@ -186,12 +214,12 @@ def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
     conj = galois_apply(1, b) * galois_apply(2, b) * galois_apply(3, b)
     nb = (b * conj).c[0]
     num = a * conj
-    q = CycInt(tuple(_round_div(x, nb) for x in num.c))
+    q = _wrap(tuple([_round_div(x, nb) for x in num.c]))
     r = a - q * b
     if norm(r) < nb:
         return q, r
     for delta in _OFFSETS:
-        q2 = q + CycInt(delta)
+        q2 = q + delta
         r2 = a - q2 * b
         if norm(r2) < nb:
             return q2, r2
@@ -199,7 +227,7 @@ def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
 
 
 def exact_div(a: CycInt, b: CycInt) -> CycInt:
-    """a/b when b divides a exactly; The remainder must vanish."""
+    """a/b when b divides a exactly; a nonzero remainder raises InternalCheckError."""
     q, r = euclid_divmod(a, b)
     if r:
         raise InternalCheckError(f"{b!r} does not divide {a!r}")
@@ -252,14 +280,30 @@ def lambda_valuation(a: CycInt) -> int:
 
 #: congruence classes c with c^4 = 1 mod 25; the rational hyperprimary residues
 HYPERPRIMARY_CLASSES = (1, -1, 7, -7)
+_HYPERPRIMARY_BY_RESIDUE = {c % 25: c for c in HYPERPRIMARY_CLASSES}
 
 
 def hyperprimary_class(a: CycInt) -> int | None:
     """The c in {1, -1, 7, -7} with a = c mod lambda^5, or None.
 
-    For a rational integer coprime to 5 this is equivalent to
-    a mod 25 in {1, 24, 7, 18}.
+    Since 5 = unit * lambda^4, (lambda^5) = (5*lambda): a = c mod lambda^5
+    exactly when (a - c)/5 lies in Z[zeta5] and in (lambda). That is
+    a1 = a2 = a3 = 0 mod 5 and, as zeta = 1 mod lambda, a0 - c + a1 + a2 + a3
+    = 0 mod 25; the four classes differ mod 25, so at most one matches. For a
+    rational integer coprime to 5 this is a mod 25 in {1, 24, 7, 18}.
+    brute_force_hyperprimary_class, the lambda-valuation test, is the oracle.
     """
+    a = CycInt(a)
+    if not a:
+        raise InputError("hyperprimary class of zero is undefined")
+    a0, a1, a2, a3 = a.c
+    if a1 % 5 or a2 % 5 or a3 % 5:
+        return None
+    return _HYPERPRIMARY_BY_RESIDUE.get((a0 + a1 + a2 + a3) % 25)
+
+
+def brute_force_hyperprimary_class(a: CycInt) -> int | None:
+    """Oracle for hyperprimary_class: the first c with v_lambda(a - c) >= 5."""
     a = CycInt(a)
     if not a:
         raise InputError("hyperprimary class of zero is undefined")

@@ -18,9 +18,10 @@ as 1 + 3 - d rather than computed from unit norm equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import polyfp
-from .cyclo import CycInt, hyperprimary_class
+from .cyclo import LAMBDA, CycInt, hyperprimary_class
 from .errors import (
     BoundExceeded,
     ContradictionWitness,
@@ -358,8 +359,6 @@ class KummerGenerator:
 
 
 def _realize(lambda_exp: int, prime_exps) -> CycInt:
-    from .cyclo import LAMBDA
-
     w = LAMBDA**lambda_exp
     for q, k in prime_exps:
         w = w * q.element**k
@@ -369,6 +368,13 @@ def _realize(lambda_exp: int, prime_exps) -> CycInt:
 def _kummer_orbit(exps: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically smallest j-multiple of the exponent tuple, j in 1..4."""
     return min(tuple(x * j % 5 for x in exps) for j in range(1, 5))
+
+
+#: Kummer class representatives (tuples e with _kummer_orbit(e) == e) among
+#: the exponent patterns in 1..4, in lexicographic order: Form I's (a, a1, a2)
+#: and Form III's (a1, a2)
+_FORM_I_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=3) if _kummer_orbit(e) == e)
+_FORM_III_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=2) if _kummer_orbit(e) == e)
 
 
 def relative_genus(n: int, *, form: RadicandForm | None = None) -> tuple[KummerGenerator, ...]:
@@ -394,17 +400,9 @@ def relative_genus(n: int, *, form: RadicandForm | None = None) -> tuple[KummerG
     rejections: list[tuple] = []
 
     if form.verdict is Verdict.FORM_I:
-        seen = set()
-        for a in range(1, 5):
-            for a1 in range(1, 5):
-                for a2 in range(1, 5):
-                    rep = _kummer_orbit((a, a1, a2))
-                    if rep in seen or rep != (a, a1, a2):
-                        seen.add(rep)
-                        continue
-                    seen.add(rep)
-                    pe = ((pis[0], a1), (pis[1], a2))
-                    out.append(KummerGenerator(a, pe, _realize(a, pe)))
+        for a, a1, a2 in _FORM_I_EXPONENTS:
+            pe = ((pis[0], a1), (pis[1], a2))
+            out.append(KummerGenerator(a, pe, _realize(a, pe)))
     elif form.verdict is Verdict.FORM_II:
         q_inert = factor_rational_prime(form.q)[0]
         for pi in pis:
@@ -416,20 +414,13 @@ def relative_genus(n: int, *, form: RadicandForm | None = None) -> tuple[KummerG
                 else:
                     rejections.append((("q", 1), (pi.element.c, a), "not hyperprimary"))
     else:
-        seen = set()
-        for a1 in range(1, 5):
-            for a2 in range(1, 5):
-                rep = _kummer_orbit((a1, a2))
-                if rep in seen or rep != (a1, a2):
-                    seen.add(rep)
-                    continue
-                seen.add(rep)
-                pe = ((pis[0], a1), (pis[1], a2))
-                w = _realize(0, pe)
-                if hyperprimary_class(w) is not None:
-                    out.append(KummerGenerator(0, pe, w))
-                else:
-                    rejections.append(((a1, a2), "not hyperprimary"))
+        for a1, a2 in _FORM_III_EXPONENTS:
+            pe = ((pis[0], a1), (pis[1], a2))
+            w = _realize(0, pe)
+            if hyperprimary_class(w) is not None:
+                out.append(KummerGenerator(0, pe, w))
+            else:
+                rejections.append(((a1, a2), "not hyperprimary"))
 
     if not out:
         raise NoAdmissibleGenerator(

@@ -96,8 +96,8 @@ def factor_rational_prime(p: int) -> tuple[CycPrime, ...]:
     p = 1 mod 5: four degree-1 primes gcd(p, zeta - c) over the four
     elements c of order 5 mod p.
     p = 4 mod 5: two degree-2 primes gcd(p, zeta^2 - t*zeta + 1) for the
-    roots t of t^2 + t - 1 mod 5... mod p (the traces zeta + zeta^-1 of the
-    two conjugate pairs of roots of Phi5 mod p).
+    two roots t of t^2 + t - 1 mod p (the traces zeta + zeta^-1 of the two
+    conjugate pairs of roots of Phi5 mod p).
     p = +-2 mod 5: p itself stays prime (f = 4).
     """
     kind = splitting_type(p)
@@ -171,13 +171,37 @@ def is_primary(a: CycInt) -> int | None:
     return r if r else None
 
 
+#: the units u = epsilon^m * zeta^j of primary_normalize's search, with
+#: coordinates reduced mod 5, in search order
+_UNITS_MOD5 = tuple(
+    (m, j, CycInt(tuple(x % 5 for x in (_eps_power(m) * ZETA**j).c)))
+    for m in _EPS_EXPONENTS
+    for j in range(5)
+)
+
+
 def primary_normalize(q: CycPrime) -> CycPrime:
     """Associate of q congruent to a rational residue in {1,2,3,4} mod 5.
 
     Searches u * pi over u = s * zeta^j * epsilon^m with s = +-1, j in 0..4,
     m in -4..4, trying the identity unit first so already-primary elements
     come back unchanged. A failed search raises rather than widening.
+    Being primary depends only on u * pi mod 5, so the search multiplies
+    residues mod 5 and the full-size associate is built once, for the unit
+    found. -u * pi is primary exactly when u * pi is, so s = -1 never comes
+    first. brute_force_primary_normalize, the full-size search, is the oracle.
     """
+    if q.p == 5:
+        raise InputError("lambda has no primary associate (not coprime to 5)")
+    pi_mod5 = CycInt(tuple(x % 5 for x in q.element.c))
+    for m, j, u in _UNITS_MOD5:
+        if is_primary(u * pi_mod5) is not None:
+            return CycPrime(q.p, _eps_power(m) * ZETA**j * q.element, q.f, q.e)
+    raise _no_primary_associate(q)
+
+
+def brute_force_primary_normalize(q: CycPrime) -> CycPrime:
+    """Oracle for primary_normalize: the same search on full-size associates."""
     if q.p == 5:
         raise InputError("lambda has no primary associate (not coprime to 5)")
     for m in _EPS_EXPONENTS:
@@ -187,7 +211,11 @@ def primary_normalize(q: CycPrime) -> CycPrime:
             for cand in (base * q.element, -(base * q.element)):
                 if is_primary(cand) is not None:
                     return CycPrime(q.p, cand, q.f, q.e)
-    raise NoPrimaryAssociate(
+    raise _no_primary_associate(q)
+
+
+def _no_primary_associate(q: CycPrime) -> NoPrimaryAssociate:
+    return NoPrimaryAssociate(
         f"no associate of {q.element!r} (above {q.p}) is congruent to a rational "
         f"residue mod 5 within the unit search bound"
     )

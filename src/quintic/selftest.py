@@ -15,11 +15,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import classgroup, cyclo, genus, radicand, symbols
+from . import classgroup, cyclo, genus, primes, radicand, symbols
 from .cyclo import CycInt
-from .errors import NotCoprime
+from .errors import NoPrimaryAssociate, NotCoprime
 from .intarith import is_primitive_root, primitive_root, sieve_primes
-from .primes import factor_rational_prime
+from .primes import CycPrime, factor_rational_prime
 
 
 @dataclass
@@ -45,7 +45,14 @@ def _suite_ring(seed: int = 20240501, pairs: int = 2000) -> SuiteResult:
     def rnd():
         return CycInt(tuple(rng.randrange(-(1 << 128), (1 << 128) + 1) for _ in range(4)))
 
-    for _ in range(pairs):
+    def primary(fn, q):
+        try:
+            return fn(q).element
+        except NoPrimaryAssociate:
+            return None
+
+    pis = [q for p in sieve_primes(1000) if p != 5 for q in factor_rational_prime(p)]
+    for i in range(pairs):
         a, b = rnd(), rnd()
         res.note(cyclo.norm(a * b) == cyclo.norm(a) * cyclo.norm(b), f"norm mult {a!r} {b!r}")
         if b:
@@ -53,6 +60,21 @@ def _suite_ring(seed: int = 20240501, pairs: int = 2000) -> SuiteResult:
             res.note(a == q * b + r and cyclo.norm(r) < cyclo.norm(b), f"euclid {a!r} {b!r}")
         t = rng.randrange(4)
         res.note(cyclo.norm(cyclo.galois_apply(t, a)) == cyclo.norm(a), f"galois norm {a!r}")
+        res.note(cyclo.norm(a) == cyclo.brute_force_norm(a), f"norm oracle {a!r}")
+        # every other element is = a0 mod 5, the only case where it can be hyperprimary
+        h = a if i % 2 else CycInt((a.c[0], 5 * a.c[1], 5 * a.c[2], 5 * a.c[3]))
+        if h:
+            got = cyclo.hyperprimary_class(h)
+            res.note(got == cyclo.brute_force_hyperprimary_class(h), f"hyperprimary oracle {h!r}")
+        # a random associate of a prime: sign * zeta^j * epsilon^(+-m) * pi
+        pi = pis[rng.randrange(len(pis))]
+        eps = cyclo.EPSILON if rng.randrange(2) else cyclo.EPSILON - 1
+        u = eps ** rng.randrange(9) * cyclo.ZETA ** rng.randrange(5) * rng.choice((1, -1))
+        q = CycPrime(pi.p, u * pi.element, pi.f, pi.e)
+        res.note(
+            primary(primes.primary_normalize, q) == primary(primes.brute_force_primary_normalize, q),
+            f"primary oracle {q.element!r}",
+        )
     for n in range(1, 500):
         if n % 5 == 0:
             continue

@@ -64,6 +64,15 @@ def test_symbol_accepts_coordinates(runner):
     assert res.exit_code == 0
 
 
+def test_symbol_coordinates_go_through_the_validating_constructor(runner):
+    res = runner.invoke(main, ["symbol", "1,2,3", "11"])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"] == {
+        "code": "input-error",
+        "message": "expected 4 power-basis coordinates, got 3",
+    }
+
+
 def test_symbol_rejects_lambda(runner):
     res = runner.invoke(main, ["symbol", "3", "5"])
     assert res.exit_code == 2
@@ -421,7 +430,7 @@ def test_selftest_summary_pin(runner):
     res = runner.invoke(main, ["selftest"])
     assert (res.exit_code, res.stderr) == (0, "")
     assert res.stdout.splitlines() == [
-        "suite ring: 6800 checks, 0 failures [ok]",
+        "suite ring: 12800 checks, 0 failures [ok]",
         "suite splitting: 1504 checks, 0 failures [ok]",
         "suite symbols: 2936 checks, 0 failures [ok]",
         "suite periods: 22 checks, 0 failures [ok]",

@@ -10,6 +10,7 @@ from quintic.cyclo import (
     LAMBDA,
     ZETA,
     CycInt,
+    brute_force_hyperprimary_class,
     canonical_associate,
     euclid_divmod,
     exact_div,
@@ -19,7 +20,7 @@ from quintic.cyclo import (
     lambda_valuation,
     norm,
 )
-from quintic.errors import InputError
+from quintic.errors import InputError, InternalCheckError
 
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 cyc = st.tuples(coeff, coeff, coeff, coeff).map(CycInt)
@@ -243,6 +244,36 @@ def test_rational_hyperprimary_criterion_is_mod_25():
         want = n % 25 in (1, 7, 18, 24)
         assert (hyperprimary_class(CycInt(n)) is not None) == want
         assert (pow(n, 4, 25) == 1) == want
+
+
+def test_norm_checks_that_a_times_its_conjugate_is_real(monkeypatch):
+    # a faulty product must raise rather than yield a norm
+    monkeypatch.setattr(CycInt, "__mul__", lambda self, other: CycInt((1, 1, 0, 0)))
+    with pytest.raises(InternalCheckError):
+        norm(CycInt((2, -1, 0, 0)))
+
+
+def test_hyperprimary_class_of_non_rational_elements():
+    # 2 + 5*zeta = 7 - 5*lambda is = 7 mod lambda^5; 1 + 5*zeta = 6 - 5*lambda
+    # and 2 + 10*zeta = 12 - 10*lambda are not, nor is 1 + zeta
+    cases = (((2, 5, 0, 0), 7), ((1, 5, 0, 0), None), ((2, 10, 0, 0), None), ((1, 1, 0, 0), None))
+    for coords, want in cases:
+        assert hyperprimary_class(CycInt(coords)) == want
+        assert brute_force_hyperprimary_class(CycInt(coords)) == want
+    with pytest.raises(InputError):
+        hyperprimary_class(CycInt(0))
+
+
+@pytest.mark.parametrize("coords", [(), (1, 2, 3), (1, 2, 3, 4, 5)])
+def test_public_constructor_rejects_the_wrong_length(coords):
+    with pytest.raises(InputError):
+        CycInt(coords)
+
+
+def test_from_json_validates_its_coordinates():
+    with pytest.raises(InputError):
+        CycInt.from_json(["1", "2", "3"])
+    assert CycInt.from_json(["7", "-1", "0", "2"]).c == (7, -1, 0, 2)
 
 
 def test_exact_json_round_trip():

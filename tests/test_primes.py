@@ -1,10 +1,11 @@
 import pytest
 
 from quintic.cyclo import CycInt, LAMBDA, euclid_divmod, exact_div, galois_apply, norm
-from quintic.errors import FactorizationError, InputError
+from quintic.errors import FactorizationError, InputError, NoPrimaryAssociate
 from quintic.intarith import sieve_primes
 from quintic.primes import (
     SplittingType,
+    brute_force_primary_normalize,
     factor_radicand,
     factor_rational_prime,
     is_primary,
@@ -153,6 +154,29 @@ def test_primary_normalize_can_genuinely_fail_for_degree_one_primes():
 def test_primary_normalize_rejects_lambda():
     with pytest.raises(InputError):
         primary_normalize(factor_rational_prime(5)[0])
+    with pytest.raises(InputError):
+        brute_force_primary_normalize(factor_rational_prime(5)[0])
+
+
+def test_primary_normalize_matches_the_full_size_search_below_2e4():
+    # the search on residues mod 5 returns the element the full-size search
+    # returns, or fails on the same primes
+    def outcome(fn, q):
+        try:
+            return fn(q)
+        except NoPrimaryAssociate:
+            return None
+
+    normalized = failed = 0
+    for p in sieve_primes(20000):
+        if p == 5:
+            continue
+        for q in factor_rational_prime(p):
+            got = outcome(primary_normalize, q)
+            assert got == outcome(brute_force_primary_normalize, q), q
+            normalized += got is not None
+            failed += got is None
+    assert (normalized, failed) == (2665, 1844)
 
 
 def test_cycprime_json_shape():
