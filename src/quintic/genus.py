@@ -31,12 +31,7 @@ from .errors import (
     QstarOutOfRange,
 )
 from .intarith import factorize, is_prime, is_primitive_root, primitive_root
-from .primes import (
-    CycPrime,
-    factor_rational_prime,
-    primary_normalize,
-    splitting_count,
-)
+from .primes import SPLITTING_MOD_5, CycPrime, factor_rational_prime, primary_normalize
 from .radicand import RadicandForm, Verdict, classify, radicand_factorization
 
 _PERIOD_PRIME_BOUND = 100_000
@@ -304,7 +299,8 @@ def count_ramified_d(n: int, *, factorization: dict[int, int] | None = None) -> 
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
     fac = factorize(n) if factorization is None else factorization
-    d = sum(splitting_count(p) for p in fac if p != 5)
+    # the primes of fac are certified already: g is read off p mod 5 untested
+    d = sum(SPLITTING_MOD_5[p % 5][1] for p in fac if p != 5)
     if hyperprimary_class(CycInt(n)) is None:
         d += 1
     return d

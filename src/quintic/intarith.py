@@ -25,6 +25,12 @@ from .errors import BoundExceeded, FactorizationError, InputError
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_LIMIT = 3317044064679887385961981
 _TRIAL_LIMIT = 10**6
+#: factorize(n) never raises for 1 <= n < CERTIFIED_BELOW, the square of 1000003,
+#: the least prime above _TRIAL_LIMIT. A composite cofactor left by trial division
+#: has two prime factors above _TRIAL_LIMIT, so it is at least this bound and
+#: exceeds n; below it the cofactor is prime, and far below _MR_PROVEN_LIMIT.
+#: The bound is tight: factorize(CERTIFIED_BELOW) raises FactorizationError.
+CERTIFIED_BELOW = 1000003**2
 _BLOCK = 256  # primes per gcd block
 
 

@@ -28,6 +28,17 @@ class SplittingType(Enum):
     INERT = "inert"
 
 
+#: for a prime p, by p mod 5: how p splits in Z[zeta5] and g, the number of
+#: primes above it; residue 0 is p = 5 itself
+SPLITTING_MOD_5 = (
+    (SplittingType.RAMIFIED, 1),
+    (SplittingType.SPLIT_FOUR, 4),
+    (SplittingType.INERT, 1),
+    (SplittingType.INERT, 1),
+    (SplittingType.SPLIT_TWO, 2),
+)
+
+
 @dataclass(frozen=True)
 class CycPrime:
     """A prime element of Z[zeta5] above the rational prime p."""
@@ -68,24 +79,7 @@ def splitting_type(p: int) -> SplittingType:
     """Splitting of p in Z[zeta5]; decided by the order of p mod 5."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    if p == 5:
-        return SplittingType.RAMIFIED
-    r = p % 5
-    if r == 1:
-        return SplittingType.SPLIT_FOUR
-    if r == 4:
-        return SplittingType.SPLIT_TWO
-    return SplittingType.INERT
-
-
-def splitting_count(p: int) -> int:
-    """g, the number of primes of Z[zeta5] above p."""
-    return {
-        SplittingType.RAMIFIED: 1,
-        SplittingType.SPLIT_FOUR: 4,
-        SplittingType.SPLIT_TWO: 2,
-        SplittingType.INERT: 1,
-    }[splitting_type(p)]
+    return SPLITTING_MOD_5[p % 5][0]
 
 
 @lru_cache(maxsize=MEMO_SIZE)

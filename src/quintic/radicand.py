@@ -11,6 +11,12 @@ with e in {1,2,3,4} throughout. The congruence class +-1,+-7 mod 25 is the
 rational form of the hyperprimary condition mod lambda^5. These conditions
 are necessary for the underlying class-group hypothesis, not sufficient, so
 verdicts are candidates.
+
+They leave each family two classes of n mod 25 (VERDICT_MOD_25): {0, 20}
+for Form I, {7, 18} for Form II and {1, 24} for Form III. A filtered
+enumeration drops every other n before factoring it, but only below
+intarith.CERTIFIED_BELOW, where factorize cannot fail; from there on every
+n is factored, so a window fails on its first uncertifiable n as before.
 """
 
 from __future__ import annotations
@@ -26,10 +32,7 @@ from .errors import (
     InternalCheckError,
     NotFifthPowerFree,
 )
-from .intarith import factorize
-
-#: residues mod 25 equal to +-1 or +-7 (the rational hyperprimary classes)
-HYPER_MOD_25 = frozenset((1, 7, 18, 24))
+from .intarith import CERTIFIED_BELOW, factorize
 
 
 class Verdict(Enum):
@@ -37,6 +40,21 @@ class Verdict(Enum):
     FORM_II = "II"
     FORM_III = "III"
     NONE = "none"
+
+
+#: residues mod 25 equal to +-1 or +-7 (the rational hyperprimary classes)
+HYPER_MOD_25 = frozenset((1, 7, 18, 24))
+
+#: the residues n mod 25 that each family can take; NONE can take any.
+#:   Form I   p = 4 mod 5, so 5p = 5 * 4 = 20 mod 25 for e = 1, and 25 | n for e >= 2.
+#:   Form II  p = -1 and q = +-2 mod 5 give n = +-2 mod 5; of the classes
+#:            +-1, +-7 mod 25 that the form requires, only +-7 are +-2 mod 5.
+#:   Form III p = -1 mod 25 gives n = (-1)^e mod 25.
+VERDICT_MOD_25 = {
+    Verdict.FORM_I: frozenset((0, 20)),
+    Verdict.FORM_II: frozenset((7, 18)),
+    Verdict.FORM_III: frozenset((1, 24)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,13 +264,22 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
 def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
     """Yield (n, RadicandForm) for fifth-power-free n in [lo, hi], ascending.
 
-    Each n is factored once, and classify's own fifth-power check skips n.
-    An n whose factorization cannot be certified is still skipped when a
-    fifth power divides it; otherwise the error stands.
+    With ``verdict`` I, II or III, an n below intarith.CERTIFIED_BELOW whose
+    residue mod 25 is outside VERDICT_MOD_25[verdict] ({0, 20}, {7, 18} or
+    {1, 24}) is skipped unfactored.
+    Every other n is factored once, and classify's own fifth-power check
+    skips n. An n whose factorization cannot be certified is still skipped
+    when a fifth power divides it; otherwise the error stands. Since factorize
+    can only fail from CERTIFIED_BELOW on, where nothing is skipped by
+    residue, a window fails on the same n, filtered or not.
     """
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
+    classes = VERDICT_MOD_25.get(verdict)
+    skip_below = CERTIFIED_BELOW if classes else 0
     for n in range(lo, hi + 1):
+        if n < skip_below and n % 25 not in classes:
+            continue
         try:
             fac = factorize(n)
         except (FactorizationError, BoundExceeded):

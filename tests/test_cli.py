@@ -175,6 +175,35 @@ def test_enumerate_uncertified_window_exits_2_with_the_error(runner):
     )
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("form", ["I", "II", "III", "none"])
+def test_a_filtered_uncertified_window_fails_as_the_unfiltered_one(runner, form, workers):
+    # the window holds n = 1000003 * 1000033, which is 24 mod 25: outside the
+    # classes of Forms I and II, yet it must still be factored and refused
+    window = ["enumerate", "1000036000090", "1000036000110"]
+    res = runner.invoke(main, [*window, "--form", form, "--workers", workers])
+    unfiltered = runner.invoke(main, window)
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr_bytes)["error"]["code"] == "uncertified-factorization"
+    assert res.stderr_bytes == unfiltered.stderr_bytes
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-process pool")
+@pytest.mark.parametrize("form", ["I", "II", "III"])
+def test_a_filtered_window_near_1e12_is_the_same_for_any_worker_count(runner, form):
+    window = ["enumerate", str(10**12), str(10**12 + 2000), "--form", form]
+    out = {}
+    for fmt in ("--jsonl", "--csv"):
+        for workers in ("1", "2"):
+            res = invoke(runner, *window, fmt, "--workers", workers)
+            assert res.exit_code == 0 and res.stderr_bytes == b""
+            out[fmt, workers] = res.stdout_bytes
+        assert out[fmt, "1"] == out[fmt, "2"]
+    jsonl_n = [json.loads(line)["n"] for line in out["--jsonl", "1"].splitlines()]
+    csv_n = [int(line.split(b",")[0]) for line in out["--csv", "1"].splitlines()[1:]]
+    assert jsonl_n and jsonl_n == csv_n
+
+
 def test_enumerate_resume_from(runner):
     full = invoke(runner, "enumerate", "2", "200").output.splitlines()
     resumed = invoke(runner, "enumerate", "2", "200", "--from", "100").output.splitlines()

@@ -3,12 +3,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from math import isqrt
 
 import pytest
 
 from quintic import intarith
 from quintic.errors import BoundExceeded, FactorizationError
-from quintic.intarith import factorize, is_prime
+from quintic.intarith import CERTIFIED_BELOW, factorize, is_prime
 
 _TRIAL_LIMIT = 10**6
 _MR_PROVEN_LIMIT = 3317044064679887385961981
@@ -165,3 +166,14 @@ def test_a_composite_cofactor_above_the_squared_bound_is_still_refused(is_prime_
         factorize(n)
     assert str(exc.value) == f"cofactor {n} of {n} is composite and beyond the trial-division bound"
     assert is_prime_calls == [n]
+
+
+def test_certified_below_is_tight():
+    # the square of the least prime above the trial bound: the least n with a
+    # composite cofactor left over
+    p = isqrt(CERTIFIED_BELOW)
+    assert p * p == CERTIFIED_BELOW and is_prime(p)
+    assert not any(is_prime(m) for m in range(_TRIAL_LIMIT + 1, p))
+    assert factorize(CERTIFIED_BELOW - 1) == wheel_factorize(CERTIFIED_BELOW - 1)
+    with pytest.raises(FactorizationError):
+        factorize(CERTIFIED_BELOW)

@@ -6,10 +6,12 @@ from quintic.cli import _csv_row
 from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
 from quintic.radicand import (
     CHECK_NAMES,
+    VERDICT_MOD_25,
     Check,
     RadicandForm,
     Verdict,
     classify,
+    crosscheck_verdicts,
     enumerate_radicands,
     is_fifth_power_free,
 )
@@ -116,6 +118,31 @@ def test_enumerate_raises_on_a_fifth_power_free_uncertifiable_n():
     n = 1000003 * 1000033
     with pytest.raises(FactorizationError, match=f"cofactor {n} of {n} is composite"):
         list(enumerate_radicands(n, n))
+
+
+@pytest.mark.parametrize("verdict", list(Verdict))
+def test_a_filtered_window_still_raises_on_an_uncertifiable_n(verdict):
+    # n = 24 mod 25 is outside the classes of Forms I and II, but factorize can
+    # fail at n, so the residue test must not skip it
+    n = 1000003 * 1000033
+    with pytest.raises(FactorizationError, match=f"cofactor {n} of {n} is composite"):
+        list(enumerate_radicands(n, n, verdict))
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 3 * 10**4), (10**12, 10**12 + 10**4)])
+def test_filtered_enumeration_equals_the_filtered_rows_of_the_unfiltered_one(lo, hi):
+    # oracle for the residue skip: the unfiltered path factors and classifies every n
+    rows = list(enumerate_radicands(lo, hi))
+    for verdict in Verdict:
+        want = [(n, form) for n, form in rows if form.verdict is verdict]
+        assert want and list(enumerate_radicands(lo, hi, verdict)) == want, verdict
+
+
+def test_every_crosscheck_label_lies_in_its_residue_classes():
+    classes = {verdict.value: residues for verdict, residues in VERDICT_MOD_25.items()}
+    labelled = [(n, label) for n in range(2, 2 * 10**4 + 1) for label in crosscheck_verdicts(n)]
+    assert [(n, label) for n, label in labelled if n % 25 not in classes[label]] == []
+    assert {label for _, label in labelled} == classes.keys()
 
 
 def test_crosscheck_agrees_on_a_window():
