@@ -17,7 +17,7 @@ from itertools import product
 
 from .errors import InputError, InternalCheckError, ModelInvariantError
 from .cyclo import CycInt
-from .radicand import RadicandForm, Verdict, classify
+from .radicand import RadicandForm, Verdict
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 Vec = tuple[int, int]
@@ -180,12 +180,11 @@ class SubgroupLattice:
     """
 
     lines: tuple[Vec, ...]
-    field_names: tuple[str, ...] = FIELD_NAMES
 
     def to_json(self) -> dict:
         return {
             "subgroups": [
-                {"label": f"H{i+1}", "line": list(v), "field": self.field_names[i]}
+                {"label": f"H{i+1}", "line": list(v), "field": FIELD_NAMES[i]}
                 for i, v in enumerate(self.lines)
             ]
         }
@@ -204,10 +203,9 @@ def build_lattice(model: ClassGroupModel) -> SubgroupLattice:
     return SubgroupLattice((h1, h2, *rest))
 
 
-def tau2_permutation(model: ClassGroupModel, lattice: SubgroupLattice | None = None) -> tuple[int, ...]:
+def tau2_permutation(model: ClassGroupModel) -> tuple[int, ...]:
     """Permutation induced by tau^2 on H1..H6 (1-indexed images)."""
-    if lattice is None:
-        lattice = build_lattice(model)
+    lattice = build_lattice(model)
     T2 = mat_mul(model.T, model.T)
     perm = []
     for v in lattice.lines:
@@ -271,19 +269,6 @@ class ModelSurvey:
             and self.ambiguity_operator_ok
             and self.order5_count == 24
         )
-
-    def to_json(self) -> dict:
-        return {
-            "pairs_total": self.pairs_total,
-            "kernel_dim_one": self.kernel_dim_one,
-            "kernel_equals_image": self.kernel_equals_image,
-            "kernel_tau2_stable": self.kernel_tau2_stable,
-            "tau2_pointwise_fixed": self.tau2_pointwise_fixed,
-            "tau2_pointwise_inverted": self.tau2_pointwise_inverted,
-            "ambiguity_operator_ok": self.ambiguity_operator_ok,
-            "order5_count": self.order5_count,
-            "passed": self.passed,
-        }
 
 
 def model_survey() -> ModelSurvey:
@@ -386,8 +371,7 @@ def capitulation_constants() -> tuple[tuple[tuple[int, ...], ...], SubgroupLatti
     checked against (selftest suite "capitulation" and the tests).
     """
     model = canonical_model()
-    lattice = build_lattice(model)
-    return EXPECTED_CAPITULATION_TYPES, lattice, tau2_permutation(model, lattice)
+    return EXPECTED_CAPITULATION_TYPES, build_lattice(model), tau2_permutation(model)
 
 
 TAU2_PROOF_NOTE = (
@@ -455,7 +439,7 @@ def _nonresidue_condition(a: int, p: int, label: str) -> Condition:
     return Condition(f"{label} is not a quintic residue modulo {p}", i, i != 0)
 
 
-def generator_certificate(n: int, form: RadicandForm | None = None) -> GeneratorCertificate:
+def generator_certificate(form: RadicandForm) -> GeneratorCertificate:
     """The family's fixed residue condition, evaluated; always inapplicable.
 
     Forms I and II would take generators [P1] above p and [L]^(1-tau^2)
@@ -466,10 +450,8 @@ def generator_certificate(n: int, form: RadicandForm | None = None) -> Generator
     fixed condition never holds and no generators are emitted. It is still
     evaluated, and a pass would expose a bug in the symbol layer.
     """
-    if form is None:
-        form = classify(n)
     if form.verdict is Verdict.NONE:
-        raise InputError(f"{n} is not in any of the three families")
+        raise InputError(f"{form.n} is not in any of the three families")
     p = form.p
     if form.verdict is Verdict.FORM_III:
         fixed_value, splitting = 5, "5 O_k = B1^4 B2^4 B3^4 B4^4 B5^4"
@@ -482,4 +464,4 @@ def generator_certificate(n: int, form: RadicandForm | None = None) -> Generator
             f"{fixed_value} is a quintic non-residue at a prime above {p} = {p % 5} mod 5, "
             f"where every rational integer is a fifth power"
         )
-    return GeneratorCertificate(n, form.verdict, False, (fixed,), splitting)
+    return GeneratorCertificate(form.n, form.verdict, False, (fixed,), splitting)

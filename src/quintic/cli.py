@@ -36,13 +36,16 @@ def _envelope(command: str, inputs: dict, result, warnings: list[str]) -> dict:
 
 # Every click.echo names its stream: without file=, click caches a wrapper per
 # sys.stdout object, and each in-process invocation (CliRunner) leaks one.
-def _emit(doc: dict, out):
-    text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
+def _write(text: str, out):
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False, file=sys.stdout)
+
+
+def _emit(doc: dict, out):
+    _write(json.dumps(doc, indent=2, sort_keys=False) + "\n", out)
 
 
 def _error_doc(exc: QuinticError) -> dict:
@@ -154,7 +157,7 @@ def _resolve_h_gamma(n, h_gamma, table):
 
 def _corollary_section(n, h, fac):
     try:
-        return genus.corollary_report(n, h, factorization=fac).to_json()
+        return genus.corollary_report(n, fac, h).to_json()
     except QuinticError as exc:
         return _error_doc(exc)
 
@@ -171,7 +174,7 @@ def genus_cmd(n, h_gamma, table, as_json, out):
     """Genus-field report for N: r, 5^r, period polynomials, d, q*, generators."""
     h = _resolve_h_gamma(n, h_gamma, table)
     fac = radicand.radicand_factorization(n)
-    report = genus.build_genus_report(n, factorization=fac).to_json()
+    report = genus.build_genus_report(n, fac).to_json()
     report["corollary"] = _corollary_section(n, h, fac) if h is not None else None
     _emit(_envelope("genus", {"n": n, "h_gamma": h}, report, [HYPOTHESIS_NOTE]), out)
 
@@ -198,12 +201,12 @@ def report(n, h_gamma, table, out):
         "capitulation": None,
     }
     try:
-        doc["genus"] = genus.build_genus_report(n, form=form, factorization=fac).to_json()
+        doc["genus"] = genus.build_genus_report(n, fac, form).to_json()
     except QuinticError as exc:
         doc["genus"] = _error_doc(exc)
     if form.verdict is not Verdict.NONE:
         try:
-            cert = classgroup.generator_certificate(n, form)
+            cert = classgroup.generator_certificate(form)
             certificate = cert.to_json()
             if not cert.applicable:
                 warnings.append(RESIDUE_READING_NOTE)
@@ -264,12 +267,7 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
         chunk_texts = [_row_chunk(c) for c in chunks]
 
     header = "" if as_jsonl else "n,verdict,e,p,q," + ",".join(radicand.CHECK_NAMES) + "\n"
-    text = header + "".join(chunk_texts)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False, file=sys.stdout)
+    _write(header + "".join(chunk_texts), out)
 
 
 @main.command("selftest")

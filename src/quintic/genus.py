@@ -30,9 +30,9 @@ from .errors import (
     NoAdmissibleGenerator,
     QstarOutOfRange,
 )
-from .intarith import factorize, is_prime, is_primitive_root, primitive_root
+from .intarith import is_prime, is_primitive_root, primitive_root
 from .primes import SPLITTING_MOD_5, CycPrime, factor_rational_prime, primary_normalize
-from .radicand import RadicandForm, Verdict, classify, radicand_factorization
+from .radicand import RadicandForm, Verdict, classify
 
 _PERIOD_PRIME_BOUND = 100_000
 
@@ -259,37 +259,21 @@ class AbsoluteGenus:
     genus_number: int
     components: tuple[PeriodPolynomial, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "genus_number": self.genus_number,
-            "components": [c.to_json() for c in self.components],
-        }
+
+# ``factorization`` below is factorize(n) and ``form`` is classify(n); the
+# commands compute each once per n and pass it down.
 
 
-# The optional keyword arguments below save recomputation: ``factorization``
-# must be factorize(n) and ``form`` must be classify(n). The commands compute
-# each once per n and pass it down.
-
-
-def genus_prime_count(n: int, *, factorization: dict[int, int] | None = None) -> int:
-    """r = number of distinct primes p = 1 mod 5 dividing n."""
-    fac = factorize(n) if factorization is None else factorization
-    return sum(1 for p in fac if p % 5 == 1)
-
-
-def absolute_genus(n: int, *, factorization: dict[int, int] | None = None) -> AbsoluteGenus:
+def absolute_genus(n: int, factorization: dict[int, int]) -> AbsoluteGenus:
     """Genus field data of Gamma: r, genus number 5^r, and the M(p) components."""
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
-    fac = factorize(n) if factorization is None else factorization
-    ps = sorted(p for p in fac if p % 5 == 1)
+    ps = sorted(p for p in factorization if p % 5 == 1)
     comps = tuple(period_polynomial(p) for p in ps)
     return AbsoluteGenus(n, len(ps), 5 ** len(ps), comps)
 
 
-def count_ramified_d(n: int, *, factorization: dict[int, int] | None = None) -> int:
+def count_ramified_d(n: int, factorization: dict[int, int]) -> int:
     """Number of primes of k0 ramified in k = k0(n^(1/5)).
 
     Each prime of k0 dividing the prime-to-5 part of n ramifies; lambda
@@ -298,37 +282,24 @@ def count_ramified_d(n: int, *, factorization: dict[int, int] | None = None) -> 
     """
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
-    fac = factorize(n) if factorization is None else factorization
-    # the primes of fac are certified already: g is read off p mod 5 untested
-    d = sum(SPLITTING_MOD_5[p % 5][1] for p in fac if p != 5)
+    # the primes of factorize(n) are certified already: g is read off p mod 5 untested
+    d = sum(SPLITTING_MOD_5[p % 5][1] for p in factorization if p != 5)
     if hyperprimary_class(CycInt(n)) is None:
         d += 1
     return d
 
 
-def infer_qstar(
-    n: int,
-    assumed_rank: int = 1,
-    *,
-    form: RadicandForm | None = None,
-    factorization: dict[int, int] | None = None,
-    d: int | None = None,
-) -> int:
-    """q* back-solved from rank = d - 3 + q* under the rank hypothesis.
+def infer_qstar(form: RadicandForm, d: int) -> int:
+    """q* back-solved from rank = d - 3 + q* under the rank-1 hypothesis.
 
-    ``d``, when given, must be count_ramified_d(n); it is not recomputed.
+    ``d`` is count_ramified_d(form.n, factorize(form.n)).
     """
-    if form is None:
-        form = classify(n, factorization=factorization)
     if form.verdict is Verdict.NONE:
-        raise InputError(f"{n} is not in any of the three families")
-    if d is None:
-        d = count_ramified_d(n, factorization=factorization)
-    q = assumed_rank + 3 - d
+        raise InputError(f"{form.n} is not in any of the three families")
+    q = 4 - d
     if q not in (0, 1, 2):
         raise QstarOutOfRange(
-            f"q* = {q} for n = {n} (d = {d}, assumed rank {assumed_rank}) "
-            f"is outside {{0, 1, 2}}"
+            f"q* = {q} for n = {form.n} (d = {d}, assumed rank 1) is outside {{0, 1, 2}}"
         )
     return q
 
@@ -373,7 +344,7 @@ _FORM_I_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=3) if _kummer_o
 _FORM_III_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=2) if _kummer_orbit(e) == e)
 
 
-def relative_genus(n: int, *, form: RadicandForm | None = None) -> tuple[KummerGenerator, ...]:
+def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
     """Admissible Kummer generators for the relative genus field of k/k0.
 
     Shapes by family (pi_i the primary-normalized primes above p, q inert):
@@ -387,10 +358,8 @@ def relative_genus(n: int, *, form: RadicandForm | None = None) -> tuple[KummerG
     smallest representative per class is returned. The lambda-divisible
     Form I admits every exponent pattern (reduced to class representatives).
     """
-    if form is None:
-        form = classify(n)
     if form.verdict is Verdict.NONE:
-        raise InputError(f"{n} is not in any of the three families")
+        raise InputError(f"{form.n} is not in any of the three families")
     pis = tuple(primary_normalize(q) for q in factor_rational_prime(form.p))
     out: list[KummerGenerator] = []
     rejections: list[tuple] = []
@@ -420,7 +389,7 @@ def relative_genus(n: int, *, form: RadicandForm | None = None) -> tuple[KummerG
 
     if not out:
         raise NoAdmissibleGenerator(
-            f"no admissible Kummer generator for n = {n} ({len(rejections)} rejected)",
+            f"no admissible Kummer generator for n = {form.n} ({len(rejections)} rejected)",
             rejections,
         )
     return tuple(sorted(out, key=lambda g: g.exponent_tuple()))
@@ -451,24 +420,23 @@ class GenusReport:
 
 
 def build_genus_report(
-    n: int,
-    assumed_rank: int = 1,
-    *,
-    form: RadicandForm | None = None,
-    factorization: dict[int, int] | None = None,
+    n: int, factorization: dict[int, int], form: RadicandForm | None = None
 ) -> GenusReport:
     """Assemble absolute and relative genus data; rank fields stay None when
-    n falls outside the three families."""
-    fac = radicand_factorization(n) if factorization is None else factorization
-    ag = absolute_genus(n, factorization=fac)
+    n falls outside the three families.
+
+    Without ``form``, n is classified after the absolute genus is built, so
+    a period-construction error is raised before a fifth-power error.
+    """
+    ag = absolute_genus(n, factorization)
     if form is None:
-        form = classify(n, factorization=fac)
-    d = count_ramified_d(n, factorization=fac)
+        form = classify(n, factorization=factorization)
+    d = count_ramified_d(n, factorization)
     if form.verdict is Verdict.NONE:
         return GenusReport(n, ag.r, ag.genus_number, ag.components, (), d, None, None)
-    q = infer_qstar(n, assumed_rank, form=form, factorization=fac, d=d)
+    q = infer_qstar(form, d)
     return GenusReport(
-        n, ag.r, ag.genus_number, ag.components, relative_genus(n, form=form), d, q, d - 3 + q
+        n, ag.r, ag.genus_number, ag.components, relative_genus(form), d, q, d - 3 + q
     )
 
 
@@ -493,7 +461,7 @@ class CorollaryReport:
 
 
 def corollary_report(
-    n: int, h_gamma: int | None = None, *, factorization: dict[int, int] | None = None
+    n: int, factorization: dict[int, int], h_gamma: int | None = None
 ) -> CorollaryReport:
     """Field-coincidence consequences of 5 || h_Gamma, checked against r.
 
@@ -502,7 +470,7 @@ def corollary_report(
     field equals the Hilbert 5-class field of Gamma and the five composita
     k * HCF(conjugate of Gamma) coincide; with r = 0 they are distinct.
     """
-    r = genus_prime_count(n, factorization=factorization)
+    r = sum(1 for p in factorization if p % 5 == 1)
     if h_gamma is None:
         return CorollaryReport(n, r, None, None, (f"r = {r}; no class number supplied",))
     exact = h_gamma % 5 == 0 and h_gamma % 25 != 0

@@ -48,9 +48,6 @@ class CycPrime:
     f: int  # residue degree
     e: int  # ramification index (4 only for p = 5)
 
-    def norm(self) -> int:
-        return self.p**self.f
-
     def to_json(self) -> dict:
         return {"p": self.p, "pi": self.element.to_json(), "f": self.f, "e": self.e}
 

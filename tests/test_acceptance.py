@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from quintic.classgroup import canonical_model, enumerate_capitulation_types, tau2_permutation
 from quintic.cli import main
 from quintic.genus import count_ramified_d, infer_qstar, period_polynomial
-from quintic.intarith import sieve_primes
+from quintic.intarith import factorize, sieve_primes
 from quintic.radicand import classify, is_fifth_power_free
 from quintic.selftest import SUITES, SuiteResult
 
@@ -84,8 +84,8 @@ def test_criterion_05_rank_formula_consistency():
     t0 = time.perf_counter()
     counts = {"I": 0, "II": 0, "III": 0}
     for n, form in classified_up_to_1e5():
-        d = count_ramified_d(n)
-        q = infer_qstar(n)
+        d = count_ramified_d(n, factorize(n))
+        q = infer_qstar(form, d)
         if form.verdict.value in ("I", "II"):
             assert d == 3 and q == 1, n
         else:
@@ -98,7 +98,7 @@ def test_criterion_05_rank_formula_consistency():
 
 def test_criterion_06_gaussian_periods():
     t0 = time.perf_counter()
-    res = _suite("periods", limit=200)
+    res = _suite("periods", limit=1000)
     x = sympy.symbols("x")
     ps = [p for p in sieve_primes(200) if p % 5 == 1]
     for p in ps:
@@ -107,7 +107,8 @@ def test_criterion_06_gaussian_periods():
         assert sympy.Poly(f, x).is_irreducible
         assert poly.discriminant() == int(sympy.discriminant(f))
     _report(6, time.perf_counter() - t0, 120.0,
-            f"{len(ps)} primes, both primitive roots, sympy, {res.checks} checks")
+            f"primes below 1000, both primitive roots; sympy on {len(ps)} below 200; "
+            f"{res.checks} checks")
 
 
 def test_criterion_07_class_group_model_suite():

@@ -18,13 +18,13 @@ from quintic.genus import (
     build_genus_report,
     corollary_report,
     count_ramified_d,
-    genus_prime_count,
     infer_qstar,
     load_class_number_table,
     period_polynomial,
     relative_genus,
 )
-from quintic.intarith import is_primitive_root, primitive_root, sieve_primes
+from quintic.intarith import factorize, is_primitive_root, primitive_root, sieve_primes
+from quintic.radicand import classify
 
 SPLIT_PRIMES_UNDER_200 = [p for p in sieve_primes(200) if p % 5 == 1]
 CAP_PRIME = 99991  # the largest prime = 1 mod 5 under the p <= 100000 cap
@@ -129,39 +129,39 @@ def test_period_polynomial_rejects_bad_inputs():
 
 
 def test_absolute_genus_counts():
-    ag = absolute_genus(95)
+    ag = absolute_genus(95, factorize(95))
     assert (ag.r, ag.genus_number, ag.components) == (0, 1, ())
-    ag = absolute_genus(11)
+    ag = absolute_genus(11, factorize(11))
     assert ag.r == 1 and ag.components[0].p == 11
-    ag = absolute_genus(341)  # 11 * 31
+    ag = absolute_genus(341, factorize(341))  # 11 * 31
     assert (ag.r, ag.genus_number) == (2, 25)
     assert [c.p for c in ag.components] == [11, 31]
 
 
 def test_ramified_prime_counts():
-    assert count_ramified_d(95) == 3  # two primes above 19 plus lambda
-    assert count_ramified_d(57) == 3  # two above 19, inert 3; lambda unramified
-    assert count_ramified_d(149) == 2
+    assert count_ramified_d(95, factorize(95)) == 3  # two primes above 19 plus lambda
+    assert count_ramified_d(57, factorize(57)) == 3  # two above 19, inert 3; lambda unramified
+    assert count_ramified_d(149, factorize(149)) == 2
 
 
 def test_qstar_inference():
-    assert infer_qstar(95) == 1
-    assert infer_qstar(57) == 1
-    assert infer_qstar(149) == 2
+    for n, q in ((95, 1), (57, 1), (149, 2)):
+        assert infer_qstar(classify(n), count_ramified_d(n, factorize(n))) == q
 
 
 def test_qstar_rejects_unclassified_radicands():
     with pytest.raises(InputError):
-        infer_qstar(6)
+        infer_qstar(classify(6), count_ramified_d(6, factorize(6)))
 
 
 def test_qstar_out_of_range_is_reported():
-    with pytest.raises(QstarOutOfRange):
-        infer_qstar(95, assumed_rank=5)
+    # q* = 4 - d under the rank-1 hypothesis; d = 5 would put it at -1
+    with pytest.raises(QstarOutOfRange, match=r"q\* = -1 for n = 95 \(d = 5, assumed rank 1\)"):
+        infer_qstar(classify(95), 5)
 
 
 def test_relative_genus_form_one_shape():
-    gens = relative_genus(95)
+    gens = relative_genus(classify(95))
     assert len(gens) == 16  # one representative per Kummer class
     for g in gens:
         assert g.lambda_exp in (1, 2, 3, 4)
@@ -171,7 +171,7 @@ def test_relative_genus_form_one_shape():
 
 
 def test_relative_genus_form_two_shape():
-    gens = relative_genus(57)
+    gens = relative_genus(classify(57))
     assert gens
     for g in gens:
         assert g.lambda_exp == 0
@@ -182,7 +182,7 @@ def test_relative_genus_form_two_shape():
 
 
 def test_relative_genus_form_three_shape():
-    gens = relative_genus(149)
+    gens = relative_genus(classify(149))
     assert gens  # at least one admissible generator exists
     exps = [g.exponent_tuple() for g in gens]
     assert exps == sorted(exps)
@@ -193,7 +193,7 @@ def test_relative_genus_form_three_shape():
 
 
 def test_relative_genus_classes_are_kummer_inequivalent():
-    gens = relative_genus(149)
+    gens = relative_genus(classify(149))
     tuples = {g.exponent_tuple() for g in gens}
     for t in tuples:
         for j in (2, 3, 4):
@@ -203,7 +203,7 @@ def test_relative_genus_classes_are_kummer_inequivalent():
 
 def test_relative_genus_rejects_unclassified():
     with pytest.raises(InputError):
-        relative_genus(6)
+        relative_genus(classify(6))
 
 
 def _realized(g):
@@ -216,44 +216,43 @@ def _realized(g):
 
 
 def test_genus_report_for_149():
-    rep = build_genus_report(149)
+    rep = build_genus_report(149, factorize(149))
     assert rep.d == 2 and rep.qstar_inferred == 2 and rep.rank_value == 1
     assert rep.genus_number == 1
 
 
 def test_genus_report_for_unclassified_n():
-    rep = build_genus_report(6)
+    rep = build_genus_report(6, factorize(6))
     assert rep.qstar_inferred is None and rep.relative_candidates == ()
 
 
 def test_corollary_r0_distinct():
-    rep = corollary_report(95, 5)
+    rep = corollary_report(95, factorize(95), 5)
     assert rep.r == 0 and rep.five_divides_exactly
     assert "distinct" in rep.statements[1]
 
 
 def test_corollary_r1_coincidence():
-    rep = corollary_report(11, 5)
+    rep = corollary_report(11, factorize(11), 5)
     assert rep.r == 1
     assert "Gamma* = Gamma_5(1)" in rep.statements[0]
     assert "coincide" in rep.statements[1]
 
 
 def test_corollary_contradiction_witness():
-    assert genus_prime_count(341) == 2
-    with pytest.raises(ContradictionWitness):
-        corollary_report(341, 5)
+    with pytest.raises(ContradictionWitness, match="r = 2 primes"):
+        corollary_report(341, factorize(341), 5)
 
 
 def test_corollary_without_exact_divisibility_draws_no_conclusion():
-    rep = corollary_report(341, 25)
+    rep = corollary_report(341, factorize(341), 25)
     assert rep.five_divides_exactly is False
-    rep = corollary_report(341, 7)
+    rep = corollary_report(341, factorize(341), 7)
     assert rep.five_divides_exactly is False
 
 
 def test_corollary_without_class_number():
-    rep = corollary_report(341)
+    rep = corollary_report(341, factorize(341))
     assert rep.h_gamma is None and rep.five_divides_exactly is None
 
 
