@@ -67,7 +67,6 @@ from .classgroup import (  # noqa: F401
     GeneratorCertificate,
     SubgroupLattice,
     ambiguous_subgroup,
-    brute_force_rank_check,
     build_lattice,
     canonical_model,
     capitulation_constants,

@@ -215,36 +215,6 @@ def tau2_permutation(model: ClassGroupModel) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class RankCheckReport:
-    order5_count: int
-    all_fixed_lines: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.order5_count == 24 and self.all_fixed_lines
-
-
-def brute_force_rank_check() -> RankCheckReport:
-    """Every order-5 matrix over F5 fixes exactly a line (rank >= 1).
-
-    The 24 non-identity unipotents are all of them; each has a
-    one-dimensional fixed space, never more.
-    """
-    count = 0
-    all_dim_one = True
-    for flat in product(range(5), repeat=4):
-        m: Mat = ((flat[0], flat[1]), (flat[2], flat[3]))
-        if m == I2 or mat_pow(m, 5) != I2:
-            continue
-        count += 1
-        mi = mat_sub(m, I2)
-        fixed = [v for v in ALL_LINES if line_of(mat_vec(m, v)) == v and mat_vec(mi, v) == (0, 0)]
-        if len(fixed) != 1:
-            all_dim_one = False
-    return RankCheckReport(count, all_dim_one)
-
-
-@dataclass(frozen=True)
 class ModelSurvey:
     """Exhaustive statistics over every (S, T) pair satisfying the model relations."""
 
@@ -256,6 +226,7 @@ class ModelSurvey:
     tau2_pointwise_inverted: int
     ambiguity_operator_ok: bool
     order5_count: int
+    order5_kernel_dim_one: int
 
     @property
     def passed(self) -> bool:
@@ -268,37 +239,40 @@ class ModelSurvey:
             and self.tau2_pointwise_fixed + self.tau2_pointwise_inverted == n
             and self.ambiguity_operator_ok
             and self.order5_count == 24
+            and self.order5_kernel_dim_one == 24
         )
 
 
 def model_survey() -> ModelSurvey:
     """Check the ambiguous/principal-genus identities over all valid pairs.
 
-    For every pair: ker(S - I) is one line, equals im(S - I), and is carried
-    to itself by tau^2 (it is one of the lines the induced permutation
-    fixes). Whether tau^2 restricts to +1 or -1 on that line is NOT decided
-    by the matrix relations: both happen, in equal numbers. The arithmetic
-    situation realizes the +1 half (ambiguous classes are tau^2-fixed, a
-    fact imported from the strong-ambiguity theory, not from linear
-    algebra); the canonical model lies in that half. The survey also checks
-    the repaired ambiguity operator S^3 + 3S^2 + 2S - I, whose image always
-    lands in the ambiguous line (it collapses to S - I for unipotent S over
-    F5).
+    The order-5 matrices S are the 24 non-identity unipotents, and each
+    must fix exactly one line, the kernel line of S - I (the rank-1
+    hypothesis); kernel_dim_one counts the pairs whose S does. For every
+    pair, ker(S - I) also equals im(S - I) and is carried to itself by
+    tau^2 (it is one of the lines the induced permutation fixes). Whether
+    tau^2 restricts to +1 or -1 on that line is NOT decided by the matrix
+    relations: both happen, in equal numbers. The arithmetic situation
+    realizes the +1 half (ambiguous classes are tau^2-fixed, a fact imported
+    from the strong-ambiguity theory, not from linear algebra); the canonical
+    model lies in that half. The survey also checks the repaired ambiguity
+    operator S^3 + 3S^2 + 2S - I, whose image always lands in the ambiguous
+    line (it collapses to S - I for unipotent S over F5).
     """
     mats = [((a, b), (c, d)) for a in range(5) for b in range(5) for c in range(5) for d in range(5)]
     order5 = [m for m in mats if m != I2 and mat_pow(m, 5) == I2]
 
-    pairs = kdim = keqi = stable = pfix = pinv = 0
+    pairs = kdim = keqi = stable = pfix = pinv = o5dim = 0
     amb_ok = True
     for S in order5:
         SI = mat_sub(S, I2)
         ker = kernel_line(SI)
         im = image_line(SI)
+        dim_one = [v for v in ALL_LINES if mat_vec(S, v) == v] == [ker]
+        o5dim += dim_one
+        S2, S3 = mat_pow(S, 2), mat_pow(S, 3)
         op = tuple(
-            tuple(
-                (mat_pow(S, 3)[i][j] + 3 * mat_pow(S, 2)[i][j] + 2 * S[i][j] - I2[i][j]) % 5
-                for j in range(2)
-            )
+            tuple((S3[i][j] + 3 * S2[i][j] + 2 * S[i][j] - I2[i][j]) % 5 for j in range(2))
             for i in range(2)
         )
         for v in product(range(5), repeat=2):
@@ -309,7 +283,7 @@ def model_survey() -> ModelSurvey:
             if invariant_violations(S, T):
                 continue
             pairs += 1
-            kdim += 1  # ker of a non-identity unipotent is always one line
+            kdim += dim_one
             if ker == im:
                 keqi += 1
             T2 = mat_mul(T, T)
@@ -320,7 +294,7 @@ def model_survey() -> ModelSurvey:
                     pfix += 1
                 elif w == ((-ker[0]) % 5, (-ker[1]) % 5):
                     pinv += 1
-    return ModelSurvey(pairs, kdim, keqi, stable, pfix, pinv, amb_ok, len(order5))
+    return ModelSurvey(pairs, kdim, keqi, stable, pfix, pinv, amb_ok, len(order5), o5dim)
 
 
 def enumerate_capitulation_types(

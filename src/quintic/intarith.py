@@ -32,6 +32,7 @@ _TRIAL_LIMIT = 10**6
 #: The bound is tight: factorize(CERTIFIED_BELOW) raises FactorizationError.
 CERTIFIED_BELOW = 1000003**2
 _BLOCK = 256  # primes per gcd block
+_SEGMENT = 1 << 15  # odd numbers sieved at a time as the prime table grows
 
 
 def is_prime(n: int) -> bool:
@@ -74,23 +75,28 @@ class _PrimeTable:
         self.products: list[int] = []
 
     def extend(self, bound: int) -> None:
-        """Hold every prime <= bound, sieving only the odd numbers above limit."""
+        """Hold every prime <= bound, sieving the odd numbers above limit segment by segment."""
         lo = self.limit
         if bound <= lo:
             return
         old_len = len(self.primes)
         if lo < 2:
             self.primes.append(2)
+        sievers = sieve_primes(isqrt(bound) + 1)[1:]
         first = (lo + 1) | 1  # first odd number above lo, at least 3
-        flags = bytearray(b"\x01") * ((bound - first) // 2 + 1)
-        for p in sieve_primes(isqrt(bound) + 1)[1:]:
-            s = max(p * p, -(-first // p) * p)
-            if s % 2 == 0:
-                s += p
-            i = (s - first) // 2
-            flags[i::p] = bytes(len(range(i, len(flags), p)))
-        self.primes.extend(compress(range(first, bound + 1, 2), flags))
-        del flags
+        while first <= bound:
+            last = min(bound, first + 2 * (_SEGMENT - 1))
+            flags = bytearray(b"\x01") * ((last - first) // 2 + 1)
+            for p in sievers:
+                if p * p > last:
+                    break
+                s = max(p * p, -(-first // p) * p)
+                if s % 2 == 0:
+                    s += p
+                i = (s - first) // 2
+                flags[i::p] = bytes(len(range(i, len(flags), p)))
+            self.primes.extend(compress(range(first, last + 1, 2), flags))
+            first = last + 2
         self.limit = bound
         # the block that held the old last prime may have grown: recompute from it
         k = old_len // _BLOCK

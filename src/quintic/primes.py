@@ -141,18 +141,6 @@ def factor_radicand(n: int, *, factorization: dict[int, int] | None = None) -> C
     return CycFactorization(unit, tuple(factors))
 
 
-# search order for unit exponents: identity first, then widening
-_EPS_EXPONENTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _eps_power(m: int) -> CycInt:
-    if m >= 0:
-        return EPSILON**m
-    # epsilon^-1 = epsilon - 1 (the golden-ratio relation x^2 = x + 1)
-    return (EPSILON - CycInt(1)) ** (-m)
-
-
 def is_primary(a: CycInt) -> int | None:
     """The rational residue r in {1,2,3,4} with a = r mod 5*Z[zeta5], or None."""
     c = a.c
@@ -162,12 +150,17 @@ def is_primary(a: CycInt) -> int | None:
     return r if r else None
 
 
-#: the units u = epsilon^m * zeta^j of primary_normalize's search, with
-#: coordinates reduced mod 5, in search order
+#: the units u = epsilon^m * zeta^j of primary_normalize's search, each
+#: beside its coordinates reduced mod 5, in search order: m in 0, 1, -1, ...,
+#: 4, -4 (identity first, then widening), then j in 0..4; epsilon^-1 is
+#: epsilon - 1 (the golden-ratio relation x^2 = x + 1)
 _UNITS_MOD5 = tuple(
-    (m, j, CycInt(tuple(x % 5 for x in (_eps_power(m) * ZETA**j).c)))
-    for m in _EPS_EXPONENTS
-    for j in range(5)
+    (u, CycInt(tuple(x % 5 for x in u.c)))
+    for u in (
+        (EPSILON**m if m >= 0 else (EPSILON - CycInt(1)) ** -m) * ZETA**j
+        for m in (0, 1, -1, 2, -2, 3, -3, 4, -4)
+        for j in range(5)
+    )
 )
 
 
@@ -185,9 +178,9 @@ def primary_normalize(q: CycPrime) -> CycPrime:
     if q.p == 5:
         raise InputError("lambda has no primary associate (not coprime to 5)")
     pi_mod5 = CycInt(tuple(x % 5 for x in q.element.c))
-    for m, j, u in _UNITS_MOD5:
-        if is_primary(u * pi_mod5) is not None:
-            return CycPrime(q.p, _eps_power(m) * ZETA**j * q.element, q.f, q.e)
+    for u, u_mod5 in _UNITS_MOD5:
+        if is_primary(u_mod5 * pi_mod5) is not None:
+            return CycPrime(q.p, u * q.element, q.f, q.e)
     raise _no_primary_associate(q)
 
 
@@ -195,13 +188,10 @@ def brute_force_primary_normalize(q: CycPrime) -> CycPrime:
     """Oracle for primary_normalize: the same search on full-size associates."""
     if q.p == 5:
         raise InputError("lambda has no primary associate (not coprime to 5)")
-    for m in _EPS_EXPONENTS:
-        em = _eps_power(m)
-        for j in range(5):
-            base = em * ZETA**j
-            for cand in (base * q.element, -(base * q.element)):
-                if is_primary(cand) is not None:
-                    return CycPrime(q.p, cand, q.f, q.e)
+    for u, _ in _UNITS_MOD5:
+        for cand in (u * q.element, -(u * q.element)):
+            if is_primary(cand) is not None:
+                return CycPrime(q.p, cand, q.f, q.e)
     raise _no_primary_associate(q)
 
 

@@ -30,12 +30,16 @@ _BRUTE_FORCE_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class ResidueField:
-    """F_{p^f} = F_p[x]/(modulus) with the image of zeta made explicit."""
+    """F_{p^f} = F_p[x]/(modulus) with the powers of zeta's image made explicit."""
 
     p: int
     f: int
     modulus: tuple[int, ...]  # monic degree-f factor of Phi5 mod p, ascending
-    zeta_image: tuple[int, ...]
+    zeta_powers: tuple[tuple[int, ...], ...]  # images of zeta^0..zeta^4, distinct
+
+    @property
+    def zeta_image(self) -> tuple[int, ...]:
+        return self.zeta_powers[1]
 
     def order(self) -> int:
         return self.p**self.f
@@ -52,18 +56,12 @@ def residue_field(q: CycPrime) -> ResidueField:
     if len(modulus) - 1 != q.f:
         raise InternalCheckError(f"residue field construction failed for {q!r}")
     zeta = polyfp.reduce_mod((0, 1), modulus, p)
-    rf = ResidueField(p, q.f, modulus, zeta)
-    if _zeta_powers(rf)[0] != (1,) or len(set(_zeta_powers(rf))) != 5:
-        raise InternalCheckError(f"zeta image has wrong order in {rf!r}")
-    return rf
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _zeta_powers(rf: ResidueField) -> tuple[tuple[int, ...], ...]:
-    out = [(1,)]
+    powers = [(1,)]
     for _ in range(4):
-        out.append(polyfp.mulmod(out[-1], rf.zeta_image, rf.modulus, rf.p))
-    return tuple(out)
+        powers.append(polyfp.mulmod(powers[-1], zeta, modulus, p))
+    if len(set(powers)) != 5:
+        raise InternalCheckError(f"zeta has wrong order modulo {modulus!r} over F_{p}")
+    return ResidueField(p, q.f, modulus, tuple(powers))
 
 
 def reduce_element(a: CycInt, rf: ResidueField) -> tuple[int, ...]:
@@ -72,10 +70,12 @@ def reduce_element(a: CycInt, rf: ResidueField) -> tuple[int, ...]:
 
 
 def _symbol_from_power(s, rf: ResidueField) -> int:
-    for i, z in enumerate(_zeta_powers(rf)):
-        if s == z:
-            return i
-    raise InternalCheckError(f"Euler power {s!r} is not a fifth root of unity in {rf!r}")
+    try:
+        return rf.zeta_powers.index(s)
+    except ValueError:
+        raise InternalCheckError(
+            f"Euler power {s!r} is not a fifth root of unity in {rf!r}"
+        ) from None
 
 
 def quintic_symbol(a: CycInt, q: CycPrime) -> int:
@@ -145,7 +145,7 @@ def brute_force_symbol(a: CycInt, q: CycPrime) -> int:
         raise NotCoprime(f"{a!r} vanishes at the prime above {q.p}")
     e = (rf.order() - 1) // 5
     u = e % 5
-    zpow = _zeta_powers(rf)
+    zpow = rf.zeta_powers
     if u != 0:
         powers = _fifth_powers(rf)
         for j in range(5):

@@ -86,14 +86,21 @@ def test_tau2_permutation_is_the_expected_involution():
     assert sum(1 for i, x in enumerate(perm, 1) if x != i) == 4
 
 
-def test_identity_is_excluded_from_the_rank_check():
-    assert mat_pow(I2, 5) == I2  # fixed space has dimension 2, hence excluded
-
-
 def test_model_survey_statistics():
     # the survey's counts are checked by the capitulation suite (criterion 7);
     # only its own passed property, with order5_count == 24, is checked here
     assert model_survey().passed
+
+
+def test_model_survey_reads_the_fixed_lines_from_the_action(monkeypatch):
+    # a sigma-action that fixed every vector would have an ambiguous
+    # subgroup of rank 2; the survey must see that in S itself
+    import quintic.classgroup as cg
+
+    monkeypatch.setattr(cg, "mat_vec", lambda a, v: v)
+    survey = model_survey()
+    assert survey.kernel_dim_one == 0 and survey.order5_kernel_dim_one == 0
+    assert not survey.passed
 
 
 def test_rejected_type_examples():

@@ -90,19 +90,27 @@ def test_factorize_matches_the_oracle_above_the_miller_rabin_limit():
 
 
 def test_full_prime_table_is_compact():
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        table = intarith._PrimeTable()
-        table.extend(_TRIAL_LIMIT)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table.primes) == 78498 and table.primes[-1] == 999983
-    assert len(table.products) == -(-78498 // 256)
-    assert retained - before <= 640 * 1024
-    assert peak - before <= 1024 * 1024
+    # built in one step, and grown through bounds that end mid-block and
+    # mid-segment; both must hold the same table within the same memory
+    tables = []
+    for steps in ((_TRIAL_LIMIT,), (9, 100, 1001, 31623, _TRIAL_LIMIT)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = intarith._PrimeTable()
+            for bound in steps:
+                table.extend(bound)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained - before <= 640 * 1024
+        assert peak - before <= 640 * 1024
+        tables.append(table)
+    one, grown = tables
+    assert len(one.primes) == 78498 and one.primes[-1] == 999983
+    assert len(one.products) == -(-78498 // 256)
+    assert grown.primes == one.primes and grown.products == one.products
 
 
 def test_factorize_builds_the_table_as_far_as_the_cofactor_needs(monkeypatch):
