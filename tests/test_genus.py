@@ -14,6 +14,7 @@ from quintic.errors import (
 )
 from quintic.genus import (
     absolute_genus,
+    brute_force_period_coefficients,
     build_genus_report,
     corollary_report,
     count_ramified_d,
@@ -22,9 +23,10 @@ from quintic.genus import (
     period_polynomial,
     relative_genus,
 )
-from quintic.intarith import factorize, is_primitive_root, primitive_root
+from quintic.intarith import factorize, is_primitive_root, primitive_root, sieve_primes
 from quintic.radicand import classify
 
+SPLIT_PRIMES_UNDER_200 = [p for p in sieve_primes(200) if p % 5 == 1]
 CAP_PRIME = 99991  # the largest prime = 1 mod 5 under the p <= 100000 cap
 
 
@@ -60,6 +62,11 @@ def test_numeric_root_oracle(p):
         assert abs(approx[k].imag) < 1e-6
 
 
+@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200)
+def test_trace_coefficient_is_one(p):
+    assert period_polynomial(p).coefficients[4] == 1
+
+
 # criterion 6 runs these checks at every prime below 1000 (the periods suite,
 # and sympy below 200); the three tests here run them at the cap
 @pytest.mark.parametrize("p", [CAP_PRIME])
@@ -90,6 +97,12 @@ def test_discriminant_is_p4_times_a_coprime_square(p):
     assert v == 4
     s = math.isqrt(d)
     assert s * s == d and math.gcd(s, p) == 1
+
+
+@pytest.mark.parametrize("p", [p for p in sieve_primes(1000) if p % 5 == 1])
+def test_cyclotomic_numbers_match_the_expansion_oracle(p):
+    g = primitive_root(p)
+    assert period_polynomial(p, g).coefficients == brute_force_period_coefficients(p, g)
 
 
 def test_declared_cap_is_reachable_within_budget():
