@@ -44,7 +44,6 @@ from .radicand import (  # noqa: F401
 from .symbols import (  # noqa: F401
     ResidueField,
     brute_force_symbol,
-    is_quintic_residue_mod_p,
     quintic_symbol,
     residue_field,
 )

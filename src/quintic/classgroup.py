@@ -49,17 +49,6 @@ def mat_det(a: Mat) -> int:
     return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % 5
 
 
-def mat_inv(a: Mat) -> Mat:
-    d = mat_det(a)
-    if d == 0:
-        raise InputError(f"matrix {a} is singular over F5")
-    di = pow(d, -1, 5)
-    return (
-        (a[1][1] * di % 5, -a[0][1] * di % 5),
-        (-a[1][0] * di % 5, a[0][0] * di % 5),
-    )
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple((a[i][j] - b[i][j]) % 5 for j in range(2)) for i in range(2))
 
@@ -123,7 +112,8 @@ def invariant_violations(S: Mat, T: Mat) -> list[str]:
         return out
     if mat_pow(T, 4) != I2:
         out.append("T^4 != I")
-    if mat_mul(mat_mul(T, S), mat_inv(T)) != mat_pow(S, 2):
+    # T is invertible here, so T S T^-1 = S^2 is T S = S^2 T
+    if mat_mul(T, S) != mat_mul(mat_pow(S, 2), T):
         out.append("T S T^-1 != S^2")
     T2 = mat_mul(T, T)
     if (T2[0][0] + T2[1][1]) % 5 != 0 or mat_det(T2) != 4:
@@ -139,11 +129,6 @@ def canonical_model() -> ClassGroupModel:
 def ambiguous_subgroup(model: ClassGroupModel) -> Vec:
     """ker(S - I): the line of classes fixed by sigma."""
     return kernel_line(mat_sub(model.S, I2))
-
-
-def principal_genus_line(model: ClassGroupModel) -> Vec:
-    """im(S - I): the line of classes of the form A^(1-sigma)."""
-    return image_line(mat_sub(model.S, I2))
 
 
 def minus_eigenline(model: ClassGroupModel) -> Vec:
@@ -227,20 +212,6 @@ class ModelSurvey:
     ambiguity_operator_ok: bool
     order5_count: int
     order5_kernel_dim_one: int
-
-    @property
-    def passed(self) -> bool:
-        n = self.pairs_total
-        return (
-            n > 0
-            and self.kernel_dim_one == n
-            and self.kernel_equals_image == n
-            and self.kernel_tau2_stable == n
-            and self.tau2_pointwise_fixed + self.tau2_pointwise_inverted == n
-            and self.ambiguity_operator_ok
-            and self.order5_count == 24
-            and self.order5_kernel_dim_one == 24
-        )
 
 
 def model_survey() -> ModelSurvey:

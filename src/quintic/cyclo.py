@@ -166,21 +166,29 @@ def galois_apply(t: int, a: CycInt) -> CycInt:
     return _wrap((v[0] - k, v[1] - k, v[2] - k, v[3] - k))
 
 
+def _real_norm(b: CycInt) -> int:
+    """N(b) over Q(sqrt 5) for b in the real subring Z[t], t = zeta + zeta^4.
+
+    t = (-1, 0, -1, -1), so b = x + y*t = (x - y, 0, -y, -y) gives y = -b2
+    and x = b0 - b2; then N(b) = (x + y*t)(x + y*t'), and t + t' = t*t' = -1
+    make it x^2 - x*y - y^2.
+    """
+    c = b.c
+    if c[1] or c[2] != c[3]:
+        raise InternalCheckError(f"{b!r} does not lie in Z[zeta + zeta^4]")
+    y = -c[2]
+    x = c[0] + y
+    return x * x - x * y - y * y
+
+
 def norm(a: CycInt) -> int:
     """Field norm N(a), a rational integer >= 0, from one product.
 
-    b = a * tau^2(a) is a times its complex conjugate, so it lies in the real
-    subring Z[t], t = zeta + zeta^4 = (-1, 0, -1, -1). Writing b = x + y*t =
-    (x - y, 0, -y, -y) gives y = -b2 and x = b0 - b2; then N(a) = N(b) over
-    Q(sqrt 5) = (x + y*t)(x + y*t'), and t + t' = t*t' = -1 make it
-    x^2 - x*y - y^2. brute_force_norm, the four-conjugate product, is the oracle.
+    a * tau^2(a) is a times its complex conjugate, so it lies in the real
+    subring, and N(a) is its norm over Q(sqrt 5) (_real_norm).
+    brute_force_norm, the four-conjugate product, is the oracle.
     """
-    b = (a * galois_apply(2, a)).c
-    if b[1] or b[2] != b[3]:
-        raise InternalCheckError(f"a * conj(a) for {a!r} did not reduce to Z[zeta + zeta^4]")
-    y = -b[2]
-    x = b[0] + y
-    return x * x - x * y - y * y
+    return _real_norm(a * galois_apply(2, a))
 
 
 def brute_force_norm(a: CycInt) -> int:
@@ -211,8 +219,12 @@ def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
     b = CycInt(b)
     if not b:
         raise ZeroDivisionError("division by zero in Z[zeta5]")
-    conj = galois_apply(1, b) * galois_apply(2, b) * galois_apply(3, b)
-    nb = (b * conj).c[0]
+    # c = b * tau^2(b) is real, tau(c) = tau(b) * tau^3(b), so the product of
+    # the three conjugates of b is tau^2(b) * tau(c), and N(b) = N(c) over Q(sqrt 5)
+    b2 = galois_apply(2, b)
+    c = b * b2
+    conj = b2 * galois_apply(1, c)
+    nb = _real_norm(c)
     num = a * conj
     q = _wrap(tuple([_round_div(x, nb) for x in num.c]))
     r = a - q * b

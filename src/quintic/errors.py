@@ -41,12 +41,6 @@ class NotCoprime(InputError):
     code = "not-coprime"
 
 
-class EverythingIsAResidue(InputError):
-    """The residue question is vacuous: the unit group order is coprime to 5."""
-
-    code = "vacuous-residue-question"
-
-
 class FieldTooLarge(InputError):
     code = "field-too-large"
 

@@ -227,19 +227,16 @@ def _irreducibility_witness(coeffs: tuple[int, ...]) -> int | None:
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
               131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199):
-        f = polyfp.trim(c % q for c in coeffs)
-        if len(f) != len(coeffs):
-            continue  # leading coefficient collapsed (cannot happen: monic)
-        fm = polyfp.monic(f, q)
+        f = polyfp.trim(c % q for c in coeffs)  # still monic of degree 5
         deriv = polyfp.trim(i * coeffs[i] % q for i in range(1, len(coeffs)))
-        if len(polyfp.gcd(fm, deriv, q)) != 1:
+        if len(polyfp.gcd(f, deriv, q)) != 1:
             continue  # not squarefree mod q
-        xq = polyfp.powmod((0, 1), q, fm, q)
-        lin = polyfp.gcd(_poly_sub_x(xq, q), fm, q)
+        xq = polyfp.powmod((0, 1), q, f, q)
+        lin = polyfp.gcd(_poly_sub_x(xq, q), f, q)
         if len(lin) != 1:
             continue
-        xq2 = polyfp.powmod((0, 1), q * q, fm, q)
-        quad = polyfp.gcd(_poly_sub_x(xq2, q), fm, q)
+        xq2 = polyfp.powmod((0, 1), q * q, f, q)
+        quad = polyfp.gcd(_poly_sub_x(xq2, q), f, q)
         if len(quad) != 1:
             continue
         return q

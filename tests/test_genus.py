@@ -26,7 +26,6 @@ from quintic.genus import (
 from quintic.intarith import factorize, is_primitive_root, primitive_root, sieve_primes
 from quintic.radicand import classify
 
-SPLIT_PRIMES_UNDER_200 = [p for p in sieve_primes(200) if p % 5 == 1]
 CAP_PRIME = 99991  # the largest prime = 1 mod 5 under the p <= 100000 cap
 
 
@@ -60,11 +59,6 @@ def test_numeric_root_oracle(p):
     for k in range(6):
         assert abs(approx[k].real - exact[k]) < 1e-6
         assert abs(approx[k].imag) < 1e-6
-
-
-@pytest.mark.parametrize("p", SPLIT_PRIMES_UNDER_200)
-def test_trace_coefficient_is_one(p):
-    assert period_polynomial(p).coefficients[4] == 1
 
 
 # criterion 6 runs these checks at every prime below 1000 (the periods suite,

@@ -3,17 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quintic.cyclo import CycInt
-from quintic.errors import (
-    EverythingIsAResidue,
-    FieldTooLarge,
-    InputError,
-    NotCoprime,
-    SymbolUndefined,
-)
+from quintic.errors import FieldTooLarge, NotCoprime, SymbolUndefined
 from quintic.primes import factor_rational_prime
 from quintic.symbols import (
     brute_force_symbol,
-    is_quintic_residue_mod_p,
     quintic_symbol,
     residue_field,
 )
@@ -84,32 +77,12 @@ def test_rational_residue_question_is_galois_invariant():
             )
 
 
-def test_is_quintic_residue_examples():
-    assert is_quintic_residue_mod_p(3, 11) is False  # 3^2 = 9 != 1 mod 11
-    assert is_quintic_residue_mod_p(1, 19) is True
-    q = factor_rational_prime(19)[0]
-    assert is_quintic_residue_mod_p(5, 19) == (brute_force_symbol(CycInt(5), q) == 0)
-
-
 def test_every_rational_is_a_residue_at_degree_two_primes():
     # F_p* has order coprime to 5 and lies inside the fifth powers of F_{p^2}
-    for a in (2, 3, 5, 7, 11, 13):
-        if a != 19:
-            assert is_quintic_residue_mod_p(a, 19) is True
-
-
-def test_inert_moduli_are_flagged_as_vacuous():
-    with pytest.raises(EverythingIsAResidue):
-        is_quintic_residue_mod_p(3, 7)
-
-
-def test_residue_question_rejects_bad_inputs():
-    with pytest.raises(InputError):
-        is_quintic_residue_mod_p(3, 15)
-    with pytest.raises(InputError):
-        is_quintic_residue_mod_p(3, 5)
-    with pytest.raises(NotCoprime):
-        is_quintic_residue_mod_p(38, 19)
+    for p in (19, 29):
+        for q in factor_rational_prime(p):
+            for a in (2, 3, 5, 7, 11, 13):
+                assert quintic_symbol(CycInt(a), q) == 0
 
 
 def test_brute_force_bound():
