@@ -1,12 +1,13 @@
-"""Byte-identity pin for classify, genus, report and enumerate.
+"""Byte-identity pin for classify, factor, symbol, genus, report and enumerate.
 
 Each digest is a sha256 over the arguments, exit code, stdout and stderr of
 every invocation in its case list. The classify, genus, report and extra
 digests were recorded on the code before the capitulation section was served
 from constants and each radicand was factored once per command; the
 enumerate digest was recorded before trial division moved to block gcds
-over a prime table. Any change to the CLI's bytes, error codes or error
-order shows up here.
+over a prime table; the factor and symbol digests were recorded while the
+CLI still wrote its JSON with json.dumps(indent=2). Any change to the CLI's
+bytes, error codes or error order shows up here.
 """
 
 import hashlib
@@ -49,11 +50,21 @@ _ENUMERATE = (
     ("enumerate", str(2**5 * 1000003 * 1000033), str(2**5 * 1000003 * 1000033)),
 )
 
+# factor beyond 2..1000: two radicands with large prime factors
+_FACTOR = tuple(("factor", str(n)) for n in (*_RANGE, 41489734099375, 3284811865497593))
+
+# symbol of rational and coordinate elements at split and degree-two primes;
+# "--" lets a negative first coordinate through as an argument
+_SYMBOL = tuple(("symbol", "--", a, str(p)) for a in ("2", "3", "1,2,3,4", "-5,0,1,0")
+                for p in (11, 19, 29, 31, 41, 61, 101, 1009, 99991))
+
 PINNED = {
     "classify": "b799812489c4f6f2cdb97d0335c05a35299f9bfd10a6ab23a76d1e12c5565e07",
     "genus": "8199f7ff1081abcffedd7f84952b98d595fc5ab46ad3c00c9be1f1bdcff6dc2c",
     "report": "63bc8032c081c3bce620f79018fe0fc757f2c537f78f7343a3269b6f8710d9de",
     "extra": "578a541db0e502eef202d0877fff1971d1cbc3d1186bda28c4b5398000538732",
+    "factor": "88efa6f863847a8db4f906db190c21a83895f788369d09ee9c5bbd59cde3d1be",
+    "symbol": "c9106879eeaa242652164cab64fc7c737726fe03cd01360c51a226eb241474f7",
     "enumerate": "410e07dc956936ddf39c050821d9e44bf1872f6a5451fed797f9889ce18bd810",
 }
 
@@ -63,6 +74,10 @@ def _cases(name):
         return _EXTRA
     if name == "enumerate":
         return _ENUMERATE
+    if name == "factor":
+        return _FACTOR
+    if name == "symbol":
+        return _SYMBOL
     return [(name, str(n)) for n in _RANGE]
 
 
