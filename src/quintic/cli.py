@@ -7,9 +7,9 @@ endings); identical inputs produce byte-identical output. Exit codes:
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import click
 
@@ -44,8 +44,93 @@ def _write(text: str, out):
         click.echo(text, nl=False, file=sys.stdout)
 
 
+# "\n" plus the indent of each nesting depth; deeper ones are built when met
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(16))
+_LITERAL = {None: "null", True: "true", False: "false"}
+_ALL_STR = frozenset((str,))
+_ALL_INT = frozenset((int,))
+
+
+def _json_text(doc) -> str:
+    """The bytes the json module writes for doc with a two-space indent.
+
+    Only the types a command's document holds are written: dict with str keys,
+    list, str, int, bool and None, matched by exact type. Anything else (a float,
+    a tuple, an int key, an int subclass) raises TypeError. The json module's
+    indenting encoder runs every token through nested generators in Python;
+    this appends strings to one list and joins it once, and writes a list of
+    only str or only int with one C-level join. The tests hold it to the json
+    module's bytes.
+    """
+    parts: list[str] = []
+    _put(doc, 0, parts)
+    return "".join(parts)
+
+
+def _newline(depth: int) -> str:
+    return _NEWLINE[depth] if depth < len(_NEWLINE) else "\n" + "  " * depth
+
+
+def _put(value, depth: int, parts: list[str]):
+    kind = type(value)
+    if kind is str:
+        parts.append(_json_str(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is dict:
+        _put_dict(value, depth, parts)
+    elif kind is list:
+        _put_list(value, depth, parts)
+    elif value is None or kind is bool:
+        parts.append(_LITERAL[value])
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _put_dict(doc: dict, depth: int, parts: list[str]):
+    if not doc:
+        parts.append("{}")
+        return
+    lead = _newline(depth + 1)
+    sep = "," + lead
+    parts.append("{")
+    for key, value in doc.items():
+        if type(key) is not str:
+            raise TypeError(f"cannot write a {type(key).__name__} key as JSON")
+        kind = type(value)
+        if kind is str:
+            parts.append(lead + _json_str(key) + ": " + _json_str(value))
+        elif kind is int:
+            parts.append(lead + _json_str(key) + ": " + int.__repr__(value))
+        else:
+            parts.append(lead + _json_str(key) + ": ")
+            _put(value, depth + 1, parts)
+        lead = sep
+    parts.append(_newline(depth) + "}")
+
+
+def _put_list(items: list, depth: int, parts: list[str]):
+    if not items:
+        parts.append("[]")
+        return
+    lead = _newline(depth + 1)
+    sep = "," + lead
+    kinds = set(map(type, items))
+    if kinds == _ALL_STR:
+        parts.append("[" + lead + sep.join(map(_json_str, items)))
+    elif kinds == _ALL_INT:
+        parts.append("[" + lead + sep.join(map(int.__repr__, items)))
+    else:
+        parts.append("[")
+        for value in items:
+            parts.append(lead)
+            _put(value, depth + 1, parts)
+            lead = sep
+    parts.append(_newline(depth) + "]")
+
+
 def _emit(doc: dict, out):
-    _write(json.dumps(doc, indent=2, sort_keys=False) + "\n", out)
+    _write(_json_text(doc) + "\n", out)
 
 
 def _error_doc(exc: QuinticError) -> dict:
@@ -53,7 +138,7 @@ def _error_doc(exc: QuinticError) -> dict:
 
 
 def _fail(exc: QuinticError):
-    click.echo(json.dumps(_error_doc(exc), indent=2), file=sys.stderr)
+    click.echo(_json_text(_error_doc(exc)), file=sys.stderr)
     sys.exit(exc.exit_code)
 
 
@@ -66,9 +151,6 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except QuinticError as exc:
             _fail(exc)
-        except ZeroDivisionError as exc:
-            click.echo(json.dumps({"error": {"code": "division-by-zero", "message": str(exc)}}), file=sys.stderr)
-            sys.exit(2)
 
     return wrapper
 

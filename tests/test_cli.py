@@ -5,10 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 
+import enum
+
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quintic.cli import main
+from quintic.cli import _json_text, main
 
 
 @pytest.fixture
@@ -466,3 +470,58 @@ def test_selftest_summary_pin(runner):
         "suite classifier: 38574 checks, 0 failures [ok]",
         "suite capitulation: 14 checks, 0 failures [ok]",
     ]
+
+
+# The CLI's JSON writer against its oracle, json.dumps(indent=2): strings with
+# quotes, backslashes, control, non-ASCII, astral and lone surrogate characters;
+# ints past 2^64 either way; containers nested at least 6 deep.
+_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\xe9\u2028\ud800\U0001f600'),
+                          st.characters()), max_size=8)
+_ints = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200),
+                  st.integers(min_value=-(2**200), max_value=-(2**64)))
+_leaves = st.one_of(st.none(), st.booleans(), _ints, _text)
+_flat = st.one_of(_leaves, st.lists(_text, max_size=4), st.lists(_ints, max_size=4))
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(_text, max_size=4),
+                           st.lists(_ints, max_size=4), st.dictionaries(_text, kids, max_size=4)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _documents(draw):
+    doc = draw(_trees)
+    for _ in range(draw(st.integers(6, 9))):
+        siblings = draw(st.lists(_flat, max_size=2))
+        at = draw(st.integers(0, len(siblings)))
+        values = [*siblings[:at], doc, *siblings[at:]]
+        if draw(st.booleans()):
+            doc = values
+        else:
+            keys = draw(st.lists(_text, min_size=len(values), max_size=len(values), unique=True))
+            doc = dict(zip(keys, values))
+    return doc
+
+
+@given(_documents())
+def test_json_writer_matches_the_json_module(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_matches_the_json_module_100_deep():
+    doc = ["leaf", 2**70, None]
+    for depth in range(100):
+        doc = {"depth": depth, "inner": doc, "flags": [True, False]} if depth % 2 else [doc, -depth, "\u00e9"]
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("doc", [{"x": 1.5}, [0.0], {"x": (1, 2)}, (1,), {1: "a"}, {"x": _Small.ONE}],
+                         ids=["float-value", "float-item", "tuple-value", "tuple", "int-key", "int-subclass"])
+def test_json_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
