@@ -97,13 +97,14 @@ def _put_dict(doc: dict, depth: int, parts: list[str]):
     for key, value in doc.items():
         if type(key) is not str:
             raise TypeError(f"cannot write a {type(key).__name__} key as JSON")
+        head = lead + _json_str(key) + ": "
         kind = type(value)
         if kind is str:
-            parts.append(lead + _json_str(key) + ": " + _json_str(value))
+            parts.append(head + _json_str(value))
         elif kind is int:
-            parts.append(lead + _json_str(key) + ": " + int.__repr__(value))
+            parts.append(head + int.__repr__(value))
         else:
-            parts.append(lead + _json_str(key) + ": ")
+            parts.append(head)
             _put(value, depth + 1, parts)
         lead = sep
     parts.append(_newline(depth) + "}")
