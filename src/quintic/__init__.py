@@ -68,7 +68,6 @@ from .classgroup import (  # noqa: F401
     ambiguous_subgroup,
     build_lattice,
     canonical_model,
-    capitulation_constants,
     enumerate_capitulation_types,
     generator_certificate,
     model_survey,

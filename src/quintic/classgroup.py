@@ -12,7 +12,6 @@ unramified quintic extensions K1..K6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 
 from .errors import InputError, InternalCheckError, ModelInvariantError
@@ -306,17 +305,11 @@ EXPECTED_CAPITULATION_TYPES = (
 )
 
 
-@cache
-def capitulation_constants() -> tuple[tuple[tuple[int, ...], ...], SubgroupLattice, tuple[int, ...]]:
-    """(admissible types, lattice, tau^2 permutation) of the canonical model.
-
-    The same for every classified radicand, so built once per process, on
-    first use. The types are the literal EXPECTED_CAPITULATION_TYPES; the
-    brute force enumerate_capitulation_types() stays the oracle it is
-    checked against (selftest suite "capitulation" and the tests).
-    """
-    model = canonical_model()
-    return EXPECTED_CAPITULATION_TYPES, build_lattice(model), tau2_permutation(model)
+#: the lattice and tau^2 permutation of the canonical model, the same for every
+#: classified radicand; report serves them with EXPECTED_CAPITULATION_TYPES,
+#: and the capitulation suite checks all three against the oracles
+CANONICAL_LATTICE = build_lattice(canonical_model())
+CANONICAL_TAU2 = tau2_permutation(canonical_model())
 
 
 TAU2_PROOF_NOTE = (
@@ -348,7 +341,6 @@ class GeneratorCertificate:
 
     n: int
     verdict: Verdict
-    applicable: bool
     conditions: tuple[Condition, ...]
     splitting: str
 
@@ -356,7 +348,7 @@ class GeneratorCertificate:
         return {
             "n": self.n,
             "form": self.verdict.value,
-            "applicable": self.applicable,
+            "applicable": False,
             "conditions": [c.to_json() for c in self.conditions],
             "generators": None,
             "splitting": self.splitting,
@@ -409,4 +401,4 @@ def generator_certificate(form: RadicandForm) -> GeneratorCertificate:
             f"{fixed_value} is a quintic non-residue at a prime above {p} = {p % 5} mod 5, "
             f"where every rational integer is a fifth power"
         )
-    return GeneratorCertificate(form.n, form.verdict, False, (fixed,), splitting)
+    return GeneratorCertificate(form.n, form.verdict, (fixed,), splitting)

@@ -204,7 +204,8 @@ def _parse_cyc(text: str) -> CycInt:
         raise InputError(f"cannot parse {text!r} as an integer or 4 coordinates") from exc
 
 
-@main.command()
+# a negative first coordinate ("-5,0,1,0", "-3") is an argument, not an option
+@main.command(context_settings={"ignore_unknown_options": True})
 @click.argument("a")
 @click.argument("p", type=int)
 @_json_flag
@@ -289,20 +290,17 @@ def report(n, h_gamma, table, out):
         doc["genus"] = _error_doc(exc)
     if form.verdict is not Verdict.NONE:
         try:
-            cert = classgroup.generator_certificate(form)
-            certificate = cert.to_json()
-            if not cert.applicable:
-                warnings.append(RESIDUE_READING_NOTE)
+            certificate = classgroup.generator_certificate(form).to_json()
+            warnings.append(RESIDUE_READING_NOTE)
         except QuinticError as exc:
             certificate = _error_doc(exc)
-        types, lattice, perm = classgroup.capitulation_constants()
         doc["capitulation"] = {
             "n": n,
             "form": form.verdict.value,
-            "admissible_types": [list(t) for t in types],
+            "admissible_types": [list(t) for t in classgroup.EXPECTED_CAPITULATION_TYPES],
             "certificate": certificate,
-            "tau2_permutation": list(perm),
-            "subgroups": lattice.to_json()["subgroups"],
+            "tau2_permutation": list(classgroup.CANONICAL_TAU2),
+            "subgroups": classgroup.CANONICAL_LATTICE.to_json()["subgroups"],
         }
     _emit(_envelope("report", {"n": n, "h_gamma": h}, doc, warnings), out)
 

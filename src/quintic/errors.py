@@ -66,10 +66,6 @@ class NoAdmissibleGenerator(QuinticError):
 
     code = "no-admissible-generator"
 
-    def __init__(self, message, rejections=()):
-        super().__init__(message)
-        self.rejections = tuple(rejections)
-
 
 class ModelInvariantError(QuinticError):
     code = "model-invariant-violated"

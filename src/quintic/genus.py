@@ -30,7 +30,7 @@ from .errors import (
     NoAdmissibleGenerator,
     QstarOutOfRange,
 )
-from .intarith import is_prime, is_primitive_root, primitive_root
+from .intarith import is_prime, primitive_root
 from .primes import SPLITTING_MOD_5, CycPrime, factor_rational_prime, primary_normalize
 from .radicand import RadicandForm, Verdict, classify
 
@@ -51,30 +51,18 @@ class PeriodPolynomial:
         return {"p": self.p, "coefficients": [str(c) for c in self.coefficients]}
 
 
-def period_polynomial(p: int, root: int | None = None) -> PeriodPolynomial:
+def period_polynomial(p: int) -> PeriodPolynomial:
     """Minimal polynomial of the five Gaussian periods of degree (p-1)/5.
 
-    With g a primitive root mod p and C_i = {g^(i + 5m)} the cosets of the
-    index-5 subgroup of the units, eta_i = sum over x in C_i of zeta_p^x. The
-    product of (X - eta_j) is expanded exactly in the ring spanned by 1 and
-    eta_0..eta_4, whose structure constants are the cyclotomic numbers of
-    order 5, at O(p) cost (see _period_ring_product). The period set does
-    not depend on the choice of g, so any primitive root may be passed in to
-    cross-check the construction; brute_force_period_coefficients is the
-    independent Theta(p^2) oracle.
+    The coefficients are period_coefficients(p, g) for the smallest
+    primitive root g mod p, certified monic with X^4 coefficient 1 and
+    irreducible over Q.
     """
     if not is_prime(p) or p % 5 != 1:
         raise InputError(f"{p} is not a prime congruent to 1 mod 5")
     if p > _PERIOD_PRIME_BOUND:
         raise BoundExceeded(f"period construction capped at p <= {_PERIOD_PRIME_BOUND}")
-    if root is None:
-        g = primitive_root(p)
-    else:
-        if not is_primitive_root(root, p):
-            raise InputError(f"{root} is not a primitive root mod {p}")
-        g = root
-
-    result = _rational_coefficients(_period_ring_product(p, g), p)
+    result = period_coefficients(p, primitive_root(p))
     if result[5] != 1 or result[4] != 1:
         # trace of the periods is -1, so the X^4 coefficient must be 1
         raise InternalCheckError(f"period polynomial for p = {p} has a bad leading part")
@@ -83,17 +71,24 @@ def period_polynomial(p: int, root: int | None = None) -> PeriodPolynomial:
     return PeriodPolynomial(p, result)
 
 
-def _period_ring_product(p: int, g: int) -> list[list[int]]:
-    """Coefficients of prod_j (X - eta_j) as vectors (a, c_0..c_4) = a + sum c_k eta_k.
+def period_coefficients(p: int, g: int) -> tuple[int, ...]:
+    """Coefficients of prod_j (X - eta_j), ascending, in O(p).
 
-    With ind(x) = log_g(x) mod 5 and f = (p-1)/5, the cyclotomic numbers of
-    order 5 are (h, k) = #{t in 1..p-2 : ind(t) = h, ind(t+1) = k}.
-    Substituting y = x*t in eta_i * eta_j and splitting off t = -1 gives
+    With C_i = {g^(i + 5m)} the cosets of the index-5 subgroup of the units
+    mod p, eta_i = sum over x in C_i of zeta_p^x. The product is expanded
+    as vectors (a, c_0..c_4) = a + sum c_k eta_k in the ring spanned by 1
+    and eta_0..eta_4. With ind(x) = log_g(x) mod 5 and f = (p-1)/5, its
+    structure constants are the cyclotomic numbers of order 5,
+    (h, k) = #{t in 1..p-2 : ind(t) = h, ind(t+1) = k}. Substituting
+    y = x*t in eta_i * eta_j and splitting off t = -1 gives
 
         eta_i * eta_j = f * [-1 in C_(j-i)] + sum_k (j-i, k) * eta_(i+k)
 
     (Gauss, Disquisitiones sec. VII; Berndt-Evans-Williams ch. 2-3). Since
-    p = 1 mod 10, f is even, so -1 = g^(5f/2) lies in C_0.
+    p = 1 mod 10, f is even, so -1 = g^(5f/2) lies in C_0. The period set
+    does not depend on g, so a second primitive root cross-checks the
+    construction; brute_force_period_coefficients is the independent
+    Theta(p^2) oracle. g must be a primitive root mod the prime p = 1 mod 5.
     """
     f = (p - 1) // 5
     ind = bytearray(p)
@@ -127,7 +122,7 @@ def _period_ring_product(p: int, g: int) -> list[list[int]]:
             for i, v in enumerate(times_eta(vec, j)):
                 down[i] -= v
         poly = new
-    return poly
+    return _rational_coefficients(poly, p)
 
 
 def brute_force_period_coefficients(p: int, g: int) -> tuple[int, ...]:
@@ -358,36 +353,22 @@ def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
     if form.verdict is Verdict.NONE:
         raise InputError(f"{form.n} is not in any of the three families")
     pis = tuple(primary_normalize(q) for q in factor_rational_prime(form.p))
-    out: list[KummerGenerator] = []
-    rejections: list[tuple] = []
-
+    # (lambda exponent, prime exponents) of each candidate class representative
     if form.verdict is Verdict.FORM_I:
-        for a, a1, a2 in _FORM_I_EXPONENTS:
-            pe = ((pis[0], a1), (pis[1], a2))
-            out.append(KummerGenerator(a, pe, _realize(a, pe)))
+        candidates = [(a, ((pis[0], a1), (pis[1], a2))) for a, a1, a2 in _FORM_I_EXPONENTS]
     elif form.verdict is Verdict.FORM_II:
         q_inert = factor_rational_prime(form.q)[0]
-        for pi in pis:
-            for a in range(1, 5):
-                pe = ((q_inert, 1), (pi, a))
-                w = _realize(0, pe)
-                if hyperprimary_class(w) is not None:
-                    out.append(KummerGenerator(0, pe, w))
-                else:
-                    rejections.append((("q", 1), (pi.element.c, a), "not hyperprimary"))
+        candidates = [(0, ((q_inert, 1), (pi, a))) for pi in pis for a in range(1, 5)]
     else:
-        for a1, a2 in _FORM_III_EXPONENTS:
-            pe = ((pis[0], a1), (pis[1], a2))
-            w = _realize(0, pe)
-            if hyperprimary_class(w) is not None:
-                out.append(KummerGenerator(0, pe, w))
-            else:
-                rejections.append(((a1, a2), "not hyperprimary"))
-
+        candidates = [(0, ((pis[0], a1), (pis[1], a2))) for a1, a2 in _FORM_III_EXPONENTS]
+    out: list[KummerGenerator] = []
+    for lambda_exp, pe in candidates:
+        w = _realize(lambda_exp, pe)
+        if lambda_exp or hyperprimary_class(w) is not None:
+            out.append(KummerGenerator(lambda_exp, pe, w))
     if not out:
         raise NoAdmissibleGenerator(
-            f"no admissible Kummer generator for n = {form.n} ({len(rejections)} rejected)",
-            rejections,
+            f"no admissible Kummer generator for n = {form.n} ({len(candidates)} rejected)"
         )
     return tuple(sorted(out, key=lambda g: g.exponent_tuple()))
 
@@ -443,8 +424,8 @@ class CorollaryReport:
 
     n: int
     r: int
-    h_gamma: int | None
-    five_divides_exactly: bool | None
+    h_gamma: int
+    five_divides_exactly: bool
     statements: tuple[str, ...]
 
     def to_json(self) -> dict:
@@ -457,9 +438,7 @@ class CorollaryReport:
         }
 
 
-def corollary_report(
-    n: int, factorization: dict[int, int], h_gamma: int | None = None
-) -> CorollaryReport:
+def corollary_report(n: int, factorization: dict[int, int], h_gamma: int) -> CorollaryReport:
     """Field-coincidence consequences of 5 || h_Gamma, checked against r.
 
     When 5 divides h_Gamma exactly, at most one prime p = 1 mod 5 can divide
@@ -468,8 +447,6 @@ def corollary_report(
     k * HCF(conjugate of Gamma) coincide; with r = 0 they are distinct.
     """
     r = sum(1 for p in factorization if p % 5 == 1)
-    if h_gamma is None:
-        return CorollaryReport(n, r, None, None, (f"r = {r}; no class number supplied",))
     exact = h_gamma % 5 == 0 and h_gamma % 25 != 0
     if not exact:
         return CorollaryReport(

@@ -17,7 +17,7 @@ Miller-Rabin.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 from .errors import BoundExceeded, FactorizationError, InputError
@@ -33,6 +33,8 @@ _TRIAL_LIMIT = 10**6
 CERTIFIED_BELOW = 1000003**2
 _BLOCK = 256  # primes per gcd block
 _SEGMENT = 1 << 15  # odd numbers sieved at a time as the prime table grows
+_FLAG_CHUNK = 256  # segment flags read off at a time
+_CHUNK_OFFSETS = tuple(range(0, 2 * _FLAG_CHUNK, 2))  # odd candidate i of a chunk is first + 2i
 
 
 def is_prime(n: int) -> bool:
@@ -75,19 +77,26 @@ class _PrimeTable:
         self.products: list[int] = []
 
     def extend(self, bound: int) -> None:
-        """Hold every prime <= bound, sieving the odd numbers above limit segment by segment."""
-        lo = self.limit
-        if bound <= lo:
+        """Hold every prime <= bound, sieving the odd numbers above limit segment by segment.
+
+        The sievers, the odd primes up to isqrt(bound), come from the table
+        itself, grown that far first. A segment's primes are read off its
+        flags 256 at a time, as offsets from a fixed tuple added to the
+        chunk's first number, so no int is made for a rejected candidate.
+        """
+        if bound <= self.limit:
             return
-        old_len = len(self.primes)
+        self.extend(isqrt(bound))
+        lo = self.limit
+        primes = self.primes
+        old_len = len(primes)
         if lo < 2:
-            self.primes.append(2)
-        sievers = sieve_primes(isqrt(bound) + 1)[1:]
+            primes.append(2)
         first = (lo + 1) | 1  # first odd number above lo, at least 3
         while first <= bound:
             last = min(bound, first + 2 * (_SEGMENT - 1))
             flags = bytearray(b"\x01") * ((last - first) // 2 + 1)
-            for p in sievers:
+            for p in islice(primes, 1, None):
                 if p * p > last:
                     break
                 s = max(p * p, -(-first // p) * p)
@@ -95,7 +104,9 @@ class _PrimeTable:
                     s += p
                 i = (s - first) // 2
                 flags[i::p] = bytes(len(range(i, len(flags), p)))
-            self.primes.extend(compress(range(first, last + 1, 2), flags))
+            for i in range(0, len(flags), _FLAG_CHUNK):
+                base = first + 2 * i
+                primes.extend(map(base.__add__, compress(_CHUNK_OFFSETS, flags[i : i + _FLAG_CHUNK])))
             first = last + 2
         self.limit = bound
         # the block that held the old last prime may have grown: recompute from it
@@ -165,17 +176,10 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes < limit, by Eratosthenes."""
-    if limit <= 2:
-        return []
-    flags = bytearray(b"\x01") * limit
-    flags[0:2] = b"\x00\x00"
-    p = 2
-    while p * p < limit:
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, limit, p))
-        p += 1
-    return [i for i in range(limit) if flags[i]]
+    """All primes < limit, from a fresh prime table."""
+    table = _PrimeTable()
+    table.extend(limit - 1)
+    return table.primes.tolist()
 
 
 def primitive_root(p: int) -> int:

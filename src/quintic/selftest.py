@@ -156,7 +156,7 @@ def _suite_periods(limit: int = 100) -> SuiteResult:
         )
         g1 = next(g for g in range(g0 + 1, p) if is_primitive_root(g, p))
         res.note(
-            genus.period_polynomial(p, g1).coefficients == poly.coefficients,
+            genus.period_coefficients(p, g1) == poly.coefficients,
             f"root independence at {p}",
         )
         # the p-part is exactly p^4 (the field discriminant); the cofactor is
@@ -207,10 +207,9 @@ def _suite_capitulation() -> SuiteResult:
     res.note(classgroup.plus_eigenline(m) == classgroup.ambiguous_subgroup(m), "canonical plus eigenline")
     perm = classgroup.tau2_permutation(m)
     res.note(perm == (1, 2, 6, 5, 4, 3), "canonical tau2 involution")
-    served_types, served_lattice, served_perm = classgroup.capitulation_constants()
-    res.note(served_types == types, "served capitulation types")
-    res.note(served_lattice == classgroup.build_lattice(m), "served subgroup lattice")
-    res.note(served_perm == perm, "served tau2 permutation")
+    res.note(classgroup.EXPECTED_CAPITULATION_TYPES == types, "served capitulation types")
+    res.note(classgroup.CANONICAL_LATTICE == classgroup.build_lattice(m), "served subgroup lattice")
+    res.note(classgroup.CANONICAL_TAU2 == perm, "served tau2 permutation")
     return res
 
 

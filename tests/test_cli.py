@@ -68,6 +68,24 @@ def test_symbol_accepts_coordinates(runner):
     assert res.exit_code == 0
 
 
+def test_symbol_takes_a_negative_first_coordinate_without_a_separator(runner, tmp_path):
+    def outcome(*args):
+        res = runner.invoke(main, ["symbol", *args])
+        return res.exit_code, res.stdout_bytes, res.stderr_bytes
+
+    assert outcome("-3", "11")[0] == 0
+    # -5 + zeta^2 vanishes at a prime above 11 (exit 2) and not above 41
+    for a, p in (("-5,0,1,0", "11"), ("-5,0,1,0", "41"), ("-3", "11")):
+        assert outcome(a, p) == outcome("--", a, p)
+    out = tmp_path / "symbol.json"
+    assert outcome("-5,0,1,0", "41", "--out", str(out)) == (0, b"", b"")
+    assert out.read_bytes() == outcome("--", "-5,0,1,0", "41")[1]
+    # an unknown option is read as the element, and refused as one
+    res = runner.invoke(main, ["symbol", "--bogus", "11"])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"]["code"] == "input-error"
+
+
 def test_symbol_coordinates_go_through_the_validating_constructor(runner):
     res = runner.invoke(main, ["symbol", "1,2,3", "11"])
     assert res.exit_code == 2

@@ -6,6 +6,7 @@ import tracemalloc
 from math import isqrt
 
 import pytest
+import sympy
 
 from quintic import intarith
 from quintic.errors import BoundExceeded, FactorizationError
@@ -69,6 +70,8 @@ def test_factorize_matches_the_oracle_near_powers_of_ten(exp):
 def test_factorize_matches_the_oracle_at_block_boundaries():
     p256, p257 = 1619, 1621  # the first two blocks of 256 primes meet here
     assert intarith.sieve_primes(p257 + 1)[255:] == [p256, p257]
+    for limit in (0, 1, 2, 3, 4, 9, 10, p257, p257 + 1, 20000):
+        assert intarith.sieve_primes(limit) == list(sympy.primerange(limit))
     big, above = 999983, 1000003  # the largest prime below the trial bound, the next prime
     ns = [p256**2, p257**2, p256 * p257, p256**2 * p257**3, 2**7 * p257,
           big**2, big * above, big**2 * above, 3 * big * above]

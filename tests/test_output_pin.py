@@ -54,7 +54,8 @@ _ENUMERATE = (
 _FACTOR = tuple(("factor", str(n)) for n in (*_RANGE, 41489734099375, 3284811865497593))
 
 # symbol of rational and coordinate elements at split and degree-two primes;
-# "--" lets a negative first coordinate through as an argument
+# the cases pass "--" before the element, which a negative first coordinate
+# no longer needs but which must still work
 _SYMBOL = tuple(("symbol", "--", a, str(p)) for a in ("2", "3", "1,2,3,4", "-5,0,1,0")
                 for p in (11, 19, 29, 31, 41, 61, 101, 1009, 99991))
 
