@@ -14,6 +14,7 @@ from quintic.errors import (
 )
 from quintic.genus import (
     absolute_genus,
+    brute_force_period_coefficients,
     build_genus_report,
     corollary_report,
     count_ramified_d,
@@ -91,6 +92,14 @@ def test_discriminant_is_p4_times_a_coprime_square(p):
     assert v == 4
     s = math.isqrt(d)
     assert s * s == d and math.gcd(s, p) == 1
+
+
+# criterion 6 runs the expansion oracle at every split prime below 1000;
+# this keeps a direct check of the cyclotomic-number path at the small ones
+@pytest.mark.parametrize("p", [11, 31, 41, 61, 71])
+def test_cyclotomic_numbers_match_the_expansion_oracle(p):
+    g = primitive_root(p)
+    assert period_polynomial(p).coefficients == brute_force_period_coefficients(p, g)
 
 
 def test_declared_cap_is_reachable_within_budget():
