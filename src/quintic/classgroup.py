@@ -16,7 +16,9 @@ from itertools import product
 
 from .errors import InputError, InternalCheckError, ModelInvariantError
 from .cyclo import CycInt
+from .primes import factor_rational_prime
 from .radicand import RadicandForm, Verdict
+from .symbols import quintic_symbol
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 Vec = tuple[int, int]
@@ -368,9 +370,6 @@ RESIDUE_READING_NOTE = (
 
 
 def _nonresidue_condition(a: int, p: int, label: str) -> Condition:
-    from .primes import factor_rational_prime
-    from .symbols import quintic_symbol
-
     q = factor_rational_prime(p)[0]
     i = quintic_symbol(CycInt(a), q)
     return Condition(f"{label} is not a quintic residue modulo {p}", i, i != 0)

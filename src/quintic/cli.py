@@ -7,6 +7,7 @@ endings); identical inputs produce byte-identical output. Exit codes:
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -144,8 +145,6 @@ def _fail(exc: QuinticError):
 
 
 def _guard(fn):
-    import functools
-
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -170,6 +169,13 @@ _json_flag = click.option("--json", "as_json", is_flag=True, default=True,
                           help="Emit a JSON envelope (always on; accepted for scripting).")
 _out_opt = click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None,
                         help="Write output to a file instead of stdout.")
+
+
+def _h_gamma_opts(fn):
+    """The --h-gamma and --table options of genus and report."""
+    fn = click.option("--table", type=click.Path(exists=True, dir_okay=False), default=None,
+                      help="CSV table of 'n,h_gamma' lines ('#' comments).")(fn)
+    return click.option("--h-gamma", type=int, default=None, help="Class number of Q(n^(1/5)), if known.")(fn)
 
 
 @main.command()
@@ -248,9 +254,7 @@ def _corollary_section(n, h, fac):
 
 @main.command("genus")
 @click.argument("n", type=int)
-@click.option("--h-gamma", type=int, default=None, help="Class number of Q(n^(1/5)), if known.")
-@click.option("--table", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="CSV table of 'n,h_gamma' lines ('#' comments).")
+@_h_gamma_opts
 @_json_flag
 @_out_opt
 @_guard
@@ -265,9 +269,7 @@ def genus_cmd(n, h_gamma, table, as_json, out):
 
 @main.command()
 @click.argument("n", type=int)
-@click.option("--h-gamma", type=int, default=None, help="Class number of Q(n^(1/5)), if known.")
-@click.option("--table", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="CSV table of 'n,h_gamma' lines ('#' comments).")
+@_h_gamma_opts
 @_out_opt
 @_guard
 def report(n, h_gamma, table, out):
@@ -305,18 +307,11 @@ def report(n, h_gamma, table, out):
     _emit(_envelope("report", {"n": n, "h_gamma": h}, doc, warnings), out)
 
 
-def _row_chunk(args: tuple[int, int, str | None, bool]) -> str:
+def _row_chunk(args: tuple[int, int, Verdict | None, bool]) -> str:
     """The output lines of one chunk of the range, as JSONL or CSV text."""
-    lo, hi, verdict_value, as_jsonl = args
-    verdict = None if verdict_value is None else Verdict(verdict_value)
-    line = radicand.RadicandForm.json_line if as_jsonl else _csv_row
-    return "".join([line(form) + "\n" for _, form in radicand.enumerate_radicands(lo, hi, verdict)])
-
-
-def _csv_row(form: radicand.RadicandForm) -> str:
-    cells = [str(form.n), form.verdict.value, *("" if v is None else str(v) for v in (form.e, form.p, form.q))]
-    cells.extend("pass" if c.passed else "fail" for c in form.checks)
-    return ",".join(cells)
+    lo, hi, verdict, as_jsonl = args
+    line = radicand.RadicandForm.json_line if as_jsonl else radicand.RadicandForm.csv_row
+    return "".join([line(form) + "\n" for form in radicand.enumerate_radicands(lo, hi, verdict)])
 
 
 @main.command("enumerate")
@@ -336,7 +331,8 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
         lo = max(lo, from_n)
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
-    chunks = [(a, min(a + _ENUM_CHUNK - 1, hi), form_filter, as_jsonl) for a in range(lo, hi + 1, _ENUM_CHUNK)]
+    verdict = None if form_filter is None else Verdict(form_filter)
+    chunks = [(a, min(a + _ENUM_CHUNK - 1, hi), verdict, as_jsonl) for a in range(lo, hi + 1, _ENUM_CHUNK)]
     workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers > 1:
         # imported here: it pulls in multiprocessing, which no other path needs
@@ -347,7 +343,7 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     else:
         chunk_texts = [_row_chunk(c) for c in chunks]
 
-    header = "" if as_jsonl else "n,verdict,e,p,q," + ",".join(radicand.CHECK_NAMES) + "\n"
+    header = "" if as_jsonl else radicand.CSV_HEADER + "\n"
     _write(header + "".join(chunk_texts), out)
 
 

@@ -17,6 +17,10 @@ for Form I, {7, 18} for Form II and {1, 24} for Form III. A filtered
 enumeration drops every other n before factoring it, but only below
 intarith.CERTIFIED_BELOW, where factorize cannot fail; from there on every
 n is factored, so a window fails on its first uncertifiable n as before.
+
+The ledger is positional: CHECK_NAMES[i] names checks[i] = (passed, witness),
+and every RadicandForm holds all 14 rows, whatever its verdict. Its three
+formats (to_json, json_line and csv_row under CSV_HEADER) are written here.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 
+from .cyclo import HYPERPRIMARY_CLASSES
 from .errors import (
     BoundExceeded,
     FactorizationError,
@@ -43,7 +48,7 @@ class Verdict(Enum):
 
 
 #: residues mod 25 equal to +-1 or +-7 (the rational hyperprimary classes)
-HYPER_MOD_25 = frozenset((1, 7, 18, 24))
+HYPER_MOD_25 = frozenset(c % 25 for c in HYPERPRIMARY_CLASSES)
 
 #: the residues n mod 25 that each family can take; NONE can take any.
 #:   Form I   p = 4 mod 5, so 5p = 5 * 4 = 20 mod 25 for e = 1, and 25 | n for e >= 2.
@@ -55,48 +60,6 @@ VERDICT_MOD_25 = {
     Verdict.FORM_II: frozenset((7, 18)),
     Verdict.FORM_III: frozenset((1, 24)),
 }
-
-
-@dataclass(frozen=True, slots=True)
-class Check:
-    name: str
-    passed: bool
-    witness: str
-
-
-@dataclass(frozen=True)
-class RadicandForm:
-    n: int
-    verdict: Verdict
-    e: int | None
-    p: int | None
-    q: int | None
-    checks: tuple[Check, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "verdict": self.verdict.value,
-            "e": self.e,
-            "p": self.p,
-            "q": self.q,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in self.checks
-            ],
-        }
-
-    def json_line(self) -> str:
-        """``json.dumps(self.to_json(), separators=(",", ":"))``, built without the dicts."""
-        rows = ",".join([_JSON_ROW_PREFIX[c.name][c.passed] + _json_str(c.witness) + "}"
-                         for c in self.checks])
-        e, p, q = self.e, self.p, self.q
-        return (
-            f'{{"n":{self.n},"verdict":{_json_str(self.verdict.value)},'
-            f'"e":{"null" if e is None else e},"p":{"null" if p is None else p},'
-            f'"q":{"null" if q is None else q},"checks":[{rows}]}}'
-        )
-
 
 #: fixed check schema, one row per tested condition regardless of verdict
 CHECK_NAMES = (
@@ -116,33 +79,65 @@ CHECK_NAMES = (
     "form3-n-pm1pm7-mod-25",
 )
 
-#: per check name, the compact JSON of a ledger row up to its witness, for passed False and True
-_JSON_ROW_PREFIX = {
-    name: tuple(f'{{"name":{_json_str(name)},"passed":{flag},"witness":' for flag in ("false", "true"))
+#: the first line of `enumerate --csv`
+CSV_HEADER = "n,verdict,e,p,q," + ",".join(CHECK_NAMES)
+
+#: per check, the compact JSON of a ledger row up to its witness, for passed False and True
+_JSON_ROW_PREFIX = tuple(
+    tuple(f'{{"name":{_json_str(name)},"passed":{flag},"witness":' for flag in ("false", "true"))
     for name in CHECK_NAMES
-}
+)
+
+
+@dataclass(frozen=True)
+class RadicandForm:
+    n: int
+    verdict: Verdict
+    e: int | None
+    p: int | None
+    q: int | None
+    #: (passed, witness) per check; checks[i] is the row named CHECK_NAMES[i]
+    checks: tuple[tuple[bool, str], ...]
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "verdict": self.verdict.value,
+            "e": self.e,
+            "p": self.p,
+            "q": self.q,
+            "checks": [
+                {"name": name, "passed": passed, "witness": witness}
+                for name, (passed, witness) in zip(CHECK_NAMES, self.checks)
+            ],
+        }
+
+    def json_line(self) -> str:
+        """``json.dumps(self.to_json(), separators=(",", ":"))``, built without the dicts."""
+        rows = ",".join([prefix[passed] + _json_str(witness) + "}"
+                         for prefix, (passed, witness) in zip(_JSON_ROW_PREFIX, self.checks)])
+        e, p, q = self.e, self.p, self.q
+        return (
+            f'{{"n":{self.n},"verdict":{_json_str(self.verdict.value)},'
+            f'"e":{"null" if e is None else e},"p":{"null" if p is None else p},'
+            f'"q":{"null" if q is None else q},"checks":[{rows}]}}'
+        )
+
+    def csv_row(self) -> str:
+        """The `enumerate --csv` row under CSV_HEADER: n, verdict, e, p, q, pass or fail per check."""
+        cells = [str(self.n), self.verdict.value, *("" if v is None else str(v) for v in (self.e, self.p, self.q))]
+        cells.extend("pass" if passed else "fail" for passed, _ in self.checks)
+        return ",".join(cells)
+
 
 # Ledger rows that depend on nothing but n % 25, or on no prime at all, are
-# shared: Check is frozen, so every RadicandForm can hold the same instance.
-_NO_PRIME_1_MOD_5 = Check("no-prime-factor-1-mod-5", True, "none divides n")
-_FORM1_N_MOD_25 = tuple(
-    Check("form1-n-not-pm1pm7-mod-25", r not in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25)
-)
-_FORM2_N_MOD_25 = tuple(
-    Check("form2-n-pm1pm7-mod-25", r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25)
-)
-_FORM3_N_MOD_25 = tuple(
-    Check("form3-n-pm1pm7-mod-25", r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25)
-)
-# the rows about p and q when the shape fails: there is no p or q to test
-_FORM1_NO_P = (Check("form1-p-4-mod-5", False, "-"), Check("form1-p-not-24-mod-25", False, "-"))
-_FORM2_NO_PQ = (
-    Check("form2-p-4-mod-5", False, "-"),
-    Check("form2-p-not-24-mod-25", False, "-"),
-    Check("form2-q-pm2-mod-5", False, "-"),
-    Check("form2-q-not-pm7-mod-25", False, "-"),
-)
-_FORM3_NO_P = Check("form3-p-24-mod-25", False, "-")
+# shared: a row is an immutable pair, so every RadicandForm can hold the same one.
+_NO_PRIME_1_MOD_5 = (True, "none divides n")
+#: per n % 25, the row "n = +-1,+-7 mod 25" of Forms II and III, and its negation for Form I
+_HYPER_ROW = tuple((r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25))
+_NOT_HYPER_ROW = tuple((not passed, witness) for passed, witness in _HYPER_ROW)
+#: a row about p or q when the shape fails: there is no p or q to test
+_NO_PRIME = (False, "-")
 
 
 def is_fifth_power_free(n: int) -> bool:
@@ -180,11 +175,7 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
 
     primes = sorted(fac)
     bad = next((p for p in primes if p % 5 == 1), None)
-    no_bad = (
-        _NO_PRIME_1_MOD_5
-        if bad is None
-        else Check("no-prime-factor-1-mod-5", False, f"{bad} = 1 mod 5 divides n")
-    )
+    no_bad = _NO_PRIME_1_MOD_5 if bad is None else (False, f"{bad} = 1 mod 5 divides n")
     n25 = n % 25
     hyper = n25 in HYPER_MOD_25
     shape_witness = "n = " + " * ".join(f"{p}^{fac[p]}" if fac[p] > 1 else f"{p}" for p in primes)
@@ -198,14 +189,11 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
             p1 = other
     if p1 is None:
         form1 = False
-        rows1 = _FORM1_NO_P
+        rows1 = (_NO_PRIME, _NO_PRIME)
     else:
         r5, r25 = p1 % 5, p1 % 25
         form1 = r5 == 4 and r25 != 24 and not hyper
-        rows1 = (
-            Check("form1-p-4-mod-5", r5 == 4, f"{p1} % 5 = {r5}"),
-            Check("form1-p-not-24-mod-25", r25 != 24, f"{p1} % 25 = {r25}"),
-        )
+        rows1 = ((r5 == 4, f"{p1} % 5 = {r5}"), (r25 != 24, f"{p1} % 25 = {r25}"))
 
     # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
     p2 = q2 = None
@@ -217,40 +205,41 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
                 p2, q2 = pp, qq
     if p2 is None:
         form2 = False
-        rows2 = _FORM2_NO_PQ
+        rows2 = (_NO_PRIME,) * 4
     else:
         p25, q5, q25 = p2 % 25, q2 % 5, q2 % 25
         form2 = hyper and p25 != 24 and q5 in (2, 3) and q25 not in (7, 18)
         rows2 = (
-            Check("form2-p-4-mod-5", True, f"{p2} % 5 = {p2 % 5}"),
-            Check("form2-p-not-24-mod-25", p25 != 24, f"{p2} % 25 = {p25}"),
-            Check("form2-q-pm2-mod-5", q5 in (2, 3), f"{q2} % 5 = {q5}"),
-            Check("form2-q-not-pm7-mod-25", q25 not in (7, 18), f"{q2} % 25 = {q25}"),
+            (True, f"{p2} % 5 = {p2 % 5}"),
+            (p25 != 24, f"{p2} % 25 = {p25}"),
+            (q5 in (2, 3), f"{q2} % 5 = {q5}"),
+            (q25 not in (7, 18), f"{q2} % 25 = {q25}"),
         )
 
     # Form III: n = p^e
     p3 = primes[0] if len(primes) == 1 and primes[0] != 5 else None
     if p3 is None:
         form3 = False
-        row3 = _FORM3_NO_P
+        row3 = _NO_PRIME
     else:
         r25 = p3 % 25
         form3 = r25 == 24 and hyper
-        row3 = Check("form3-p-24-mod-25", r25 == 24, f"{p3} % 25 = {r25}")
+        row3 = (r25 == 24, f"{p3} % 25 = {r25}")
 
     if form1 + form2 + form3 > 1:
         raise InternalCheckError(f"n = {n} matched more than one family")
+    # in the order of CHECK_NAMES
     rows = (
         no_bad,
-        Check("form1-shape-5e-p", p1 is not None, shape_witness),
+        (p1 is not None, shape_witness),
         *rows1,
-        _FORM1_N_MOD_25[n25],
-        Check("form2-shape-pe-q", p2 is not None, shape_witness),
-        _FORM2_N_MOD_25[n25],
+        _NOT_HYPER_ROW[n25],
+        (p2 is not None, shape_witness),
+        _HYPER_ROW[n25],
         *rows2,
-        Check("form3-shape-pe", p3 is not None, shape_witness),
+        (p3 is not None, shape_witness),
         row3,
-        _FORM3_N_MOD_25[n25],
+        _HYPER_ROW[n25],
     )
     if form1:
         return RadicandForm(n, Verdict.FORM_I, fac[5], p1, None, rows)
@@ -262,7 +251,7 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
 
 
 def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
-    """Yield (n, RadicandForm) for fifth-power-free n in [lo, hi], ascending.
+    """Yield the RadicandForm of each fifth-power-free n in [lo, hi], ascending.
 
     With ``verdict`` I, II or III, an n below intarith.CERTIFIED_BELOW whose
     residue mod 25 is outside VERDICT_MOD_25[verdict] ({0, 20}, {7, 18} or
@@ -291,7 +280,7 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
         except NotFifthPowerFree:
             continue
         if verdict is None or form.verdict is verdict:
-            yield n, form
+            yield form
 
 
 def crosscheck_verdicts(n: int) -> tuple[str, ...]:

@@ -207,7 +207,6 @@ def _suite_capitulation() -> SuiteResult:
     res.note(classgroup.plus_eigenline(m) == classgroup.ambiguous_subgroup(m), "canonical plus eigenline")
     perm = classgroup.tau2_permutation(m)
     res.note(perm == (1, 2, 6, 5, 4, 3), "canonical tau2 involution")
-    res.note(classgroup.EXPECTED_CAPITULATION_TYPES == types, "served capitulation types")
     res.note(classgroup.CANONICAL_LATTICE == classgroup.build_lattice(m), "served subgroup lattice")
     res.note(classgroup.CANONICAL_TAU2 == perm, "served tau2 permutation")
     return res

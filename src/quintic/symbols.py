@@ -11,6 +11,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import polyfp
 from .cyclo import CycInt
@@ -93,8 +94,6 @@ def _index(u: tuple[int, ...], p: int) -> int:
 @lru_cache(maxsize=MEMO_SIZE)
 def _dlog_table(rf: ResidueField) -> array:
     """Discrete logs of every unit, indexed by _index, by one multiplicative sweep of a generator."""
-    from itertools import product
-
     order = rf.order() - 1
     # from the top: when f > 1 no c * zeta^j generates, and ascending order
     # would sweep all p - 1 of them before trying anything else

@@ -2,12 +2,10 @@ import json
 
 import pytest
 
-from quintic.cli import _csv_row
 from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
 from quintic.radicand import (
     CHECK_NAMES,
     VERDICT_MOD_25,
-    Check,
     RadicandForm,
     Verdict,
     classify,
@@ -49,13 +47,16 @@ def test_149_is_form_three():
 def test_2_is_unclassified_with_a_full_ledger():
     form = classify(2)
     assert form.verdict is Verdict.NONE
-    assert tuple(c.name for c in form.checks) == CHECK_NAMES
+    assert [c["name"] for c in form.to_json()["checks"]] == list(CHECK_NAMES)
 
 
 def test_every_formless_verdict_keeps_the_ledger():
-    for n in (6, 10, 31, 44):
+    for n in (6, 10, 31, 44, 95, 57, 149):
         form = classify(n)
         assert len(form.checks) == len(CHECK_NAMES)
+        for row in form.checks:
+            assert type(row) is tuple and len(row) == 2, (n, row)
+            assert type(row[0]) is bool and type(row[1]) is str, (n, row)
 
 
 def test_classify_rejects_fifth_powers():
@@ -82,19 +83,19 @@ def test_higher_exponent_forms():
 
 
 def test_enumerate_form_one_contains_95():
-    assert 95 in [n for n, _ in enumerate_radicands(2, 100, Verdict.FORM_I)]
+    assert 95 in [form.n for form in enumerate_radicands(2, 100, Verdict.FORM_I)]
 
 
 def test_enumerate_form_two_contains_57():
-    assert 57 in [n for n, _ in enumerate_radicands(2, 60, Verdict.FORM_II)]
+    assert 57 in [form.n for form in enumerate_radicands(2, 60, Verdict.FORM_II)]
 
 
 def test_enumerate_small_range_is_all_none():
-    assert all(f.verdict is Verdict.NONE for _, f in enumerate_radicands(2, 10))
+    assert all(f.verdict is Verdict.NONE for f in enumerate_radicands(2, 10))
 
 
 def test_enumerate_skips_non_fifth_power_free():
-    ns = [n for n, _ in enumerate_radicands(2, 100)]
+    ns = [form.n for form in enumerate_radicands(2, 100)]
     assert 32 not in ns and 64 not in ns and 96 not in ns
     assert ns == sorted(ns)
 
@@ -108,9 +109,7 @@ def test_enumerate_rejects_bad_ranges():
 
 def test_enumerate_skips_a_fifth_power_with_an_uncertifiable_cofactor():
     n = 2**5 * 1000003 * 1000033
-    assert list(enumerate_radicands(n - 1, n + 1)) == [
-        (m, classify(m)) for m in (n - 1, n + 1)
-    ]
+    assert list(enumerate_radicands(n - 1, n + 1)) == [classify(m) for m in (n - 1, n + 1)]
 
 
 def test_enumerate_raises_on_a_fifth_power_free_uncertifiable_n():
@@ -133,7 +132,7 @@ def test_filtered_enumeration_equals_the_filtered_rows_of_the_unfiltered_one(lo,
     # oracle for the residue skip: the unfiltered path factors and classifies every n
     rows = list(enumerate_radicands(lo, hi))
     for verdict in Verdict:
-        want = [(n, form) for n, form in rows if form.verdict is verdict]
+        want = [form for form in rows if form.verdict is verdict]
         assert want and list(enumerate_radicands(lo, hi, verdict)) == want, verdict
 
 
@@ -161,9 +160,9 @@ def csv_row_from_dict(row):
 
 
 def _serializer_forms():
-    yield from (form for _, form in enumerate_radicands(2, 20000))
+    yield from enumerate_radicands(2, 20000)
     yield from (classify(n) for n in (95, 57, 149))
-    yield from (form for _, form in enumerate_radicands(10**12, 10**12 + 400, Verdict.FORM_II))
+    yield from enumerate_radicands(10**12, 10**12 + 400, Verdict.FORM_II)
 
 
 def test_json_line_and_csv_row_match_the_dict_serializers():
@@ -171,7 +170,7 @@ def test_json_line_and_csv_row_match_the_dict_serializers():
     for form in _serializer_forms():
         row = form.to_json()
         assert form.json_line() == json.dumps(row, separators=(",", ":")), form.n
-        assert _csv_row(form) == csv_row_from_dict(row), form.n
+        assert form.csv_row() == csv_row_from_dict(row), form.n
         verdicts.add(form.verdict)
         large += form.n > 10**12
     assert verdicts == set(Verdict) and large > 0
@@ -179,6 +178,6 @@ def test_json_line_and_csv_row_match_the_dict_serializers():
 
 def test_json_line_escapes_witnesses_as_json_dumps_does():
     form = classify(57)
-    odd = [Check(c.name, c.passed, 'q "\\ \n\u00e9\U0001d4b3') for c in form.checks]
+    odd = [(passed, 'q "\\ \n\u00e9\U0001d4b3') for passed, _ in form.checks]
     form = RadicandForm(form.n, form.verdict, form.e, form.p, form.q, tuple(odd))
     assert form.json_line() == json.dumps(form.to_json(), separators=(",", ":"))
