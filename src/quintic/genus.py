@@ -3,8 +3,11 @@
 Absolute side: the genus field of Gamma is Gamma composed with the unique
 degree-5 subfields M(p) of Q(zeta_p) for each prime p = 1 mod 5 dividing n;
 M(p) is represented by the minimal polynomial of its Gaussian periods,
-computed exactly in O(p) from the cyclotomic numbers of order 5, with the
-Theta(p^2) expansion over zeta_p exponents kept as its oracle. Relative
+computed exactly from the cyclotomic numbers of order 5. Those come from
+the Jacobi sum J(chi, chi) over the prime of Z[zeta5] above p in one integer
+matrix product, so p is bounded only by the Miller-Rabin limit; the O(p)
+count of the same numbers and the Theta(p^2) expansion over zeta_p
+exponents are kept as oracles. Relative
 side: the genus field of k/k0 is k adjoined the fifth root of a product of
 normalized prime elements; the admissible exponent patterns are enumerated
 per family and filtered by the hyperprimary congruence, one representative
@@ -19,22 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from . import polyfp
-from .cyclo import LAMBDA, CycInt, hyperprimary_class
+from .cyclo import LAMBDA, ZETA, CycInt, galois_apply, hyperprimary_class
 from .errors import (
-    BoundExceeded,
     ContradictionWitness,
     InputError,
     InternalCheckError,
     NoAdmissibleGenerator,
     QstarOutOfRange,
 )
-from .intarith import is_prime, primitive_root
+from .intarith import is_prime
 from .primes import SPLITTING_MOD_5, CycPrime, factor_rational_prime, primary_normalize
 from .radicand import RadicandForm, Verdict, classify
-
-_PERIOD_PRIME_BOUND = 100_000
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,13 @@ class PeriodPolynomial:
 def period_polynomial(p: int) -> PeriodPolynomial:
     """Minimal polynomial of the five Gaussian periods of degree (p-1)/5.
 
-    The coefficients are period_coefficients(p, g) for the smallest
-    primitive root g mod p, certified monic with X^4 coefficient 1 and
-    irreducible over Q.
+    The coefficients are period_coefficients(p, cyclotomic_numbers(p)),
+    certified monic with X^4 coefficient 1 and irreducible over Q. p is
+    bounded only by is_prime's deterministic Miller-Rabin limit.
     """
     if not is_prime(p) or p % 5 != 1:
         raise InputError(f"{p} is not a prime congruent to 1 mod 5")
-    if p > _PERIOD_PRIME_BOUND:
-        raise BoundExceeded(f"period construction capped at p <= {_PERIOD_PRIME_BOUND}")
-    result = period_coefficients(p, primitive_root(p))
+    result = period_coefficients(p, cyclotomic_numbers(p))
     if result[5] != 1 or result[4] != 1:
         # trace of the periods is -1, so the X^4 coefficient must be 1
         raise InternalCheckError(f"period polynomial for p = {p} has a bad leading part")
@@ -71,26 +70,95 @@ def period_polynomial(p: int) -> PeriodPolynomial:
     return PeriodPolynomial(p, result)
 
 
-def period_coefficients(p: int, g: int) -> tuple[int, ...]:
-    """Coefficients of prod_j (X - eta_j), ascending, in O(p).
+#: row 5i + j, dotted with (p, 1, J1's four power-basis coordinates), is
+#: 25 * (i, j); cyclotomic_numbers gives the sum it evaluates, and the tests
+#: derive these rows again from that sum
+_CYCLOTOMIC_ROWS = (
+    (1, -14, 12, -3, -3, -3),
+    (1, -4, -3, 7, -3, 2),
+    (1, -4, -3, 2, 7, -3),
+    (1, -4, -3, -3, -3, 7),
+    (1, -4, -3, -3, 2, -3),
+    (1, -4, -3, 7, -3, 2),
+    (1, -4, -3, -3, 2, -3),
+    (1, 1, 2, -3, 2, 2),
+    (1, 1, 2, 2, -3, -3),
+    (1, 1, 2, -3, 2, 2),
+    (1, -4, -3, 2, 7, -3),
+    (1, 1, 2, -3, 2, 2),
+    (1, -4, -3, -3, -3, 7),
+    (1, 1, 2, 2, -3, -3),
+    (1, 1, 2, 2, -3, -3),
+    (1, -4, -3, -3, -3, 7),
+    (1, 1, 2, 2, -3, -3),
+    (1, 1, 2, 2, -3, -3),
+    (1, -4, -3, 2, 7, -3),
+    (1, 1, 2, -3, 2, 2),
+    (1, -4, -3, -3, 2, -3),
+    (1, 1, 2, -3, 2, 2),
+    (1, 1, 2, 2, -3, -3),
+    (1, 1, 2, -3, 2, 2),
+    (1, -4, -3, 7, -3, 2),
+)
 
-    With C_i = {g^(i + 5m)} the cosets of the index-5 subgroup of the units
-    mod p, eta_i = sum over x in C_i of zeta_p^x. The product is expanded
-    as vectors (a, c_0..c_4) = a + sum c_k eta_k in the ring spanned by 1
-    and eta_0..eta_4. With ind(x) = log_g(x) mod 5 and f = (p-1)/5, its
-    structure constants are the cyclotomic numbers of order 5,
-    (h, k) = #{t in 1..p-2 : ind(t) = h, ind(t+1) = k}. Substituting
-    y = x*t in eta_i * eta_j and splitting off t = -1 gives
 
-        eta_i * eta_j = f * [-1 in C_(j-i)] + sum_k (j-i, k) * eta_(i+k)
+def cyclotomic_numbers(p: int) -> tuple[tuple[int, ...], ...]:
+    """The cyclotomic numbers (i, j) of order 5 mod p, from a Jacobi sum.
 
-    (Gauss, Disquisitiones sec. VII; Berndt-Evans-Williams ch. 2-3). Since
-    p = 1 mod 10, f is even, so -1 = g^(5f/2) lies in C_0. The period set
-    does not depend on g, so a second primitive root cross-checks the
-    construction; brute_force_period_coefficients is the independent
-    Theta(p^2) oracle. g must be a primitive root mod the prime p = 1 mod 5.
+    For a character chi of order 5 mod the prime p = 1 mod 5, (i, j) counts
+    t in 1..p-2 with chi(t) = zeta^i and chi(t+1) = zeta^j. By Stickelberger,
+    J1 = J(chi, chi) = u * pi * sigma3(pi) for pi = factor_rational_prime(p)[0]
+    and some chi, where sigma_c is zeta -> zeta^c and u is the one unit
+    +-zeta^k with J1 = -1 mod lambda^2 (Ireland-Rosen ch. 14;
+    Berndt-Evans-Williams ch. 2-3 and 11). The table depends on chi only
+    through its labels, and the period polynomial not at all.
     """
-    f = (p - 1) // 5
+    pi = factor_rational_prime(p)[0].element
+    x = pi * galois_apply(3, pi)
+    c = x.c
+    # zeta = 1 - lambda, so x = s - t * lambda mod lambda^2, and 5 = 0 there
+    s = (c[0] + c[1] + c[2] + c[3]) % 5
+    if s not in (1, 4):
+        raise InternalCheckError(f"pi * sigma3(pi) above {p} is not +-1 mod lambda")
+    # s = +-1, so x = s * zeta^k with k = t / s = t * s
+    k = (c[1] + 2 * c[2] + 3 * c[3]) * s % 5
+    j1 = ZETA ** (-k % 5) * (-x if s == 1 else x)
+    if j1 * galois_apply(2, j1) != CycInt(p):
+        raise InternalCheckError(f"J(chi, chi) above {p} times its conjugate is not {p}")
+    return cyclotomic_numbers_from_jacobi_sum(p, j1)
+
+
+def cyclotomic_numbers_from_jacobi_sum(p: int, j1: CycInt) -> tuple[tuple[int, ...], ...]:
+    """The table (i, j) from J1 = J(chi, chi): one integer matrix product.
+
+    With K(a, b) = sum over t in 1..p-2 of chi^a(t) * chi^b(t+1), character
+    orthogonality gives 25 * (i, j) = sum over a, b mod 5 of
+    zeta^-(ai + bj) * K(a, b). K(0, 0) = p - 2; K = -1 when exactly one of
+    a, b, a + b is 0 mod 5; otherwise K(a, b) = J(chi^a, chi^b) (chi(-1) = 1
+    as p = 1 mod 10), which is sigma_a(J1) when b/a is 1 or 3 mod 5 and
+    sigma_2a(J1) when it is 2. The sum is linear in p, 1 and the coordinates
+    of J1, which _CYCLOTOMIC_ROWS holds. The sum is rational for any J1 (it
+    is a sum of traces), so the check is that 25 divides it: the tests show
+    that a J1 off by any unit +-zeta^k fails it.
+    """
+    v = (p, 1, *j1.c)
+    table = []
+    for row in _CYCLOTOMIC_ROWS:
+        q, r = divmod(sum(map(mul, row, v)), 25)
+        if r:
+            raise InternalCheckError(f"a cyclotomic number for p = {p} is not an integer")
+        table.append(q)
+    return tuple(tuple(table[i:i + 5]) for i in range(0, 25, 5))
+
+
+def brute_force_cyclotomic_numbers(p: int, g: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle for cyclotomic_numbers: count (i, j) in one O(p) walk.
+
+    With ind(x) = log_g(x) mod 5, (i, j) = #{t in 1..p-2 : ind(t) = i,
+    ind(t+1) = j}, which is cyclotomic_numbers' table for the character
+    chi(g) = zeta, up to relabelling. g must be a primitive root mod the
+    prime p = 1 mod 5.
+    """
     ind = bytearray(p)
     x = 1
     for i in range(p - 1):
@@ -99,6 +167,29 @@ def period_coefficients(p: int, g: int) -> tuple[int, ...]:
     cyc = [[0] * 5 for _ in range(5)]
     for t in range(1, p - 1):
         cyc[ind[t]][ind[t + 1]] += 1
+    return tuple(map(tuple, cyc))
+
+
+def period_coefficients(p: int, cyc: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Coefficients of prod_j (X - eta_j), ascending, from the cyclotomic numbers.
+
+    With C_i = {x : chi(x) = zeta^i} the cosets of the index-5 subgroup of
+    the units mod p, for the character chi behind the table, eta_i = sum
+    over x in C_i of zeta_p^x. The product is expanded as vectors
+    (a, c_0..c_4) = a + sum c_k eta_k in the ring spanned by 1 and
+    eta_0..eta_4. With f = (p-1)/5, its structure constants are the
+    cyclotomic numbers of order 5, (h, k) = cyc[h][k]. Substituting y = x*t
+    in eta_i * eta_j and splitting off t = -1 gives
+
+        eta_i * eta_j = f * [-1 in C_(j-i)] + sum_k (j-i, k) * eta_(i+k)
+
+    (Gauss, Disquisitiones sec. VII; Berndt-Evans-Williams ch. 2-3). Since
+    p = 1 mod 10, f is even, so -1 lies in C_0. Relabelling the cosets
+    permutes the periods, so the product does not depend on the character
+    behind the table; brute_force_period_coefficients is the independent
+    Theta(p^2) oracle.
+    """
+    f = (p - 1) // 5
 
     def times_eta(vec: list[int], j: int) -> list[int]:
         out = [0] * 6

@@ -154,11 +154,10 @@ def _suite_periods(limit: int = 100) -> SuiteResult:
             genus.brute_force_period_coefficients(p, g0) == poly.coefficients,
             f"expansion oracle at {p}",
         )
+        # the O(p) count of the cyclotomic numbers, from a second primitive root
         g1 = next(g for g in range(g0 + 1, p) if is_primitive_root(g, p))
-        res.note(
-            genus.period_coefficients(p, g1) == poly.coefficients,
-            f"root independence at {p}",
-        )
+        cyc = genus.brute_force_cyclotomic_numbers(p, g1)
+        res.note(genus.period_coefficients(p, cyc) == poly.coefficients, f"walk oracle at {p}")
         # the p-part is exactly p^4 (the field discriminant); the cofactor is
         # the square of the period-order index, coprime to p
         d = abs(poly.discriminant())

@@ -146,10 +146,12 @@ def test_genus_command(runner):
 
 
 def test_genus_at_the_period_prime_cap(runner):
-    res = invoke(runner, "genus", "99991")
-    assert res.exit_code == 0
-    doc = json.loads(res.output)["result"]
-    assert doc["r"] == 1 and doc["absolute_components"][0]["p"] == 99991
+    # 99991 was the largest p under the former cap p <= 100000; 100151 lies above it
+    for p in (99991, 100151):
+        res = invoke(runner, "genus", str(p))
+        assert res.exit_code == 0
+        doc = json.loads(res.output)["result"]
+        assert doc["r"] == 1 and doc["absolute_components"][0]["p"] == p
 
 
 def test_report_is_deterministic(runner):
@@ -407,10 +409,11 @@ def test_report_counts_ramified_primes_once(runner, monkeypatch, n):
 
 
 @pytest.mark.parametrize("p, c", [(11, 2), (31, 3), (1021, 7), (2011, 38), (99991, 4)])
-def test_genus_factors_n_and_p_minus_1_once_each(runner, factorize_calls, p, c):
+def test_genus_factors_n_once_and_p_minus_1_never(runner, factorize_calls, p, c):
+    # the period polynomial comes from a Jacobi sum, which needs no primitive root
     res = invoke(runner, "genus", str(p * c))
     assert json.loads(res.output)["result"]["r"] == 1
-    assert sorted(factorize_calls) == sorted([p * c, p - 1])
+    assert factorize_calls == [p * c]
 
 
 def test_enumerate_out_file(runner, tmp_path):

@@ -1,33 +1,57 @@
 import cmath
 import math
+import random
 import time
+from itertools import count
 
 import pytest
 import sympy
 
-from quintic.cyclo import hyperprimary_class
+from quintic import genus
+from quintic.cyclo import ONE, ZETA, CycInt, galois_apply, hyperprimary_class
 from quintic.errors import (
-    BoundExceeded,
     ContradictionWitness,
     InputError,
+    InternalCheckError,
     QstarOutOfRange,
 )
 from quintic.genus import (
     absolute_genus,
+    brute_force_cyclotomic_numbers,
     brute_force_period_coefficients,
     build_genus_report,
     corollary_report,
     count_ramified_d,
+    cyclotomic_numbers,
+    cyclotomic_numbers_from_jacobi_sum,
     infer_qstar,
     load_class_number_table,
     period_coefficients,
     period_polynomial,
     relative_genus,
 )
-from quintic.intarith import factorize, is_primitive_root, primitive_root
+from quintic.intarith import factorize, is_primitive_root, primitive_root, sieve_primes
 from quintic.radicand import classify
 
-CAP_PRIME = 99991  # the largest prime = 1 mod 5 under the p <= 100000 cap
+# the largest prime = 1 mod 5 below 10^5: the largest p at which the tests
+# still run the O(p) walk and a second primitive root (up to 10^5 was once
+# the cap on p; the bound is now is_prime's Miller-Rabin limit, about 3.3e24)
+CAP_PRIME = 99991
+ABOVE_1E12 = next(p for p in count(10**12 + 1) if p % 5 == 1 and sympy.isprime(p))
+NEAR_1E24 = next(p for p in count(10**24 + 1) if p % 5 == 1 and sympy.isprime(p))
+
+
+def walk_polynomial(p: int, g: int) -> tuple[int, ...]:
+    """The period polynomial from the O(p) count of the cyclotomic numbers."""
+    return period_coefficients(p, brute_force_cyclotomic_numbers(p, g))
+
+
+def seeded_prime(seed: int, lo: int) -> int:
+    rng = random.Random(seed)
+    while True:
+        p = rng.randrange(lo, 2 * lo)
+        if p % 5 == 1 and sympy.isprime(p):
+            return p
 
 
 def numeric_period_coefficients(p: int) -> list[complex]:
@@ -63,22 +87,23 @@ def test_numeric_root_oracle(p):
 
 
 # criterion 6 runs these checks at every prime below 1000 (the periods suite,
-# and sympy below 200); the three tests here run them at the cap
+# and sympy below 200); the three tests here run them at CAP_PRIME, and the
+# two that need no O(p) walk also above 10^12 and near 10^24
 @pytest.mark.parametrize("p", [CAP_PRIME])
 def test_recomputation_with_another_primitive_root(p):
     g0 = primitive_root(p)
     g1 = next(g for g in range(g0 + 1, p) if is_primitive_root(g, p))
-    assert period_polynomial(p).coefficients == period_coefficients(p, g1)
+    assert period_polynomial(p).coefficients == walk_polynomial(p, g1)
 
 
-@pytest.mark.parametrize("p", [CAP_PRIME])
+@pytest.mark.parametrize("p", [CAP_PRIME, ABOVE_1E12, NEAR_1E24])
 def test_irreducibility_via_sympy(p):
     x = sympy.symbols("x")
     f = sum(c * x**k for k, c in enumerate(period_polynomial(p).coefficients))
     assert sympy.Poly(f, x).is_irreducible
 
 
-@pytest.mark.parametrize("p", [CAP_PRIME])
+@pytest.mark.parametrize("p", [CAP_PRIME, ABOVE_1E12, NEAR_1E24])
 def test_discriminant_is_p4_times_a_coprime_square(p):
     poly = period_polynomial(p)
     x = sympy.symbols("x")
@@ -102,13 +127,91 @@ def test_cyclotomic_numbers_match_the_expansion_oracle(p):
     assert period_polynomial(p).coefficients == brute_force_period_coefficients(p, g)
 
 
+def test_jacobi_sums_match_the_walk_below_10_4():
+    # compare polynomials, not tables: the table's labels depend on the character
+    ps = [p for p in sieve_primes(10**4) if p % 5 == 1]
+    assert len(ps) == 306
+    for p in ps:
+        assert period_polynomial(p).coefficients == walk_polynomial(p, primitive_root(p)), p
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_jacobi_sums_match_the_walk_near_10_6(seed):
+    p = seeded_prime(seed, 10**6)
+    assert period_polynomial(p).coefficients == walk_polynomial(p, primitive_root(p))
+
+
+def _cyclotomic_rows_from_the_definition():
+    """The rows of genus._CYCLOTOMIC_ROWS, from 25 * (i, j) = sum zeta^-(ai + bj) K(a, b).
+
+    Column m is the sum at the m-th unit vector of (p, 1, x0, x1, x2, x3),
+    where K(0, 0) = p - 2, K = -1 when exactly one of a, b, a + b is 0 mod 5,
+    and otherwise K(a, b) = sigma_a(J(chi, chi^(b/a))), with
+    J(chi, chi) = J(chi, chi^3) = J1 = x0 + x1*zeta + x2*zeta^2 + x3*zeta^3
+    and J(chi, chi^2) = sigma_2(J1). Every sum must be rational.
+    """
+    sigma = {1: 0, 2: 1, 4: 2, 3: 3}  # sigma_c = galois_apply(sigma[c])
+    columns = []
+    for m in range(6):
+        p_part, one_part = int(m == 0), int(m == 1)
+        j1 = CycInt(tuple(int(m == 2 + k) for k in range(4)))
+        column = []
+        for i in range(5):
+            for j in range(5):
+                total = CycInt(0)
+                for a in range(5):
+                    for b in range(5):
+                        zeros = (a == 0) + (b == 0) + ((a + b) % 5 == 0)
+                        if zeros == 3:
+                            k = CycInt(p_part - 2 * one_part)
+                        elif zeros == 1:
+                            k = CycInt(-one_part)
+                        else:
+                            ratio = b * pow(a, -1, 5) % 5
+                            c = a if ratio in (1, 3) else 2 * a
+                            k = galois_apply(sigma[c % 5], j1)
+                        total = total + ZETA ** (-(a * i + b * j) % 5) * k
+                assert total.c[1:] == (0, 0, 0)
+                column.append(total.c[0])
+        columns.append(column)
+    return tuple(tuple(col[r] for col in columns) for r in range(25))
+
+
+def test_cyclotomic_rows_match_their_definition():
+    assert genus._CYCLOTOMIC_ROWS == _cyclotomic_rows_from_the_definition()
+
+
+@pytest.mark.parametrize("p", [11, 31, 1091, 2351, CAP_PRIME])
+def test_jacobi_sum_off_by_a_unit_is_rejected(p):
+    # the J1 that cyclotomic_numbers builds, recovered from its table
+    pi = genus.factor_rational_prime(p)[0].element
+    x = pi * galois_apply(3, pi)
+    units = [s * ZETA**k for s in (1, -1) for k in range(5)]
+    good = [u for u in units if _accepted(p, u * x)]
+    assert len(good) == 1
+    j1 = good[0] * x
+    assert cyclotomic_numbers_from_jacobi_sum(p, j1) == cyclotomic_numbers(p)
+    for u in units:
+        if u != ONE:
+            with pytest.raises(InternalCheckError, match="not an integer"):
+                cyclotomic_numbers_from_jacobi_sum(p, u * j1)
+
+
+def _accepted(p: int, j1: CycInt) -> bool:
+    try:
+        cyclotomic_numbers_from_jacobi_sum(p, j1)
+    except InternalCheckError:
+        return False
+    return True
+
+
 def test_declared_cap_is_reachable_within_budget():
-    # root independence, irreducibility and the discriminant at the cap are
-    # checked by the tests parametrized over CAP_PRIME above
+    # the bound on p is is_prime's Miller-Rabin limit; near 10^24 one
+    # polynomial, with the prime above p uncached, is a few milliseconds
+    genus.factor_rational_prime.cache_clear()
     t0 = time.perf_counter()
-    period_polynomial(CAP_PRIME)  # raises unless certified irreducible
-    # generous for the O(p) path; the Theta(p^2) expansion takes tens of minutes
-    assert time.perf_counter() - t0 < 5.0
+    period_polynomial(NEAR_1E24)  # raises unless certified irreducible
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_discriminant_for_eleven_is_exactly_p4():
@@ -120,9 +223,6 @@ def test_period_polynomial_rejects_bad_inputs():
         period_polynomial(7)
     with pytest.raises(InputError):
         period_polynomial(55)
-    big = next(p for p in range(100001, 100200) if sympy.isprime(p) and p % 5 == 1)
-    with pytest.raises(BoundExceeded):
-        period_polynomial(big)
 
 
 def test_absolute_genus_counts():

@@ -8,7 +8,10 @@ enumerate digest was recorded before trial division moved to block gcds
 over a prime table; the factor and symbol digests were recorded while the
 CLI still wrote its JSON with json.dumps(indent=2). The large-period-prime
 and two-large-primes cases were split out of extra, with no change to their
-bytes, so that an answer where the CLI now refuses moves only its own group.
+bytes, so that an answer where the CLI once refused moves only its own group;
+large-period-prime was re-recorded when the cap p <= 100000 on period
+polynomials went, so genus and report of 100151 now answer and genus of
+32 * 100151 fails on the fifth power instead of the cap.
 Any change to the CLI's bytes, error codes or error order shows up here.
 """
 
@@ -73,7 +76,7 @@ PINNED = {
     "genus": "8199f7ff1081abcffedd7f84952b98d595fc5ab46ad3c00c9be1f1bdcff6dc2c",
     "report": "63bc8032c081c3bce620f79018fe0fc757f2c537f78f7343a3269b6f8710d9de",
     "extra": "d1fc8d93ae6446f71a3735d95242f2bac12fa99643104fc77ef04f1a62407dfd",
-    "large-period-prime": "18c6b7e57434b2b0d530fbf661b4735d9c12003a79080abaeae431945965a673",
+    "large-period-prime": "26d2432dd5013f423666b343a53bcbdb85d1e6d61dc8bfc3a1b11c8ec29650da",
     "two-large-primes": "353a52b6e08badd47d4640c1ff6070158a5d4164c45099b92512913cdced4562",
     "factor": "88efa6f863847a8db4f906db190c21a83895f788369d09ee9c5bbd59cde3d1be",
     "symbol": "c9106879eeaa242652164cab64fc7c737726fe03cd01360c51a226eb241474f7",
