@@ -33,9 +33,9 @@ from quintic.genus import (
 from quintic.intarith import factorize, is_primitive_root, primitive_root, sieve_primes
 from quintic.radicand import classify
 
-# the largest prime = 1 mod 5 below 10^5: the largest p at which the tests
-# still run the O(p) walk and a second primitive root (up to 10^5 was once
-# the cap on p; the bound is now is_prime's Miller-Rabin limit, about 3.3e24)
+# the largest prime = 1 mod 5 below 10^5, where the tests still run the O(p)
+# walk from a second primitive root; the bound on p itself is is_prime's
+# Miller-Rabin limit, about 3.3e24, so two primes far above 10^5 are checked too
 CAP_PRIME = 99991
 ABOVE_1E12 = next(p for p in count(10**12 + 1) if p % 5 == 1 and sympy.isprime(p))
 NEAR_1E24 = next(p for p in count(10**24 + 1) if p % 5 == 1 and sympy.isprime(p))
