@@ -25,7 +25,7 @@ from itertools import product
 from operator import mul
 
 from . import polyfp
-from .cyclo import LAMBDA, ZETA, CycInt, galois_apply, hyperprimary_class
+from .cyclo import LAMBDA, ONE, ZETA, CycInt, galois_apply, hyperprimary_class
 from .errors import (
     ContradictionWitness,
     InputError,
@@ -321,7 +321,7 @@ def _irreducibility_witness(coeffs: tuple[int, ...]) -> int | None:
         lin = polyfp.gcd(_poly_sub_x(xq, q), f, q)
         if len(lin) != 1:
             continue
-        xq2 = polyfp.powmod((0, 1), q * q, f, q)
+        xq2 = polyfp.powmod(xq, q, f, q)
         quad = polyfp.gcd(_poly_sub_x(xq2, q), f, q)
         if len(quad) != 1:
             continue
@@ -408,11 +408,15 @@ class KummerGenerator:
         }
 
 
-def _realize(lambda_exp: int, prime_exps) -> CycInt:
-    w = LAMBDA**lambda_exp
-    for q, k in prime_exps:
-        w = w * q.element**k
-    return w
+def _powers(x: CycInt) -> tuple[CycInt, ...]:
+    """x^0, ..., x^4, in three products."""
+    out = [ONE, x]
+    for _ in range(3):
+        out.append(out[-1] * x)
+    return tuple(out)
+
+
+_LAMBDA_POWERS = _powers(LAMBDA)
 
 
 def _kummer_orbit(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -421,10 +425,12 @@ def _kummer_orbit(exps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 #: Kummer class representatives (tuples e with _kummer_orbit(e) == e) among
-#: the exponent patterns in 1..4, in lexicographic order: Form I's (a, a1, a2)
-#: and Form III's (a1, a2)
+#: the exponent patterns in 1..4, in lexicographic order, as (a, a1, a2):
+#: Form I's, and Form III's (a1, a2) with lambda exponent a = 0
 _FORM_I_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=3) if _kummer_orbit(e) == e)
-_FORM_III_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=2) if _kummer_orbit(e) == e)
+_FORM_III_EXPONENTS = tuple(
+    (0, *e) for e in product(range(1, 5), repeat=2) if _kummer_orbit(e) == e
+)
 
 
 def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
@@ -444,17 +450,25 @@ def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
     if form.verdict is Verdict.NONE:
         raise InputError(f"{form.n} is not in any of the three families")
     pis = tuple(primary_normalize(q) for q in factor_rational_prime(form.p))
-    # (lambda exponent, prime exponents) of each candidate class representative
-    if form.verdict is Verdict.FORM_I:
-        candidates = [(a, ((pis[0], a1), (pis[1], a2))) for a, a1, a2 in _FORM_I_EXPONENTS]
-    elif form.verdict is Verdict.FORM_II:
+    pows = [_powers(pi.element) for pi in pis]
+    # (lambda exponent, prime exponents, realization) of each candidate class
+    # representative, from the powers above in at most two products each
+    if form.verdict is Verdict.FORM_II:
         q_inert = factor_rational_prime(form.q)[0]
-        candidates = [(0, ((q_inert, 1), (pi, a))) for pi in pis for a in range(1, 5)]
+        candidates = [
+            (0, ((q_inert, 1), (pi, a)), q_inert.element * pw[a])
+            for pi, pw in zip(pis, pows)
+            for a in range(1, 5)
+        ]
     else:
-        candidates = [(0, ((pis[0], a1), (pis[1], a2))) for a1, a2 in _FORM_III_EXPONENTS]
+        exps = _FORM_I_EXPONENTS if form.verdict is Verdict.FORM_I else _FORM_III_EXPONENTS
+        (pi1, pi2), (pw1, pw2) = pis, pows
+        candidates = [
+            (a, ((pi1, a1), (pi2, a2)), _LAMBDA_POWERS[a] * pw1[a1] * pw2[a2])
+            for a, a1, a2 in exps
+        ]
     out: list[KummerGenerator] = []
-    for lambda_exp, pe in candidates:
-        w = _realize(lambda_exp, pe)
+    for lambda_exp, pe, w in candidates:
         if lambda_exp or hyperprimary_class(w) is not None:
             out.append(KummerGenerator(lambda_exp, pe, w))
     if not out:

@@ -10,8 +10,9 @@ on first use only as far as a call needs, in blocks of 256 with the product
 of each block; a block that shares no factor with the cofactor is skipped
 after one gcd (Bernstein, "How to find smooth parts of integers", 2004).
 A cofactor below 10^12 is certified by the trial division itself, which has
-then ruled out every prime up to its square root; only a larger one goes to
-Miller-Rabin.
+then ruled out every prime up to its square root. A cofactor of 10^12 or
+more goes to Miller-Rabin as soon as it appears, before any further trial
+division, so a prime cofactor ends the division at once.
 """
 
 from __future__ import annotations
@@ -128,10 +129,13 @@ def factorize(n: int) -> dict[int, int]:
     by prime. Division stops at the first prime p with p^2 > cofactor, as
     plain trial division would, so the cofactor left over is the same; it
     must then be a certified prime, and composite cofactors are rejected.
-    A cofactor below 10^12 is prime by the trial division alone; one of at
-    least 10^12 is certified by the deterministic Miller-Rabin ``is_prime``.
-    The prime table grows with the cofactor's square root, doubling at
-    least, up to 10^6.
+    A cofactor below 10^12 is prime by the trial division alone. One in
+    [10^12, _MR_PROVEN_LIMIT) goes to the deterministic Miller-Rabin
+    ``is_prime`` first, and again only after a block has changed it: a prime
+    ends the division there, and no cofactor is tested twice. A larger one
+    is tested after the division, and ``is_prime`` refuses it. The prime
+    table grows with the cofactor's square root, doubling at least, up to
+    10^6.
     """
     if n < 1:
         raise InputError(f"cannot factor {n}")
@@ -139,8 +143,14 @@ def factorize(n: int) -> dict[int, int]:
     primes, products = table.primes, table.products  # both grow in place
     fac: dict[int, int] = {}
     m = n
+    tested = 1  # the last cofactor is_prime found composite
     k = 0
     while True:
+        if m != tested and _TRIAL_LIMIT**2 <= m < _MR_PROVEN_LIMIT:
+            if is_prime(m):
+                fac[m] = 1  # above 10^6, so after every prime divided out
+                return fac
+            tested = m
         if k + 1 >= len(products) and table.limit < _TRIAL_LIMIT and table.limit**2 < m:
             table.extend(min(_TRIAL_LIMIT, max(isqrt(m), 2 * table.limit)))
         if k >= len(products):
@@ -165,9 +175,10 @@ def factorize(n: int) -> dict[int, int]:
     # grown to isqrt(m) (capped at 10^6) before its last block is divided, and
     # division only stops early at a prime p with p^2 > m. Below 10^12 that
     # covers isqrt(m), so a cofactor m > 1 there has no prime factor <= its
-    # square root and is prime; Miller-Rabin is needed only from 10^12 on.
+    # square root and is prime. From 10^12 on, m is either the composite that
+    # is_prime last rejected or at least _MR_PROVEN_LIMIT, where is_prime raises.
     if m > 1:
-        if m >= _TRIAL_LIMIT**2 and not is_prime(m):
+        if m >= _TRIAL_LIMIT**2 and (m == tested or not is_prime(m)):
             raise FactorizationError(
                 f"cofactor {m} of {n} is composite and beyond the trial-division bound"
             )

@@ -2,8 +2,12 @@
 
 The symbol of a at a prime q (away from lambda) is the exponent i with
 a^((N(q)-1)/5) = zeta^i in the residue field; i = 0 exactly when a is a
-fifth power there. ``brute_force_symbol`` recomputes the same exponent from
-a table of discrete logs and serves as an independent oracle.
+fifth power there. The Euler power is taken by residue degree f: one
+``pow`` in F_p at f = 1, and at f = 2 and 4 a power of exponent about
+sqrt(N(q))/5 followed by the Frobenius-type involution zeta -> zeta^-1
+(Frobenius at f = 2, its square at f = 4). ``brute_force_symbol``
+recomputes the same exponent from a table of discrete logs and serves as
+an independent oracle; the generic ``polyfp.powmod`` power is another.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import polyfp
-from .cyclo import CycInt
+from .cyclo import CycInt, galois_apply
 from .errors import FieldTooLarge, InternalCheckError, NotCoprime, SymbolUndefined
 from .primes import MEMO_SIZE, CycPrime
 
@@ -79,8 +83,58 @@ def quintic_symbol(a: CycInt, q: CycPrime) -> int:
     abar = reduce_element(a, rf)
     if not abar:
         raise NotCoprime(f"{a!r} vanishes at the prime above {q.p}")
-    s = polyfp.powmod(abar, (rf.order() - 1) // 5, rf.modulus, rf.p)
-    return _symbol_from_power(s, rf)
+    return _symbol_from_power(euler_power(abar, rf), rf)
+
+
+def euler_power(abar: tuple[int, ...], rf: ResidueField) -> tuple[int, ...]:
+    """abar^((N-1)/5) for a nonzero abar = reduce_element(a, rf), N = rf.order().
+
+    f = 1: one ``pow`` in F_p. f = 2 and 4: let s = p^(f/2) and sigma the
+    automorphism zeta -> zeta^-1 = zeta^s of the residue field (Frobenius at
+    f = 2, its square at f = 4), whose fixed field is F_s. As 5 | s + 1,
+    (N-1)/5 = (s-1)(s+1)/5, so with b = abar^((s+1)/5) the power is
+    b^(s-1) = sigma(b)^2 / (b * sigma(b)), a division by an element of F_s.
+    """
+    p = rf.p
+    if rf.f == 1:
+        return (pow(abar[0], (p - 1) // 5, p),)
+    if rf.f == 2:
+        # F_p[x]/(x^2 + m1*x + m0): the roots are x and sigma(x) = -m1 - x
+        m0, m1 = rf.modulus[0], rf.modulus[1]
+
+        def mul(u, v):
+            t = u[1] * v[1]
+            return (u[0] * v[0] - m0 * t) % p, (u[0] * v[1] + u[1] * v[0] - m1 * t) % p
+
+        b0, b1 = _power(mul, (*abar, 0)[:2], (p + 1) // 5)
+        c = (b0 - m1 * b1, -b1)  # sigma(b)
+        inv = pow((b0 * b0 - m1 * b0 * b1 + m0 * b1 * b1) % p, -1, p)  # 1 / (b * sigma(b))
+        c0, c1 = mul(c, c)
+        return polyfp.trim((c0 * inv % p, c1 * inv % p))
+
+    # f = 4: the residue field is Z[zeta5]/p itself, multiplied as in Z[zeta5]
+    def mul4(u, v):
+        return CycInt(tuple(x % p for x in (u * v).c))
+
+    b = _power(mul4, CycInt((*abar, 0, 0, 0)[:4]), (p * p + 1) // 5)
+    c = galois_apply(2, b)  # sigma(b)
+    # b * sigma(b) = x + y*t in F_{p^2} = F_p[t], t = zeta + zeta^-1 (cyclo._real_norm);
+    # its inverse is (x + y*t') / (x^2 - x*y - y^2), and x + y*t' = (x, 0, y, y)
+    r = mul4(b, c).c
+    y = -r[2]
+    x = r[0] + y
+    inv = pow((x * x - x * y - y * y) % p, -1, p)
+    return polyfp.trim(mul4(c * c, CycInt((x * inv, 0, y * inv, y * inv))).c)
+
+
+def _power(mul, u, e: int):
+    """u^e under mul, by left-to-right square and multiply (e >= 1)."""
+    r = u
+    for bit in bin(e)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, u)
+    return r
 
 
 def _index(u: tuple[int, ...], p: int) -> int:

@@ -1,14 +1,17 @@
 import cmath
+import importlib.util
 import math
 import random
+import sys
 import time
-from itertools import count
+from itertools import count, islice, product
+from pathlib import Path
 
 import pytest
 import sympy
 
 from quintic import genus
-from quintic.cyclo import ONE, ZETA, CycInt, galois_apply, hyperprimary_class
+from quintic.cyclo import LAMBDA, ONE, ZETA, CycInt, galois_apply, hyperprimary_class
 from quintic.errors import (
     ContradictionWitness,
     InputError,
@@ -27,11 +30,15 @@ from quintic.genus import (
     infer_qstar,
     load_class_number_table,
     period_coefficients,
+    KummerGenerator,
     period_polynomial,
     relative_genus,
 )
 from quintic.intarith import factorize, is_primitive_root, primitive_root, sieve_primes
-from quintic.radicand import classify
+from quintic.primes import factor_rational_prime, primary_normalize
+from quintic.radicand import Verdict, classify
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 # the largest prime = 1 mod 5 below 10^5, where the tests still run the O(p)
 # walk from a second primitive root; the bound on p itself is is_prime's
@@ -264,7 +271,7 @@ def test_relative_genus_form_one_shape():
         assert g.lambda_exp in (1, 2, 3, 4)
         assert len(g.prime_exps) == 2
         assert all(q.p == 19 for q, _ in g.prime_exps)
-        assert g.realization == _realized(g)
+        assert g.realization == _realize(g.lambda_exp, g.prime_exps)
 
 
 def test_relative_genus_form_two_shape():
@@ -303,13 +310,64 @@ def test_relative_genus_rejects_unclassified():
         relative_genus(classify(6))
 
 
-def _realized(g):
-    from quintic.cyclo import LAMBDA
-
-    w = LAMBDA**g.lambda_exp
-    for q, k in g.prime_exps:
+def _realize(lambda_exp, prime_exps):
+    """lambda^a * prod(pi^k), each power from scratch."""
+    w = LAMBDA**lambda_exp
+    for q, k in prime_exps:
         w = w * q.element**k
     return w
+
+
+def _class_representatives(length):
+    """Exponent tuples in 1..4 that are the least of their j-multiples, j in 1..4."""
+    return [e for e in product(range(1, 5), repeat=length)
+            if e == min(tuple(x * j % 5 for x in e) for j in range(1, 5))]
+
+
+def relative_genus_oracle(form):
+    """relative_genus as a loop that realizes every candidate from scratch."""
+    pis = tuple(primary_normalize(q) for q in factor_rational_prime(form.p))
+    if form.verdict is Verdict.FORM_I:
+        candidates = [(a, ((pis[0], a1), (pis[1], a2))) for a, a1, a2 in _class_representatives(3)]
+    elif form.verdict is Verdict.FORM_II:
+        q_inert = factor_rational_prime(form.q)[0]
+        candidates = [(0, ((q_inert, 1), (pi, a))) for pi in pis for a in range(1, 5)]
+    else:
+        candidates = [(0, ((pis[0], a1), (pis[1], a2))) for a1, a2 in _class_representatives(2)]
+    out = []
+    for lambda_exp, pe in candidates:
+        w = _realize(lambda_exp, pe)
+        if lambda_exp or hyperprimary_class(w) is not None:
+            out.append(KummerGenerator(lambda_exp, pe, w))
+    return tuple(sorted(out, key=lambda g: g.exponent_tuple()))
+
+
+def test_relative_genus_matches_the_oracle_on_every_family_member_below_10_4():
+    forms = []
+    for n in range(2, 10**4 + 1):
+        fac = factorize(n)
+        if all(a < 5 for a in fac.values()):
+            form = classify(n, factorization=fac)
+            if form.verdict is not Verdict.NONE:
+                forms.append(form)
+    assert {f.verdict for f in forms} == {Verdict.FORM_I, Verdict.FORM_II, Verdict.FORM_III}
+    for form in forms:
+        assert relative_genus(form) == relative_genus_oracle(form), form.n
+
+
+def test_relative_genus_matches_the_oracle_on_the_benchmark_report_radicands():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(gen)
+        ops = list(islice(gen.report_ops(7), 150))
+    finally:
+        del sys.modules[spec.name]
+    for op in ops:
+        form = classify(op.n)
+        assert form.verdict.value == op.family
+        assert relative_genus(form) == relative_genus_oracle(form), op.n
 
 
 def test_genus_report_for_149():

@@ -120,8 +120,11 @@ def test_factorize_builds_the_table_as_far_as_the_cofactor_needs(monkeypatch):
     monkeypatch.setattr(intarith, "_TABLE", intarith._PrimeTable())
     assert factorize(95) == {5: 1, 19: 1}
     assert intarith._TABLE.limit <= 9 and list(intarith._TABLE.primes) == [2, 3, 5, 7]
-    # a prime near 10^12 needs every prime up to 10^6
+    # a prime from 10^12 on is certified by Miller-Rabin before the table grows
     assert factorize(10**12 + 39) == {10**12 + 39: 1}
+    assert intarith._TABLE.limit <= 9 and list(intarith._TABLE.primes) == [2, 3, 5, 7]
+    # a composite one needs every prime up to 10^6
+    assert factorize(999983 * (10**12 + 39)) == {999983: 1, 10**12 + 39: 1}
     assert intarith._TABLE.limit == _TRIAL_LIMIT and len(intarith._TABLE.primes) == 78498
 
 
@@ -168,7 +171,9 @@ def test_trial_division_certifies_a_cofactor_below_the_squared_bound(is_prime_ca
 ])
 def test_cofactors_from_the_squared_bound_on_go_to_miller_rabin(is_prime_calls, n, want):
     assert factorize(n) == want
-    assert is_prime_calls == [max(want)]
+    # n is tested before any division, and the prime cofactor once the block
+    # that holds 999983 has left it: one call per distinct cofactor
+    assert is_prime_calls == sorted({n, max(want)}, reverse=True)
 
 
 def test_a_composite_cofactor_above_the_squared_bound_is_still_refused(is_prime_calls):
@@ -177,6 +182,15 @@ def test_a_composite_cofactor_above_the_squared_bound_is_still_refused(is_prime_
         factorize(n)
     assert str(exc.value) == f"cofactor {n} of {n} is composite and beyond the trial-division bound"
     assert is_prime_calls == [n]
+
+
+def test_a_cofactor_no_block_changes_is_tested_once(is_prime_calls):
+    # the block that divides out 3 leaves m; every later block leaves m as it is
+    m = 1000003 * 1000033
+    with pytest.raises(FactorizationError) as exc:
+        factorize(3 * m)
+    assert str(exc.value) == f"cofactor {m} of {3 * m} is composite and beyond the trial-division bound"
+    assert is_prime_calls == [3 * m, m]
 
 
 def test_certified_below_is_tight():
@@ -188,3 +202,45 @@ def test_certified_below_is_tight():
     assert factorize(CERTIFIED_BELOW - 1) == wheel_factorize(CERTIFIED_BELOW - 1)
     with pytest.raises(FactorizationError):
         factorize(CERTIFIED_BELOW)
+
+
+def _seeded_prime(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi)
+        if sympy.isprime(p):
+            return p
+
+
+def _early_certificate_cases():
+    """Seeded n whose cofactor reaches Miller-Rabin before trial division ends."""
+    rng = random.Random(1212)
+    big = [_seeded_prime(rng, 10**e, 2 * 10**e) for e in (12, 13, 15, 18, 21, 24)]
+    ns = list(big)  # primes at or above 10^12
+    ns += [_seeded_prime(rng, 2, _TRIAL_LIMIT) * q for q in big[:5]]  # p * q, q >= 10^12
+    ns += [2**k * q for k, q in zip((1, 5, 17, 30, 40), big)]  # 2^k * p
+    # at or above the Miller-Rabin limit, with a cofactor below it
+    ns += [999983 * big[4], 2**20 * big[5]]
+    assert all(n >= _TRIAL_LIMIT**2 for n in ns) and max(ns) >= _MR_PROVEN_LIMIT
+    return ns
+
+
+def test_factorize_matches_the_oracles_on_cofactors_from_the_squared_bound():
+    for n in _early_certificate_cases():
+        got = factorize(n)
+        assert list(got) == sorted(got), n
+        assert got == sympy.factorint(n), n
+    assert_matches_oracle(_early_certificate_cases())
+
+
+def test_factorize_refuses_as_the_oracle_does_on_seeded_uncertifiable_products():
+    rng = random.Random(1313)
+    ns = []
+    for lo in (_TRIAL_LIMIT, 10**8, 10**11):
+        p, q = _seeded_prime(rng, lo, 2 * lo), _seeded_prime(rng, lo, 2 * lo)
+        ns += [p * q, 2**9 * p * q, 999983 * p * q]
+    # the Miller-Rabin limit itself, a prime beyond it, and either times small factors
+    above = sympy.nextprime(_MR_PROVEN_LIMIT)
+    ns += [_MR_PROVEN_LIMIT, above, 6 * above, 999983 * above]
+    for n in ns:
+        assert outcome(factorize, n)[0] in (FactorizationError, BoundExceeded), n
+    assert_matches_oracle(ns)

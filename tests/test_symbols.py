@@ -1,13 +1,19 @@
+import random
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quintic import polyfp
 from quintic.cyclo import CycInt
 from quintic.errors import FieldTooLarge, NotCoprime, SymbolUndefined
 from quintic.primes import factor_rational_prime
 from quintic.symbols import (
     brute_force_symbol,
+    euler_power,
     quintic_symbol,
+    reduce_element,
     residue_field,
 )
 
@@ -97,3 +103,58 @@ def test_residue_field_shapes():
     rf4 = residue_field(factor_rational_prime(2)[0])
     assert rf4.f == 4 and rf4.modulus == (1, 1, 1, 1, 1)
     assert rf4.order() == 16 and rf4.order() % 5 == 1
+
+
+def _seeded_primes(seed, residues, lo, hi, count):
+    """count primes in [lo, hi) with p mod 5 in residues, drawn from a fixed seed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.randrange(lo, hi)
+        if p % 5 in residues and sympy.isprime(p):
+            out.append(p)
+    return out
+
+
+_DEGREE_RESIDUES = {1: (1,), 2: (4,), 4: (2, 3)}
+
+
+def _elements(rng, p, count):
+    """Seeded elements of Z[zeta5]: rationals, then coordinates of mixed sizes."""
+    yield from (CycInt(a) for a in (2, 3, 5, p - 1, p + 2))
+    for _ in range(count):
+        yield CycInt(tuple(rng.randrange(-(p**2), p**2) for _ in range(4)))
+
+
+@pytest.mark.parametrize("f", [1, 2, 4])
+@pytest.mark.parametrize("exp", [3, 6, 9, 12])
+def test_euler_power_matches_the_generic_power(f, exp):
+    # the generic square-and-multiply in F_p[x]/(modulus) at every degree, up to 10^12
+    rng = random.Random(100 * f + exp)
+    seen = set()
+    for p in _seeded_primes(exp * f, _DEGREE_RESIDUES[f], 10**(exp - 1), 10**exp, 3):
+        for q in factor_rational_prime(p):
+            rf = residue_field(q)
+            assert rf.f == f
+            for a in _elements(rng, p, 8):
+                abar = reduce_element(a, rf)
+                want = polyfp.powmod(abar, (rf.order() - 1) // 5, rf.modulus, p)
+                assert euler_power(abar, rf) == want, (a, q)
+                s = quintic_symbol(a, q)
+                assert rf.zeta_powers[s] == want
+                seen.add(s)
+    assert seen == set(range(5))
+
+
+@pytest.mark.parametrize("f, lo, hi", [(1, 1000, 100000), (2, 200, 317), (4, 7, 18)])
+def test_symbol_matches_the_discrete_log_oracle_at_seeded_primes(f, lo, hi):
+    # fields of 10^3 to 10^5 elements, beyond the primes of criterion 3
+    rng = random.Random(f)
+    for p in _seeded_primes(f, _DEGREE_RESIDUES[f], lo, hi, 2):
+        for q in factor_rational_prime(p):
+            for a in _elements(rng, p, 25):
+                try:
+                    s = quintic_symbol(a, q)
+                except NotCoprime:
+                    continue
+                assert s == brute_force_symbol(a, q), (a, q)
