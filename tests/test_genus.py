@@ -19,6 +19,7 @@ from quintic.errors import (
     QstarOutOfRange,
 )
 from quintic.genus import (
+    KummerGenerator,
     absolute_genus,
     brute_force_cyclotomic_numbers,
     brute_force_period_coefficients,
@@ -30,7 +31,6 @@ from quintic.genus import (
     infer_qstar,
     load_class_number_table,
     period_coefficients,
-    KummerGenerator,
     period_polynomial,
     relative_genus,
 )

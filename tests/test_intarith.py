@@ -225,11 +225,12 @@ def _early_certificate_cases():
 
 
 def test_factorize_matches_the_oracles_on_cofactors_from_the_squared_bound():
-    for n in _early_certificate_cases():
+    ns = _early_certificate_cases()
+    for n in ns:
         got = factorize(n)
         assert list(got) == sorted(got), n
         assert got == sympy.factorint(n), n
-    assert_matches_oracle(_early_certificate_cases())
+    assert_matches_oracle(ns)
 
 
 def test_factorize_refuses_as_the_oracle_does_on_seeded_uncertifiable_products():

@@ -138,6 +138,8 @@ def test_euler_power_matches_the_generic_power(f, exp):
             assert rf.f == f
             for a in _elements(rng, p, 8):
                 abar = reduce_element(a, rf)
+                if not abar:
+                    continue
                 want = polyfp.powmod(abar, (rf.order() - 1) // 5, rf.modulus, p)
                 assert euler_power(abar, rf) == want, (a, q)
                 s = quintic_symbol(a, q)
