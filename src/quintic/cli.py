@@ -157,12 +157,10 @@ def _guard(fn):
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--quiet", is_flag=True, default=False, help="Suppress progress chatter on stderr.")
-@click.pass_context
-def main(ctx, quiet):
+@click.option("--quiet", is_flag=True, default=False,
+              help="Accepted for scripting; changes nothing yet, since no command writes progress.")
+def main(quiet):
     """Exact-arithmetic analyzer for pure quintic fields Q(n^(1/5))."""
-    ctx.ensure_object(dict)
-    ctx.obj["quiet"] = quiet
 
 
 _json_flag = click.option("--json", "as_json", is_flag=True, default=True,
@@ -196,7 +194,7 @@ def classify(n, as_json, out):
 @_guard
 def factor(n, as_json, out):
     """Factor N over Z[zeta5]: unit times prime powers."""
-    fac = factor_radicand(n)
+    fac = factor_radicand(n, radicand.radicand_factorization(n))
     _emit(_envelope("factor", {"n": n}, fac.to_json(), []), out)
 
 
@@ -239,15 +237,17 @@ def symbol(a, p, as_json, out):
 
 def _resolve_h_gamma(n, h_gamma, table):
     if h_gamma is not None:
+        if h_gamma < 1:
+            raise InputError(f"--h-gamma must be >= 1, got {h_gamma}")
         return h_gamma
     if table is not None:
         return genus.load_class_number_table(table).get(n)
     return None
 
 
-def _corollary_section(n, h, fac):
+def _corollary_section(form, h):
     try:
-        return genus.corollary_report(n, fac, h).to_json()
+        return genus.corollary_report(form, h).to_json()
     except QuinticError as exc:
         return _error_doc(exc)
 
@@ -261,9 +261,9 @@ def _corollary_section(n, h, fac):
 def genus_cmd(n, h_gamma, table, as_json, out):
     """Genus-field report for N: r, 5^r, period polynomials, d, q*, generators."""
     h = _resolve_h_gamma(n, h_gamma, table)
-    fac = radicand.radicand_factorization(n)
-    report = genus.build_genus_report(n, fac).to_json()
-    report["corollary"] = _corollary_section(n, h, fac) if h is not None else None
+    form = radicand.classify(n)
+    report = genus.build_genus_report(form).to_json()
+    report["corollary"] = _corollary_section(form, h) if h is not None else None
     _emit(_envelope("genus", {"n": n, "h_gamma": h}, report, [HYPOTHESIS_NOTE]), out)
 
 
@@ -276,18 +276,17 @@ def report(n, h_gamma, table, out):
     """Full pipeline for N: classification, factorization, genus, generators,
     admissible capitulation types."""
     h = _resolve_h_gamma(n, h_gamma, table)
-    fac = radicand.radicand_factorization(n)
-    form = radicand.classify(n, factorization=fac)
+    form = radicand.classify(n)
     warnings = [HYPOTHESIS_NOTE, TAU2_PROOF_NOTE]
     doc = {
         "radicand": form.to_json(),
-        "factorization": factor_radicand(n, factorization=fac).to_json(),
+        "factorization": factor_radicand(n, form.factorization).to_json(),
         "genus": None,
-        "corollary": _corollary_section(n, h, fac) if h is not None else None,
+        "corollary": _corollary_section(form, h) if h is not None else None,
         "capitulation": None,
     }
     try:
-        doc["genus"] = genus.build_genus_report(n, fac, form).to_json()
+        doc["genus"] = genus.build_genus_report(form).to_json()
     except QuinticError as exc:
         doc["genus"] = _error_doc(exc)
     if form.verdict is not Verdict.NONE:

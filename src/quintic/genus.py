@@ -35,7 +35,7 @@ from .errors import (
 )
 from .intarith import is_prime
 from .primes import SPLITTING_MOD_5, CycPrime, factor_rational_prime, primary_normalize
-from .radicand import RadicandForm, Verdict, classify
+from .radicand import RadicandForm, Verdict
 
 
 @dataclass(frozen=True)
@@ -343,31 +343,23 @@ class AbsoluteGenus:
     components: tuple[PeriodPolynomial, ...]
 
 
-# ``factorization`` below is factorize(n) and ``form`` is classify(n); the
-# commands compute each once per n and pass it down.
-
-
-def absolute_genus(n: int, factorization: dict[int, int]) -> AbsoluteGenus:
+def absolute_genus(form: RadicandForm) -> AbsoluteGenus:
     """Genus field data of Gamma: r, genus number 5^r, and the M(p) components."""
-    if n < 2:
-        raise InputError(f"radicand must be >= 2, got {n}")
-    ps = sorted(p for p in factorization if p % 5 == 1)
+    ps = sorted(p for p in form.factorization if p % 5 == 1)
     comps = tuple(period_polynomial(p) for p in ps)
-    return AbsoluteGenus(n, len(ps), 5 ** len(ps), comps)
+    return AbsoluteGenus(form.n, len(ps), 5 ** len(ps), comps)
 
 
-def count_ramified_d(n: int, factorization: dict[int, int]) -> int:
+def count_ramified_d(form: RadicandForm) -> int:
     """Number of primes of k0 ramified in k = k0(n^(1/5)).
 
     Each prime of k0 dividing the prime-to-5 part of n ramifies; lambda
     ramifies exactly when n is not hyperprimary (which covers both 5 | n
     and the non-hyperprimary coprime case, without double counting).
     """
-    if n < 2:
-        raise InputError(f"radicand must be >= 2, got {n}")
-    # the primes of factorize(n) are certified already: g is read off p mod 5 untested
-    d = sum(SPLITTING_MOD_5[p % 5][1] for p in factorization if p != 5)
-    if hyperprimary_class(CycInt(n)) is None:
+    # the primes of the factorization are certified already: g is read off p mod 5 untested
+    d = sum(SPLITTING_MOD_5[p % 5][1] for p in form.factorization if p != 5)
+    if hyperprimary_class(CycInt(form.n)) is None:
         d += 1
     return d
 
@@ -375,7 +367,7 @@ def count_ramified_d(n: int, factorization: dict[int, int]) -> int:
 def infer_qstar(form: RadicandForm, d: int) -> int:
     """q* back-solved from rank = d - 3 + q* under the rank-1 hypothesis.
 
-    ``d`` is count_ramified_d(form.n, factorize(form.n)).
+    ``d`` is count_ramified_d(form).
     """
     if form.verdict is Verdict.NONE:
         raise InputError(f"{form.n} is not in any of the three families")
@@ -502,24 +494,16 @@ class GenusReport:
         }
 
 
-def build_genus_report(
-    n: int, factorization: dict[int, int], form: RadicandForm | None = None
-) -> GenusReport:
+def build_genus_report(form: RadicandForm) -> GenusReport:
     """Assemble absolute and relative genus data; rank fields stay None when
-    n falls outside the three families.
-
-    Without ``form``, n is classified after the absolute genus is built, so
-    a period-construction error is raised before a fifth-power error.
-    """
-    ag = absolute_genus(n, factorization)
-    if form is None:
-        form = classify(n, factorization=factorization)
-    d = count_ramified_d(n, factorization)
+    n falls outside the three families."""
+    ag = absolute_genus(form)
+    d = count_ramified_d(form)
     if form.verdict is Verdict.NONE:
-        return GenusReport(n, ag.r, ag.genus_number, ag.components, (), d, None, None)
+        return GenusReport(form.n, ag.r, ag.genus_number, ag.components, (), d, None, None)
     q = infer_qstar(form, d)
     return GenusReport(
-        n, ag.r, ag.genus_number, ag.components, relative_genus(form), d, q, d - 3 + q
+        form.n, ag.r, ag.genus_number, ag.components, relative_genus(form), d, q, d - 3 + q
     )
 
 
@@ -543,7 +527,7 @@ class CorollaryReport:
         }
 
 
-def corollary_report(n: int, factorization: dict[int, int], h_gamma: int) -> CorollaryReport:
+def corollary_report(form: RadicandForm, h_gamma: int) -> CorollaryReport:
     """Field-coincidence consequences of 5 || h_Gamma, checked against r.
 
     When 5 divides h_Gamma exactly, at most one prime p = 1 mod 5 can divide
@@ -551,16 +535,16 @@ def corollary_report(n: int, factorization: dict[int, int], h_gamma: int) -> Cor
     field equals the Hilbert 5-class field of Gamma and the five composita
     k * HCF(conjugate of Gamma) coincide; with r = 0 they are distinct.
     """
-    r = sum(1 for p in factorization if p % 5 == 1)
+    r = sum(1 for p in form.factorization if p % 5 == 1)
     exact = h_gamma % 5 == 0 and h_gamma % 25 != 0
     if not exact:
         return CorollaryReport(
-            n, r, h_gamma, False,
+            form.n, r, h_gamma, False,
             (f"5 does not divide h_Gamma = {h_gamma} exactly; no conclusion drawn",),
         )
     if r >= 2:
         raise ContradictionWitness(
-            f"r = {r} primes = 1 mod 5 divide n = {n}, but 5^r | h_Gamma "
+            f"r = {r} primes = 1 mod 5 divide n = {form.n}, but 5^r | h_Gamma "
             f"forces r <= 1 when 5 divides h_Gamma = {h_gamma} exactly"
         )
     if r == 1:
@@ -573,7 +557,7 @@ def corollary_report(n: int, factorization: dict[int, int], h_gamma: int) -> Cor
             "r = 0: Gamma* = Gamma",
             "the five composita k.Gamma_5(1), ..., k.Gamma''''_5(1) are pairwise distinct",
         )
-    return CorollaryReport(n, r, h_gamma, True, statements)
+    return CorollaryReport(form.n, r, h_gamma, True, statements)
 
 
 def load_class_number_table(path) -> dict[int, int]:
@@ -588,7 +572,10 @@ def load_class_number_table(path) -> dict[int, int]:
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: expected 'n,h_gamma', got {raw!r}")
             try:
-                table[int(parts[0])] = int(parts[1])
+                n, h = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: non-integer entry {raw!r}") from exc
+            if h < 1:
+                raise InputError(f"{path}:{lineno}: h_gamma must be >= 1, got {raw!r}")
+            table[n] = h
     return table

@@ -14,7 +14,7 @@ from functools import lru_cache
 from . import cyclo
 from .cyclo import EPSILON, LAMBDA, ZETA, CycInt
 from .errors import InputError, InternalCheckError, NoPrimaryAssociate
-from .intarith import element_of_order_five, factorize, is_prime, sqrt_mod
+from .intarith import element_of_order_five, is_prime, sqrt_mod
 
 #: entries kept by each memo table here and in symbols; a bound keeps a long
 #: in-process run (many distinct primes) from growing without limit
@@ -119,17 +119,14 @@ def factor_rational_prime(p: int) -> tuple[CycPrime, ...]:
     return result
 
 
-def factor_radicand(n: int, *, factorization: dict[int, int] | None = None) -> CycFactorization:
-    """Full factorization of a rational integer n >= 2 over Z[zeta5].
-
-    ``factorization``, when given, must be factorize(n); it is not recomputed.
-    """
+def factor_radicand(n: int, factorization: dict[int, int]) -> CycFactorization:
+    """Full factorization over Z[zeta5] of a rational integer n >= 2, given
+    its factorization over Z (radicand_factorization(n))."""
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
-    fac = factorize(n) if factorization is None else factorization
     factors: list[tuple[CycPrime, int]] = []
-    for p in sorted(fac):
-        a = fac[p]
+    for p in sorted(factorization):
+        a = factorization[p]
         for q in factor_rational_prime(p):
             factors.append((q, a * q.e))
     prod = CycInt(1)

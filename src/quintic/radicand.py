@@ -21,11 +21,14 @@ n is factored, so a window fails on its first uncertifiable n as before.
 The ledger is positional: CHECK_NAMES[i] names checks[i] = (passed, witness),
 and every RadicandForm holds all 14 rows, whatever its verdict. Its three
 formats (to_json, json_line and csv_row under CSV_HEADER) are written here.
+
+A RadicandForm also carries the factorization of n that classify read, the
+one record the genus and factor code take per radicand; no format writes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -98,6 +101,8 @@ class RadicandForm:
     q: int | None
     #: (passed, witness) per check; checks[i] is the row named CHECK_NAMES[i]
     checks: tuple[tuple[bool, str], ...]
+    #: radicand_factorization(n): prime -> exponent; outside equality, hashing and the formats
+    factorization: dict[int, int] = field(compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -153,23 +158,22 @@ def is_fifth_power_free(n: int) -> bool:
 
 
 def radicand_factorization(n: int) -> dict[int, int]:
-    """factorize(n) for a radicand, refusing n < 2 first as classify does.
+    """factorize(n) for a radicand, refusing n < 2 first.
 
-    The commands factor n once through this and pass the result down.
+    The one place a radicand is factored: classify keeps the result in its
+    RadicandForm, and the factor command passes it to factor_radicand.
     """
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
     return factorize(n)
 
 
-def classify(n: int, *, factorization: dict[int, int] | None = None) -> RadicandForm:
+def classify(n: int) -> RadicandForm:
     """Check n against the three family shapes and return the verdict ledger.
 
-    ``factorization``, when given, must be factorize(n); it is not recomputed.
+    n is factored once, and the RadicandForm keeps the factorization.
     """
-    if n < 2:
-        raise InputError(f"radicand must be >= 2, got {n}")
-    fac = factorize(n) if factorization is None else factorization
+    fac = radicand_factorization(n)
     if any(a >= 5 for a in fac.values()):
         raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
 
@@ -242,12 +246,12 @@ def classify(n: int, *, factorization: dict[int, int] | None = None) -> Radicand
         _HYPER_ROW[n25],
     )
     if form1:
-        return RadicandForm(n, Verdict.FORM_I, fac[5], p1, None, rows)
+        return RadicandForm(n, Verdict.FORM_I, fac[5], p1, None, rows, fac)
     if form2:
-        return RadicandForm(n, Verdict.FORM_II, fac[p2], p2, q2, rows)
+        return RadicandForm(n, Verdict.FORM_II, fac[p2], p2, q2, rows, fac)
     if form3:
-        return RadicandForm(n, Verdict.FORM_III, fac[p3], p3, None, rows)
-    return RadicandForm(n, Verdict.NONE, None, None, None, rows)
+        return RadicandForm(n, Verdict.FORM_III, fac[p3], p3, None, rows, fac)
+    return RadicandForm(n, Verdict.NONE, None, None, None, rows, fac)
 
 
 def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
@@ -256,11 +260,12 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
     With ``verdict`` I, II or III, an n below intarith.CERTIFIED_BELOW whose
     residue mod 25 is outside VERDICT_MOD_25[verdict] ({0, 20}, {7, 18} or
     {1, 24}) is skipped unfactored.
-    Every other n is factored once, and classify's own fifth-power check
-    skips n. An n whose factorization cannot be certified is still skipped
-    when a fifth power divides it; otherwise the error stands. Since factorize
-    can only fail from CERTIFIED_BELOW on, where nothing is skipped by
-    residue, a window fails on the same n, filtered or not.
+    Every other n is classified, which factors it once, and classify's own
+    fifth-power check skips n. An n whose factorization cannot be certified
+    is still skipped when a fifth power divides it; otherwise the error
+    stands. Since factoring can only fail from CERTIFIED_BELOW on, where
+    nothing is skipped by residue, a window fails on the same n, filtered or
+    not.
     """
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
@@ -270,15 +275,13 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
         if n < skip_below and n % 25 not in classes:
             continue
         try:
-            fac = factorize(n)
+            form = classify(n)
+        except NotFifthPowerFree:
+            continue
         except (FactorizationError, BoundExceeded):
             if not is_fifth_power_free(n):
                 continue
             raise
-        try:
-            form = classify(n, factorization=fac)
-        except NotFifthPowerFree:
-            continue
         if verdict is None or form.verdict is verdict:
             yield form
 

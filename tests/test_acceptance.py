@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from quintic.classgroup import canonical_model, enumerate_capitulation_types, tau2_permutation
 from quintic.cli import main
 from quintic.genus import count_ramified_d, infer_qstar, period_polynomial
-from quintic.intarith import factorize, sieve_primes
+from quintic.intarith import sieve_primes
 from quintic.radicand import classify, is_fifth_power_free
 from quintic.selftest import SUITES, SuiteResult
 
@@ -84,7 +84,7 @@ def test_criterion_05_rank_formula_consistency():
     t0 = time.perf_counter()
     counts = {"I": 0, "II": 0, "III": 0}
     for n, form in classified_up_to_1e5():
-        d = count_ramified_d(n, factorize(n))
+        d = count_ramified_d(form)
         q = infer_qstar(form, d)
         if form.verdict.value in ("I", "II"):
             assert d == 3 and q == 1, n

@@ -138,6 +138,25 @@ def test_report_with_class_number_table(runner, tmp_path):
     assert r["corollary"]["five_divides_exactly"] is True
 
 
+@pytest.mark.parametrize("cmd", ["genus", "report"])
+@pytest.mark.parametrize("h", ["-5", "0"])
+def test_a_class_number_below_1_is_an_input_error(runner, cmd, h):
+    res = runner.invoke(main, [cmd, "95", "--h-gamma", h])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr_bytes)["error"]["code"] == "input-error"
+
+
+@pytest.mark.parametrize("cmd", ["genus", "report"])
+@pytest.mark.parametrize("line", ["95,-10", "95,0", "11,0"])
+def test_a_table_with_a_class_number_below_1_is_an_input_error(runner, tmp_path, cmd, line):
+    # a bad line is refused whichever n it names, as a malformed line is
+    table = tmp_path / "h.csv"
+    table.write_text(f"# demo\n{line}\n")
+    res = runner.invoke(main, [cmd, "95", "--table", str(table)])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr_bytes)["error"]["code"] == "input-error"
+
+
 def test_genus_command(runner):
     res = invoke(runner, "genus", "149")
     doc = json.loads(res.output)
@@ -405,7 +424,18 @@ def test_report_counts_ramified_primes_once(runner, monkeypatch, n):
     calls = record_calls(monkeypatch, quintic.genus.count_ramified_d)
     res = invoke(runner, "report", str(n))
     assert json.loads(res.output)["result"]["genus"]["qstar_inferred"] in (0, 1, 2)
-    assert calls == [n]
+    assert [form.n for form in calls] == [n]
+
+
+@pytest.mark.parametrize("n", [11**5, 32 * 100151])
+def test_genus_refuses_a_fifth_power_before_any_period_polynomial(runner, monkeypatch, n):
+    import quintic.genus
+
+    calls = record_calls(monkeypatch, quintic.genus.period_polynomial)
+    res = runner.invoke(main, ["genus", str(n)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr_bytes)["error"]["code"] == "not-fifth-power-free"
+    assert calls == []
 
 
 @pytest.mark.parametrize("p, c", [(11, 2), (31, 3), (1021, 7), (2011, 38), (99991, 4)])

@@ -34,9 +34,9 @@ from quintic.genus import (
     period_polynomial,
     relative_genus,
 )
-from quintic.intarith import factorize, is_primitive_root, primitive_root, sieve_primes
+from quintic.intarith import is_primitive_root, primitive_root, sieve_primes
 from quintic.primes import factor_rational_prime, primary_normalize
-from quintic.radicand import Verdict, classify
+from quintic.radicand import Verdict, classify, enumerate_radicands
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -233,29 +233,30 @@ def test_period_polynomial_rejects_bad_inputs():
 
 
 def test_absolute_genus_counts():
-    ag = absolute_genus(95, factorize(95))
+    ag = absolute_genus(classify(95))
     assert (ag.r, ag.genus_number, ag.components) == (0, 1, ())
-    ag = absolute_genus(11, factorize(11))
+    ag = absolute_genus(classify(11))
     assert ag.r == 1 and ag.components[0].p == 11
-    ag = absolute_genus(341, factorize(341))  # 11 * 31
+    ag = absolute_genus(classify(341))  # 11 * 31
     assert (ag.r, ag.genus_number) == (2, 25)
     assert [c.p for c in ag.components] == [11, 31]
 
 
 def test_ramified_prime_counts():
-    assert count_ramified_d(95, factorize(95)) == 3  # two primes above 19 plus lambda
-    assert count_ramified_d(57, factorize(57)) == 3  # two above 19, inert 3; lambda unramified
-    assert count_ramified_d(149, factorize(149)) == 2
+    assert count_ramified_d(classify(95)) == 3  # two primes above 19 plus lambda
+    assert count_ramified_d(classify(57)) == 3  # two above 19, inert 3; lambda unramified
+    assert count_ramified_d(classify(149)) == 2
 
 
 def test_qstar_inference():
     for n, q in ((95, 1), (57, 1), (149, 2)):
-        assert infer_qstar(classify(n), count_ramified_d(n, factorize(n))) == q
+        form = classify(n)
+        assert infer_qstar(form, count_ramified_d(form)) == q
 
 
 def test_qstar_rejects_unclassified_radicands():
     with pytest.raises(InputError):
-        infer_qstar(classify(6), count_ramified_d(6, factorize(6)))
+        infer_qstar(classify(6), count_ramified_d(classify(6)))
 
 
 def test_qstar_out_of_range_is_reported():
@@ -343,13 +344,7 @@ def relative_genus_oracle(form):
 
 
 def test_relative_genus_matches_the_oracle_on_every_family_member_below_10_4():
-    forms = []
-    for n in range(2, 10**4 + 1):
-        fac = factorize(n)
-        if all(a < 5 for a in fac.values()):
-            form = classify(n, factorization=fac)
-            if form.verdict is not Verdict.NONE:
-                forms.append(form)
+    forms = [f for f in enumerate_radicands(2, 10**4) if f.verdict is not Verdict.NONE]
     assert {f.verdict for f in forms} == {Verdict.FORM_I, Verdict.FORM_II, Verdict.FORM_III}
     for form in forms:
         assert relative_genus(form) == relative_genus_oracle(form), form.n
@@ -371,24 +366,24 @@ def test_relative_genus_matches_the_oracle_on_the_benchmark_report_radicands():
 
 
 def test_genus_report_for_149():
-    rep = build_genus_report(149, factorize(149))
+    rep = build_genus_report(classify(149))
     assert rep.d == 2 and rep.qstar_inferred == 2 and rep.rank_value == 1
     assert rep.genus_number == 1
 
 
 def test_genus_report_for_unclassified_n():
-    rep = build_genus_report(6, factorize(6))
+    rep = build_genus_report(classify(6))
     assert rep.qstar_inferred is None and rep.relative_candidates == ()
 
 
 def test_corollary_r0_distinct():
-    rep = corollary_report(95, factorize(95), 5)
+    rep = corollary_report(classify(95), 5)
     assert rep.r == 0 and rep.five_divides_exactly
     assert "distinct" in rep.statements[1]
 
 
 def test_corollary_r1_coincidence():
-    rep = corollary_report(11, factorize(11), 5)
+    rep = corollary_report(classify(11), 5)
     assert rep.r == 1
     assert "Gamma* = Gamma_5(1)" in rep.statements[0]
     assert "coincide" in rep.statements[1]
@@ -396,13 +391,13 @@ def test_corollary_r1_coincidence():
 
 def test_corollary_contradiction_witness():
     with pytest.raises(ContradictionWitness, match="r = 2 primes"):
-        corollary_report(341, factorize(341), 5)
+        corollary_report(classify(341), 5)
 
 
 def test_corollary_without_exact_divisibility_draws_no_conclusion():
-    rep = corollary_report(341, factorize(341), 25)
+    rep = corollary_report(classify(341), 25)
     assert rep.five_divides_exactly is False
-    rep = corollary_report(341, factorize(341), 7)
+    rep = corollary_report(classify(341), 7)
     assert rep.five_divides_exactly is False
 
 

@@ -12,6 +12,7 @@ from quintic.primes import (
     primary_normalize,
     splitting_type,
 )
+from quintic.radicand import radicand_factorization
 
 
 def divides(d: CycInt, a: CycInt) -> bool:
@@ -85,21 +86,26 @@ def test_galois_permutes_the_primes_above_p(p):
             assert len(hits) == 1
 
 
+def factor(n):
+    """factor_radicand as the factor command calls it."""
+    return factor_radicand(n, radicand_factorization(n))
+
+
 def test_factor_radicand_25_is_lambda_to_the_eighth():
-    fac = factor_radicand(25)
+    fac = factor(25)
     assert [(q.p, k) for q, k in fac.factors] == [(5, 8)]
     assert fac.value() == CycInt(25)
 
 
 def test_factor_radicand_95():
-    fac = factor_radicand(95)
+    fac = factor(95)
     assert [(q.p, q.f, k) for q, k in fac.factors] == [(5, 1, 4), (19, 2, 1), (19, 2, 1)]
     assert norm(fac.unit) == 1
     assert fac.value() == CycInt(95)
 
 
 def test_factor_radicand_inert_prime():
-    fac = factor_radicand(2)
+    fac = factor(2)
     (q, k), = fac.factors
     assert q.f == 4 and k == 1 and q.element == CycInt(2)
 
@@ -107,12 +113,12 @@ def test_factor_radicand_inert_prime():
 def test_factor_radicand_rejects_uncertifiable_cofactors():
     n = 1000003 * 1000033  # both factors prime and beyond the trial bound
     with pytest.raises(FactorizationError):
-        factor_radicand(n)
+        factor(n)
 
 
 def test_factor_radicand_rejects_small_inputs():
     with pytest.raises(InputError):
-        factor_radicand(1)
+        factor_radicand(1, {})
 
 
 def test_primary_normalize_keeps_rational_inert_primes():
@@ -188,7 +194,7 @@ def test_cycprime_json_shape():
 
 
 def test_factorization_json_round_trips_value():
-    fac = factor_radicand(57)
+    fac = factor(57)
     doc = fac.to_json()
     assert CycInt.from_json(doc["unit"]) == fac.unit
     assert len(doc["factors"]) == len(fac.factors)

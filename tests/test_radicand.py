@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,7 +7,6 @@ from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
 from quintic.radicand import (
     CHECK_NAMES,
     VERDICT_MOD_25,
-    RadicandForm,
     Verdict,
     classify,
     crosscheck_verdicts,
@@ -176,8 +176,16 @@ def test_json_line_and_csv_row_match_the_dict_serializers():
     assert verdicts == set(Verdict) and large > 0
 
 
+def test_the_form_keeps_its_factorization_out_of_equality_and_every_format():
+    form = classify(95)
+    assert form.factorization == {5: 1, 19: 1}
+    other = dataclasses.replace(form, factorization={})
+    assert other == form and hash(other) == hash(form)
+    assert (other.to_json(), other.json_line(), other.csv_row()) == (form.to_json(), form.json_line(), form.csv_row())
+
+
 def test_json_line_escapes_witnesses_as_json_dumps_does():
     form = classify(57)
     odd = [(passed, 'q "\\ \n\u00e9\U0001d4b3') for passed, _ in form.checks]
-    form = RadicandForm(form.n, form.verdict, form.e, form.p, form.q, tuple(odd))
+    form = dataclasses.replace(form, checks=tuple(odd))
     assert form.json_line() == json.dumps(form.to_json(), separators=(",", ":"))
