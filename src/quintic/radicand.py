@@ -21,9 +21,6 @@ n is factored, so a window fails on its first uncertifiable n as before.
 The ledger is positional: CHECK_NAMES[i] names checks[i] = (passed, witness),
 and every RadicandForm holds all 14 rows, whatever its verdict. Its three
 formats (to_json, json_line and csv_row under CSV_HEADER) are written here.
-
-A RadicandForm also carries the factorization of n that classify read, the
-one record the genus and factor code take per radicand; no format writes it.
 """
 
 from __future__ import annotations
@@ -101,7 +98,8 @@ class RadicandForm:
     q: int | None
     #: (passed, witness) per check; checks[i] is the row named CHECK_NAMES[i]
     checks: tuple[tuple[bool, str], ...]
-    #: radicand_factorization(n): prime -> exponent; outside equality, hashing and the formats
+    #: radicand_factorization(n), prime -> exponent: the record the genus and factor code
+    #: read per radicand; outside equality, hashing and the three formats
     factorization: dict[int, int] = field(compare=False)
 
     def to_json(self) -> dict:
@@ -260,12 +258,11 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
     With ``verdict`` I, II or III, an n below intarith.CERTIFIED_BELOW whose
     residue mod 25 is outside VERDICT_MOD_25[verdict] ({0, 20}, {7, 18} or
     {1, 24}) is skipped unfactored.
-    Every other n is classified, which factors it once, and classify's own
-    fifth-power check skips n. An n whose factorization cannot be certified
-    is still skipped when a fifth power divides it; otherwise the error
-    stands. Since factoring can only fail from CERTIFIED_BELOW on, where
-    nothing is skipped by residue, a window fails on the same n, filtered or
-    not.
+    Every other n is factored once, and classify's own fifth-power check
+    skips n. An n whose factorization cannot be certified is still skipped
+    when a fifth power divides it; otherwise the error stands. Since factorize
+    can only fail from CERTIFIED_BELOW on, where nothing is skipped by
+    residue, a window fails on the same n, filtered or not.
     """
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
