@@ -1,18 +1,27 @@
 """Integer-side number theory: certified factorization and modular roots.
 
-Primality is decided by a deterministic Miller-Rabin base set, proven
-correct below 3.317e24 (covers 64-bit inputs with a wide margin); larger
-candidates are rejected rather than tested probabilistically.
+Primality is decided by deterministic Miller-Rabin, with the first t prime
+bases for the least proven bound psi_t above n (``_MR_TIERS``): psi_4,
+psi_7 and psi_9 from Jaeschke, "On strong pseudoprimes to several bases",
+Math. Comp. 61 (1993); psi_12 and psi_13 from Sorenson and Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 86 (2017). psi_t itself is
+a strong pseudoprime to those t bases, so each bound is exclusive. From
+psi_13 (about 3.3e24, ``_MR_PROVEN_LIMIT``) on, a candidate is refused
+rather than tested probabilistically.
 
-Factorization is trial division by the primes up to 10^6 followed by a
-primality certificate for the cofactor. The primes sit in one table, built
-on first use only as far as a call needs, in blocks of 256 with the product
+Factorization is trial division by the primes up to 10^6, with a primality
+certificate for a large cofactor. The primes sit in one table, built on
+first use only as far as a call needs, in blocks of 256 with the product
 of each block; a block that shares no factor with the cofactor is skipped
 after one gcd (Bernstein, "How to find smooth parts of integers", 2004).
-A cofactor below 10^12 is certified by the trial division itself, which has
-then ruled out every prime up to its square root. A cofactor of 10^12 or
-more goes to Miller-Rabin as soon as it appears, before any further trial
-division, so a prime cofactor ends the division at once.
+A cofactor above 10^6 goes to Miller-Rabin once trial division would need
+more than ``_MR_AFTER_BLOCKS`` (R) further blocks to finish it, so a prime
+cofactor ends the division there; any other cofactor is certified by the
+trial division itself, which then rules out every prime up to its square
+root. R weighs the two costs, measured on a 2-CPU Intel Xeon with Python
+3.11: one block gcd takes about 3 us, and a 12-base Miller-Rabin on a prime
+near 5*10^11 about 100 us, since each ``pow`` on its 39-bit modulus takes
+about 7.8 us; the 7 bases that suffice there take about 55 us.
 """
 
 from __future__ import annotations
@@ -23,8 +32,17 @@ from math import gcd, isqrt, prod
 
 from .errors import BoundExceeded, FactorizationError, InputError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: (psi_t, the first t prime bases): Miller-Rabin with those bases is proven
+#: correct for every n < psi_t (Jaeschke 1993; Sorenson and Webster 2017)
+_MR_TIERS = tuple((psi, _MR_BASES[:t]) for psi, t in (
+    (3215031751, 4),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+))
+_MR_PROVEN_LIMIT = _MR_TIERS[-1][0]
 _TRIAL_LIMIT = 10**6
 #: factorize(n) never raises for 1 <= n < CERTIFIED_BELOW, the square of 1000003,
 #: the least prime above _TRIAL_LIMIT. A composite cofactor left by trial division
@@ -33,25 +51,36 @@ _TRIAL_LIMIT = 10**6
 #: The bound is tight: factorize(CERTIFIED_BELOW) raises FactorizationError.
 CERTIFIED_BELOW = 1000003**2
 _BLOCK = 256  # primes per gcd block
+#: R: a cofactor above _TRIAL_LIMIT goes to is_prime once trial division would
+#: divide more than R further blocks; a block gcd costs about 3 us and a
+#: 7-base Miller-Rabin near 10^12 about 55 us (see the module docstring)
+_MR_AFTER_BLOCKS = 16
 _SEGMENT = 1 << 15  # odd numbers sieved at a time as the prime table grows
 _FLAG_CHUNK = 256  # segment flags read off at a time
 _CHUNK_OFFSETS = tuple(range(0, 2 * _FLAG_CHUNK, 2))  # odd candidate i of a chunk is first + 2i
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the proven base set for n's size.
+
+    Raises BoundExceeded from _MR_PROVEN_LIMIT on, where no base set is proven.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_PROVEN_LIMIT:
+    for psi, bases in _MR_TIERS:
+        if n < psi:
+            break
+    else:
         raise BoundExceeded(f"primality of {n} cannot be certified deterministically")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -129,13 +158,20 @@ def factorize(n: int) -> dict[int, int]:
     by prime. Division stops at the first prime p with p^2 > cofactor, as
     plain trial division would, so the cofactor left over is the same; it
     must then be a certified prime, and composite cofactors are rejected.
-    A cofactor below 10^12 is prime by the trial division alone. One in
-    [10^12, _MR_PROVEN_LIMIT) goes to the deterministic Miller-Rabin
-    ``is_prime`` first, and again only after a block has changed it: a prime
-    ends the division there, and no cofactor is tested twice. A larger one
-    is tested after the division, and ``is_prime`` refuses it. The prime
-    table grows with the cofactor's square root, doubling at least, up to
-    10^6.
+
+    Before block k, a cofactor m with 10^6 < m < _MR_PROVEN_LIMIT goes to
+    the deterministic Miller-Rabin ``is_prime`` when trial division would
+    divide more than R = _MR_AFTER_BLOCKS further blocks: when m is at least
+    the square of the first prime of block k + R, or that block lies past
+    the prime table's 10^6. A prime ends the division there. A cofactor is
+    tested again only after a block has changed it, so no cofactor is
+    tested twice. While the table is still short of block k + R, only a
+    cofactor of 10^12 or more is tested, since its square root exceeds every
+    prime in the full table. So every cofactor of 10^12 or more is tested
+    before any further division, and one below 10^12 that is never tested is
+    prime by the trial division alone. A cofactor from _MR_PROVEN_LIMIT on is
+    tested after the division, and ``is_prime`` refuses it. The prime table
+    grows with the cofactor's square root, doubling at least, up to 10^6.
     """
     if n < 1:
         raise InputError(f"cannot factor {n}")
@@ -146,11 +182,15 @@ def factorize(n: int) -> dict[int, int]:
     tested = 1  # the last cofactor is_prime found composite
     k = 0
     while True:
-        if m != tested and _TRIAL_LIMIT**2 <= m < _MR_PROVEN_LIMIT:
-            if is_prime(m):
-                fac[m] = 1  # above 10^6, so after every prime divided out
-                return fac
-            tested = m
+        # the cheap bound first: a cofactor of at most 10^6 pays one comparison per block
+        if m > _TRIAL_LIMIT and m != tested and m < _MR_PROVEN_LIMIT:
+            i = (k + _MR_AFTER_BLOCKS) * _BLOCK
+            if primes[i] ** 2 <= m if i < len(primes) else (
+                    table.limit >= _TRIAL_LIMIT or m >= _TRIAL_LIMIT**2):
+                if is_prime(m):
+                    fac[m] = 1  # above 10^6, so after every prime divided out
+                    return fac
+                tested = m
         if k + 1 >= len(products) and table.limit < _TRIAL_LIMIT and table.limit**2 < m:
             table.extend(min(_TRIAL_LIMIT, max(isqrt(m), 2 * table.limit)))
         if k >= len(products):
