@@ -236,13 +236,11 @@ def symbol(a, p, as_json, out):
 
 
 def _resolve_h_gamma(n, h_gamma, table):
-    if h_gamma is not None:
-        if h_gamma < 1:
-            raise InputError(f"--h-gamma must be >= 1, got {h_gamma}")
-        return h_gamma
-    if table is not None:
-        return genus.load_class_number_table(table).get(n)
-    return None
+    """--h-gamma, else n's line in --table; a given table is read and checked either way."""
+    if h_gamma is not None and h_gamma < 1:
+        raise InputError(f"--h-gamma must be >= 1, got {h_gamma}")
+    h = genus.load_class_number_table(table).get(n) if table is not None else None
+    return h_gamma if h_gamma is not None else h
 
 
 def _corollary_section(form, h):

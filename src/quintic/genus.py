@@ -561,7 +561,10 @@ def corollary_report(form: RadicandForm, h_gamma: int) -> CorollaryReport:
 
 
 def load_class_number_table(path) -> dict[int, int]:
-    """CSV lines "n,h_gamma"; '#' starts a comment, blank lines are skipped."""
+    """CSV lines "n,h_gamma"; '#' starts a comment, blank lines are skipped.
+
+    Each n >= 2 may have one line, and each h_gamma must be >= 1.
+    """
     table: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -577,5 +580,9 @@ def load_class_number_table(path) -> dict[int, int]:
                 raise InputError(f"{path}:{lineno}: non-integer entry {raw!r}") from exc
             if h < 1:
                 raise InputError(f"{path}:{lineno}: h_gamma must be >= 1, got {raw!r}")
+            if n < 2:
+                raise InputError(f"{path}:{lineno}: n must be >= 2, got {raw!r}")
+            if n in table:
+                raise InputError(f"{path}:{lineno}: a second line for n = {n}, got {raw!r}")
             table[n] = h
     return table
