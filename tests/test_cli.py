@@ -157,6 +157,28 @@ def test_a_table_with_a_class_number_below_1_is_an_input_error(runner, tmp_path,
     assert json.loads(res.stderr_bytes)["error"]["code"] == "input-error"
 
 
+@pytest.mark.parametrize("cmd", ["genus", "report"])
+def test_a_given_table_is_checked_even_with_h_gamma(runner, tmp_path, cmd):
+    # --h-gamma takes precedence over the table's line, but the table is still read
+    bad = tmp_path / "bad.csv"
+    bad.write_text("11;5\n")
+    res = runner.invoke(main, [cmd, "11", "--h-gamma", "5", "--table", str(bad)])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr_bytes)["error"]["code"] == "input-error"
+    good = tmp_path / "h.csv"
+    good.write_text("11,25\n")
+    res = invoke(runner, cmd, "11", "--h-gamma", "5", "--table", str(good))
+    assert json.loads(res.output)["input"]["h_gamma"] == 5
+
+
+@pytest.mark.parametrize("cmd", ["factor", "classify", "genus"])
+def test_a_strong_pseudoprime_to_twelve_bases_is_not_taken_for_a_prime(runner, cmd):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+    res = runner.invoke(main, [cmd, "318665857834031151167461"])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr_bytes)["error"]["code"] == "uncertified-factorization"
+
+
 def test_genus_command(runner):
     res = invoke(runner, "genus", "149")
     doc = json.loads(res.output)

@@ -410,3 +410,16 @@ def test_class_number_table_parsing(tmp_path):
     bad.write_text("11\n")
     with pytest.raises(InputError):
         load_class_number_table(bad)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("11,5\n# again\n11,25\n", 3),  # a second line for the same n
+    ("11,5\n0,5\n", 2),  # n below 2, which no command can ask for
+    ("-3,5\n", 1),
+])
+def test_class_number_table_refuses_a_repeated_or_impossible_n(tmp_path, text, lineno):
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        load_class_number_table(path)
+    assert str(exc.value).startswith(f"{path}:{lineno}: ")

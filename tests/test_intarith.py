@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -14,6 +14,10 @@ from quintic.intarith import CERTIFIED_BELOW, factorize, is_prime
 
 _TRIAL_LIMIT = 10**6
 _MR_PROVEN_LIMIT = 3317044064679887385961981
+# psi_t, the least strong pseudoprime to the first t prime bases (Jaeschke 1993;
+# Sorenson and Webster 2017), for t = 4, 7, 9 and 12; psi_13 is _MR_PROVEN_LIMIT
+PSI = {4: 3215031751, 7: 341550071728321, 9: 3825123056546413051,
+       12: 318665857834031151167461}
 
 
 def wheel_factorize(n):
@@ -245,3 +249,91 @@ def test_factorize_refuses_as_the_oracle_does_on_seeded_uncertifiable_products()
     for n in ns:
         assert outcome(factorize, n)[0] in (FactorizationError, BoundExceeded), n
     assert_matches_oracle(ns)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << j, n) == n - 1 for j in range(1, s))
+
+
+@pytest.mark.parametrize("t", sorted(PSI))
+def test_is_prime_refuses_each_proven_bound(t):
+    # psi_t passes the first t bases, so is_prime must test it with more
+    psi = PSI[t]
+    assert not sympy.isprime(psi)
+    assert all(_strong_probable_prime(psi, a) for a in sympy.primerange(2, sympy.prime(t) + 1))
+    assert not is_prime(psi)
+
+
+def test_is_prime_matches_sympy_on_both_sides_of_each_bound():
+    rng = random.Random(1818)
+    for psi in (*PSI.values(), _MR_PROVEN_LIMIT):
+        ns = [psi - 2, psi - 1, psi + 1, psi + 2, sympy.prevprime(psi)]
+        ns += [rng.randrange(psi // 2, 2 * psi) for _ in range(50)]
+        for n in ns:
+            if n < _MR_PROVEN_LIMIT:
+                assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(BoundExceeded):
+        is_prime(sympy.nextprime(_MR_PROVEN_LIMIT))
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Records the cofactor of every block gcd factorize takes."""
+    calls = []
+
+    def recording(a, b):
+        calls.append(b)
+        return gcd(a, b)
+
+    monkeypatch.setattr(intarith, "gcd", recording)
+    return calls
+
+
+def test_a_prime_cofactor_below_the_squared_bound_ends_the_division(is_prime_calls, gcd_calls):
+    # the block that divides out 2 leaves a prime that trial division would
+    # need about 225 more blocks to certify; one Miller-Rabin certificate does
+    q = 500000067059
+    n = 2 * q
+    assert factorize(n) == {2: 1, q: 1}
+    assert gcd_calls == [n]
+    assert is_prime_calls == [n, q]
+
+
+@pytest.mark.parametrize("fresh_table", [False, True])
+@pytest.mark.parametrize("lo", [10**5, 10**9])
+def test_cofactors_below_the_block_horizon_never_reach_miller_rabin(monkeypatch, is_prime_calls,
+                                                                   fresh_table, lo):
+    # primes and semiprimes near 10^5 and 10^9, and n with small factors, all
+    # finish trial division within _MR_AFTER_BLOCKS blocks: no certificate
+    if fresh_table:
+        monkeypatch.setattr(intarith, "_TABLE", intarith._PrimeTable())
+    else:
+        intarith._TABLE.extend(_TRIAL_LIMIT)
+    rng = random.Random(lo)
+    ns = [rng.randrange(lo, lo + lo // 2) for _ in range(100)]
+    ns += [_seeded_prime(rng, lo, lo + lo // 2) for _ in range(10)]
+    for n in ns:
+        assert factorize(n) == sympy.factorint(n), n
+    assert is_prime_calls == []
+
+
+def _tier_cases():
+    """Seeded 2q, pq (small p) and 2^k q, with q a prime on either side of psi_4, psi_7, psi_9."""
+    rng = random.Random(1919)
+    ns = []
+    for psi in (PSI[4], PSI[7], PSI[9]):
+        for q in (_seeded_prime(rng, psi - psi // 1000, psi), _seeded_prime(rng, psi, psi + psi // 1000)):
+            ns += [q, 2 * q, _seeded_prime(rng, 3, 1000) * q, _seeded_prime(rng, 1000, _TRIAL_LIMIT) * q]
+            ns += [2**k * q for k in (3, 17, 40)]
+    return ns
+
+
+def test_factorize_matches_sympy_on_both_sides_of_each_bound():
+    for n in _tier_cases():
+        got = factorize(n)
+        assert list(got) == sorted(got), n
+        assert got == sympy.factorint(n), n

@@ -14,6 +14,9 @@ polynomials went, so genus and report of 100151 now answer and genus of
 32 * 100151 fails on the fifth power instead of the cap. The two enumerate
 cases that reach uncertifiable cofactors were split out of enumerate into
 enumerate-large-primes, with no change to their bytes, for the same reason.
+The psi12 group was recorded when is_prime gained base 41, with which
+factor, classify and genus of that strong pseudoprime to the bases 2..37
+stopped reading it as a prime and refuse it as uncertified.
 Any change to the CLI's bytes, error codes or error order shows up here.
 """
 
@@ -52,6 +55,10 @@ _LARGE_PERIOD_PRIME = tuple((cmd, n) for n in ("100151", str(32 * 100151))
 # bound, which factorize cannot certify
 _TWO_LARGE_PRIMES = tuple((cmd, str(1000003 * 1000033)) for cmd in ("classify", "genus", "report"))
 
+# the least strong pseudoprime to the twelve prime bases 2..37,
+# 399165290221 * 798330580441: two prime factors above the trial-division bound
+_PSI12 = tuple((cmd, "318665857834031151167461") for cmd in ("factor", "classify", "genus"))
+
 # enumerate as JSONL, CSV and filtered, and a Form II window at 10^12
 _ENUMERATE = (
     ("enumerate", "2", "3000"),
@@ -84,6 +91,7 @@ PINNED = {
     "extra": "d1fc8d93ae6446f71a3735d95242f2bac12fa99643104fc77ef04f1a62407dfd",
     "large-period-prime": "26d2432dd5013f423666b343a53bcbdb85d1e6d61dc8bfc3a1b11c8ec29650da",
     "two-large-primes": "353a52b6e08badd47d4640c1ff6070158a5d4164c45099b92512913cdced4562",
+    "psi12": "41f34260c58d2cb5de8bdfc6e9bcb08159ead24046667b277cb745bf381c5b95",
     "factor": "88efa6f863847a8db4f906db190c21a83895f788369d09ee9c5bbd59cde3d1be",
     "symbol": "c9106879eeaa242652164cab64fc7c737726fe03cd01360c51a226eb241474f7",
     "enumerate": "f9bcfaf5a283baa739b2897cd11afd653e26a23ad8f7128142c5dc1d4922f1ce",
@@ -98,6 +106,8 @@ def _cases(name):
         return _LARGE_PERIOD_PRIME
     if name == "two-large-primes":
         return _TWO_LARGE_PRIMES
+    if name == "psi12":
+        return _PSI12
     if name == "enumerate":
         return _ENUMERATE
     if name == "enumerate-large-primes":
