@@ -1,13 +1,21 @@
 """Integer-side number theory: certified factorization and modular roots.
 
-Primality is decided by deterministic Miller-Rabin, with the first t prime
-bases for the least proven bound psi_t above n (``_MR_TIERS``): psi_4,
-psi_7 and psi_9 from Jaeschke, "On strong pseudoprimes to several bases",
-Math. Comp. 61 (1993); psi_12 and psi_13 from Sorenson and Webster, "Strong
-pseudoprimes to twelve prime bases", Math. Comp. 86 (2017). psi_t itself is
-a strong pseudoprime to those t bases, so each bound is exclusive. From
-psi_13 (about 3.3e24, ``_MR_PROVEN_LIMIT``) on, a candidate is refused
-rather than tested probabilistically.
+Primality is decided by deterministic Miller-Rabin with the first t prime
+bases, t read off the least proven bound psi_t above n (``_MR_TIERS``):
+
+    n below psi_t                          t   bases
+    3,215,031,751                          4   2..7
+    341,550,071,728,321                    7   2..17
+    3,825,123,056,546,413,051              9   2..23
+    318,665,857,834,031,151,167,461       12   2..37
+    3,317,044,064,679,887,385,961,981     13   2..41
+
+psi_4, psi_7 and psi_9 are from Jaeschke, "On strong pseudoprimes to
+several bases", Math. Comp. 61 (1993); psi_12 and psi_13 from Sorenson and
+Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
+(2017). psi_t itself is a strong pseudoprime to its t bases, so each bound
+is exclusive. From psi_13 (``_MR_PROVEN_LIMIT``) on, a candidate is
+refused rather than tested probabilistically.
 
 Factorization is trial division by the primes up to 10^6, with a primality
 certificate for a large cofactor. The primes sit in one table, built on
@@ -15,13 +23,13 @@ first use only as far as a call needs, in blocks of 256 with the product
 of each block; a block that shares no factor with the cofactor is skipped
 after one gcd (Bernstein, "How to find smooth parts of integers", 2004).
 A cofactor above 10^6 goes to Miller-Rabin once trial division would need
-more than ``_MR_AFTER_BLOCKS`` (R) further blocks to finish it, so a prime
-cofactor ends the division there; any other cofactor is certified by the
-trial division itself, which then rules out every prime up to its square
-root. R weighs the two costs, measured on a 2-CPU Intel Xeon with Python
-3.11: one block gcd takes about 3 us, and a 12-base Miller-Rabin on a prime
-near 5*10^11 about 100 us, since each ``pow`` on its 39-bit modulus takes
-about 7.8 us; the 7 bases that suffice there take about 55 us.
+more than R = ``_MR_AFTER_BLOCKS`` = 16 further blocks to finish it, so a
+prime cofactor ends the division there; any other cofactor is certified by
+the trial division itself, which then rules out every prime up to its
+square root. R weighs the two costs, measured on a 2-CPU Intel Xeon with
+Python 3.11: one block gcd takes about 3 us, and each ``pow`` on a prime
+near 5*10^11 about 7.8 us, so its 7-base test takes about 55 us, or 18
+blocks (the 12 bases used there before took about 100 us).
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import BoundExceeded, FactorizationError, InputError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: (psi_t, the first t prime bases): Miller-Rabin with those bases is proven
-#: correct for every n < psi_t (Jaeschke 1993; Sorenson and Webster 2017)
+#: correct for every n < psi_t (see the module docstring)
 _MR_TIERS = tuple((psi, _MR_BASES[:t]) for psi, t in (
     (3215031751, 4),
     (341550071728321, 7),
@@ -52,8 +60,7 @@ _TRIAL_LIMIT = 10**6
 CERTIFIED_BELOW = 1000003**2
 _BLOCK = 256  # primes per gcd block
 #: R: a cofactor above _TRIAL_LIMIT goes to is_prime once trial division would
-#: divide more than R further blocks; a block gcd costs about 3 us and a
-#: 7-base Miller-Rabin near 10^12 about 55 us (see the module docstring)
+#: divide more than R further blocks (the costs are in the module docstring)
 _MR_AFTER_BLOCKS = 16
 _SEGMENT = 1 << 15  # odd numbers sieved at a time as the prime table grows
 _FLAG_CHUNK = 256  # segment flags read off at a time
@@ -168,10 +175,13 @@ def factorize(n: int) -> dict[int, int]:
     tested twice. While the table is still short of block k + R, only a
     cofactor of 10^12 or more is tested, since its square root exceeds every
     prime in the full table. So every cofactor of 10^12 or more is tested
-    before any further division, and one below 10^12 that is never tested is
-    prime by the trial division alone. A cofactor from _MR_PROVEN_LIMIT on is
-    tested after the division, and ``is_prime`` refuses it. The prime table
-    grows with the cofactor's square root, doubling at least, up to 10^6.
+    before any further division, and one below 10^12 left after the division
+    is prime by the trial division alone. A cofactor from _MR_PROVEN_LIMIT on
+    is tested after the division, and ``is_prime`` refuses it. The prime
+    table grows with the cofactor's square root, doubling at least, up to
+    10^6. So factorize(2 * 500000067059) takes one block gcd and a 7-base
+    test of the prime cofactor, about 60 us, where trial division to that
+    cofactor's square root took about 225 block gcds and 1.05 ms.
     """
     if n < 1:
         raise InputError(f"cannot factor {n}")
