@@ -7,7 +7,8 @@ computed exactly from the cyclotomic numbers of order 5. Those come from
 the Jacobi sum J(chi, chi) over the prime of Z[zeta5] above p in one integer
 matrix product, so p is bounded only by the Miller-Rabin limit; the O(p)
 count of the same numbers and the Theta(p^2) expansion over zeta_p
-exponents are kept as oracles. Relative
+exponents are kept as oracles. Each polynomial f is certified irreducible
+by one gcd at a small prime q: gcd(X^(q^2) - X, f) = 1 mod q. Relative
 side: the genus field of k/k0 is k adjoined the fifth root of a product of
 normalized prime elements; the admissible exponent patterns are enumerated
 per family and filtered by the hyperprimary congruence, one representative
@@ -303,36 +304,27 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 
 def _irreducibility_witness(coeffs: tuple[int, ...]) -> int | None:
-    """A prime q modulo which the quintic is irreducible, or None.
+    """A prime q modulo which the monic quintic is irreducible, or None.
 
-    A monic quintic factors over Q only with a factor of degree 1 or 2, so
-    irreducibility mod q (no root in F_q, no root in F_{q^2}) certifies
-    irreducibility over Q. Gaussian-period quintics are cyclic, making such
-    witnesses dense; the search over q < 200 failing would itself be a bug.
+    X^(q^2) - X is the product of the monic irreducibles over F_q of degree
+    1 and 2 (Lidl-Niederreiter, Finite Fields, ch. 3), so gcd(X^(q^2) - X, f)
+    = 1 exactly when f has no factor of degree at most 2 mod q; a repeated
+    factor or a root is such a factor. The degrees of the irreducible factors
+    are then at least 3 and sum to 5, so f is irreducible mod q, and a monic
+    f that reduces to an irreducible is irreducible over Q. Gaussian-period
+    quintics are cyclic, making such witnesses dense; the search over q < 200
+    failing would itself be a bug.
     """
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
               131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199):
         f = polyfp.trim(c % q for c in coeffs)  # still monic of degree 5
-        deriv = polyfp.trim(i * coeffs[i] % q for i in range(1, len(coeffs)))
-        if len(polyfp.gcd(f, deriv, q)) != 1:
-            continue  # not squarefree mod q
-        xq = polyfp.powmod((0, 1), q, f, q)
-        lin = polyfp.gcd(_poly_sub_x(xq, q), f, q)
-        if len(lin) != 1:
-            continue
-        xq2 = polyfp.powmod(xq, q, f, q)
-        quad = polyfp.gcd(_poly_sub_x(xq2, q), f, q)
-        if len(quad) != 1:
-            continue
-        return q
+        xq2 = list(polyfp.powmod(polyfp.powmod((0, 1), q, f, q), q, f, q))
+        xq2 += [0] * (2 - len(xq2))
+        xq2[1] -= 1  # X^(q^2) - X; gcd reduces it mod q
+        if len(polyfp.gcd(xq2, f, q)) == 1:
+            return q
     return None
-
-
-def _poly_sub_x(u: tuple[int, ...], p: int) -> tuple[int, ...]:
-    v = list(u) + [0] * max(0, 2 - len(u))
-    v[1] = (v[1] - 1) % p
-    return polyfp.trim(v)
 
 
 @dataclass(frozen=True)

@@ -254,11 +254,6 @@ def primitive_root(p: int) -> int:
     raise InputError(f"{p} has no primitive root (not prime?)")
 
 
-def is_primitive_root(g: int, p: int) -> bool:
-    factors = factorize(p - 1)
-    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in factors)
-
-
 def element_of_order_five(p: int) -> int:
     """Deterministic smallest y of multiplicative order 5 mod p (p = 1 mod 5)."""
     if p % 5 != 1:

@@ -59,12 +59,6 @@ class CycFactorization:
     unit: CycInt
     factors: tuple[tuple[CycPrime, int], ...]
 
-    def value(self) -> CycInt:
-        acc = self.unit
-        for q, k in self.factors:
-            acc = acc * q.element**k
-        return acc
-
     def to_json(self) -> dict:
         return {
             "unit": self.unit.to_json(),
@@ -98,21 +92,15 @@ def factor_rational_prime(p: int) -> tuple[CycPrime, ...]:
         return (CycPrime(p, CycInt(p), 4, 1),)
     if kind is SplittingType.SPLIT_FOUR:
         y = element_of_order_five(p)
-        roots = sorted(pow(y, i, p) for i in range(1, 5))
-        out = []
-        for c in roots:
-            g = cyclo.gcd(CycInt(p), ZETA - CycInt(c))
-            out.append(CycPrime(p, g, 1, 1))
-        result = tuple(out)
+        gens = [ZETA - CycInt(c) for c in sorted(pow(y, i, p) for i in range(1, 5))]
+        f = 1
     else:
         s = sqrt_mod(5, p)
         inv2 = pow(2, -1, p)
-        t_roots = sorted(((sgn * s - 1) * inv2 % p for sgn in (1, -1)))
-        out = []
-        for t in t_roots:
-            g = cyclo.gcd(CycInt(p), CycInt((1, -t, 1, 0)))
-            out.append(CycPrime(p, g, 2, 1))
-        result = tuple(out)
+        t_roots = sorted((sgn * s - 1) * inv2 % p for sgn in (1, -1))
+        gens = [CycInt((1, -t, 1, 0)) for t in t_roots]
+        f = 2
+    result = tuple(CycPrime(p, cyclo.gcd(CycInt(p), h), f, 1) for h in gens)
     for q in result:
         if cyclo.norm(q.element) != p**q.f:
             raise InternalCheckError(f"bad prime norm above {p}: {q.element!r}")

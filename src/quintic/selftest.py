@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import count
 
 from . import classgroup, cyclo, genus, primes, radicand, symbols
 from .cyclo import CycInt
 from .errors import NoPrimaryAssociate, NotCoprime
-from .intarith import is_primitive_root, primitive_root, sieve_primes
+from .intarith import primitive_root, sieve_primes
 from .primes import CycPrime, factor_rational_prime
 
 
@@ -154,8 +155,9 @@ def _suite_periods(limit: int = 100) -> SuiteResult:
             genus.brute_force_period_coefficients(p, g0) == poly.coefficients,
             f"expansion oracle at {p}",
         )
-        # the O(p) count of the cyclotomic numbers, from a second primitive root
-        g1 = next(g for g in range(g0 + 1, p) if is_primitive_root(g, p))
+        # the O(p) count of the cyclotomic numbers, from a second primitive
+        # root g0^k, k the least integer above 1 coprime to p - 1
+        g1 = pow(g0, next(k for k in count(2) if math.gcd(k, p - 1) == 1), p)
         cyc = genus.brute_force_cyclotomic_numbers(p, g1)
         res.note(genus.period_coefficients(p, cyc) == poly.coefficients, f"walk oracle at {p}")
         # the p-part is exactly p^4 (the field discriminant); the cofactor is

@@ -112,19 +112,28 @@ def euler_power(abar: tuple[int, ...], rf: ResidueField) -> tuple[int, ...]:
         c0, c1 = mul(c, c)
         return polyfp.trim((c0 * inv % p, c1 * inv % p))
 
-    # f = 4: the residue field is Z[zeta5]/p itself, multiplied as in Z[zeta5]
+    # f = 4: the residue field is Z[zeta5]/p itself, multiplied on power-basis
+    # tuples as CycInt.__mul__ multiplies, each coordinate reduced mod p
     def mul4(u, v):
-        return CycInt(tuple(x % p for x in (u * v).c))
+        a0, a1, a2, a3 = u
+        b0, b1, b2, b3 = v
+        c4 = a1 * b3 + a2 * b2 + a3 * b1
+        return (
+            (a0 * b0 + a2 * b3 + a3 * b2 - c4) % p,
+            (a0 * b1 + a1 * b0 + a3 * b3 - c4) % p,
+            (a0 * b2 + a1 * b1 + a2 * b0 - c4) % p,
+            (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4) % p,
+        )
 
-    b = _power(mul4, CycInt((*abar, 0, 0, 0)[:4]), (p * p + 1) // 5)
-    c = galois_apply(2, b)  # sigma(b)
+    b = _power(mul4, (*abar, 0, 0, 0)[:4], (p * p + 1) // 5)
+    c = galois_apply(2, CycInt(b)).c  # sigma(b)
     # b * sigma(b) = x + y*t in F_{p^2} = F_p[t], t = zeta + zeta^-1 (cyclo._real_norm);
     # its inverse is (x + y*t') / (x^2 - x*y - y^2), and x + y*t' = (x, 0, y, y)
-    r = mul4(b, c).c
+    r = mul4(b, c)
     y = -r[2]
     x = r[0] + y
     inv = pow((x * x - x * y - y * y) % p, -1, p)
-    return polyfp.trim(mul4(c * c, CycInt((x * inv, 0, y * inv, y * inv))).c)
+    return polyfp.trim(mul4(mul4(c, c), (x * inv, 0, y * inv, y * inv)))
 
 
 def _power(mul, u, e: int):

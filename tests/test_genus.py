@@ -34,7 +34,7 @@ from quintic.genus import (
     period_polynomial,
     relative_genus,
 )
-from quintic.intarith import is_primitive_root, primitive_root, sieve_primes
+from quintic.intarith import primitive_root, sieve_primes
 from quintic.primes import factor_rational_prime, primary_normalize
 from quintic.radicand import Verdict, classify, enumerate_radicands
 
@@ -98,8 +98,8 @@ def test_numeric_root_oracle(p):
 # two that need no O(p) walk also above 10^12 and near 10^24
 @pytest.mark.parametrize("p", [CAP_PRIME])
 def test_recomputation_with_another_primitive_root(p):
-    g0 = primitive_root(p)
-    g1 = next(g for g in range(g0 + 1, p) if is_primitive_root(g, p))
+    # g0^k is a primitive root exactly when k is coprime to p - 1
+    g1 = pow(primitive_root(p), next(k for k in count(2) if math.gcd(k, p - 1) == 1), p)
     assert period_polynomial(p).coefficients == walk_polynomial(p, g1)
 
 
@@ -108,6 +108,78 @@ def test_irreducibility_via_sympy(p):
     x = sympy.symbols("x")
     f = sum(c * x**k for k, c in enumerate(period_polynomial(p).coefficients))
     assert sympy.Poly(f, x).is_irreducible
+
+
+WITNESS_PRIMES = sieve_primes(200)
+
+
+def first_irreducible_prime(coeffs):
+    """sympy's answer: the first prime q < 200 modulo which the polynomial is irreducible."""
+    x = sympy.symbols("x")
+    desc = list(reversed(coeffs))
+    return next((q for q in WITNESS_PRIMES if sympy.Poly(desc, x, modulus=q).is_irreducible), None)
+
+
+def _times(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def seeded_quintics(seed):
+    """Monic quintics, ascending: random ones, and products built reducible.
+
+    A quadratic times a cubic has no root where neither factor has one, so
+    a witness that looked only for roots would accept it at such q.
+    """
+    rng = random.Random(seed)
+
+    def monic(d):
+        return tuple(rng.randrange(-9, 10) for _ in range(d)) + (1,)
+
+    quintics = [monic(5) for _ in range(40)]
+    quintics += [_times(monic(2), monic(3)) for _ in range(10)]
+    quintics += [_times(monic(1), monic(4)) for _ in range(10)]
+    for _ in range(10):
+        g = monic(2)
+        quintics.append(_times(_times(g, g), monic(1)))
+    return quintics
+
+
+def test_witness_is_the_first_prime_sympy_calls_irreducible():
+    periods = [period_polynomial(p).coefficients for p in sieve_primes(5000) if p % 5 == 1]
+    built = seeded_quintics(5)
+    refused = 0
+    for coeffs in periods + built:
+        w = genus._irreducibility_witness(coeffs)
+        assert w == first_irreducible_prime(coeffs), coeffs
+        refused += w is None
+    # every period polynomial has a witness; the 30 products built reducible have none
+    assert len(periods) == 163 and 30 <= refused < len(built)
+
+
+def test_period_polynomial_refuses_without_a_witness(monkeypatch):
+    monkeypatch.setattr(genus, "_irreducibility_witness", lambda coeffs: None)
+    with pytest.raises(InternalCheckError, match="irreducibility"):
+        period_polynomial(11)
+
+
+# the witnesses are 2, 2, 3 and 7: 1381 and 2011 are genus-periods grid primes
+@pytest.mark.parametrize("p", [11, 1381, 2011, 6581])
+def test_witness_makes_one_gcd_per_candidate_prime(p, monkeypatch):
+    w = genus._irreducibility_witness(period_polynomial(p).coefficients)
+    calls = []
+    gcd = genus.polyfp.gcd
+
+    def counting_gcd(u, v, q):
+        calls.append(q)
+        return gcd(u, v, q)
+
+    monkeypatch.setattr(genus.polyfp, "gcd", counting_gcd)
+    period_polynomial(p)
+    assert calls == [q for q in WITNESS_PRIMES if q <= w]
 
 
 @pytest.mark.parametrize("p", [CAP_PRIME, ABOVE_1E12, NEAR_1E24])
