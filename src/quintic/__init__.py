@@ -48,7 +48,6 @@ from .symbols import (  # noqa: F401
     residue_field,
 )
 from .genus import (  # noqa: F401
-    AbsoluteGenus,
     CorollaryReport,
     GenusReport,
     KummerGenerator,

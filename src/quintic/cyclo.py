@@ -99,21 +99,6 @@ class CycInt:
     def __repr__(self):
         return f"CycInt({self.c!r})"
 
-    def __str__(self):
-        terms = []
-        for coef, name in zip(self.c, ("", "z", "z^2", "z^3")):
-            if coef == 0:
-                continue
-            if name == "":
-                terms.append(str(coef))
-            elif coef == 1:
-                terms.append(name)
-            elif coef == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{coef}*{name}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
     def to_json(self) -> list[str]:
         """Power-basis coordinates as decimal strings (arbitrary precision)."""
         return [str(x) for x in self.c]

@@ -327,19 +327,10 @@ def _irreducibility_witness(coeffs: tuple[int, ...]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class AbsoluteGenus:
-    n: int
-    r: int
-    genus_number: int
-    components: tuple[PeriodPolynomial, ...]
-
-
-def absolute_genus(form: RadicandForm) -> AbsoluteGenus:
-    """Genus field data of Gamma: r, genus number 5^r, and the M(p) components."""
-    ps = sorted(p for p in form.factorization if p % 5 == 1)
-    comps = tuple(period_polynomial(p) for p in ps)
-    return AbsoluteGenus(form.n, len(ps), 5 ** len(ps), comps)
+def absolute_genus(form: RadicandForm) -> tuple[PeriodPolynomial, ...]:
+    """The M(p) components of the genus field of Gamma, one per prime p = 1 mod 5
+    dividing n, ascending; their number is r and the genus number is 5^r."""
+    return tuple(period_polynomial(p) for p in sorted(form.factorization) if p % 5 == 1)
 
 
 def count_ramified_d(form: RadicandForm) -> int:
@@ -489,14 +480,13 @@ class GenusReport:
 def build_genus_report(form: RadicandForm) -> GenusReport:
     """Assemble absolute and relative genus data; rank fields stay None when
     n falls outside the three families."""
-    ag = absolute_genus(form)
+    components = absolute_genus(form)
+    r = len(components)
     d = count_ramified_d(form)
     if form.verdict is Verdict.NONE:
-        return GenusReport(form.n, ag.r, ag.genus_number, ag.components, (), d, None, None)
+        return GenusReport(form.n, r, 5**r, components, (), d, None, None)
     q = infer_qstar(form, d)
-    return GenusReport(
-        form.n, ag.r, ag.genus_number, ag.components, relative_genus(form), d, q, d - 3 + q
-    )
+    return GenusReport(form.n, r, 5**r, components, relative_genus(form), d, q, d - 3 + q)
 
 
 @dataclass(frozen=True)

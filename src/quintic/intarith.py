@@ -255,7 +255,13 @@ def primitive_root(p: int) -> int:
 
 
 def element_of_order_five(p: int) -> int:
-    """Deterministic smallest y of multiplicative order 5 mod p (p = 1 mod 5)."""
+    """An element y of multiplicative order 5 mod p (p = 1 mod 5).
+
+    y = x^((p-1)/5) mod p for the first x = 2, 3, ... that gives y != 1, that
+    is, for the smallest x that is not a fifth power mod p. It is not always
+    the smallest element of order 5 (at p = 11 it is 4, but 3 has order 5
+    too); callers that need all four take its powers.
+    """
     if p % 5 != 1:
         raise InputError(f"{p} is not 1 mod 5")
     for x in range(2, p):

@@ -16,11 +16,14 @@ They leave each family two classes of n mod 25 (VERDICT_MOD_25): {0, 20}
 for Form I, {7, 18} for Form II and {1, 24} for Form III. A filtered
 enumeration drops every other n before factoring it, but only below
 intarith.CERTIFIED_BELOW, where factorize cannot fail; from there on every
-n is factored, so a window fails on its first uncertifiable n as before.
+n is factored, so a window fails on its first uncertifiable n, filtered or not.
 
 The ledger is positional: CHECK_NAMES[i] names checks[i] = (passed, witness),
-and every RadicandForm holds all 14 rows, whatever its verdict. Its three
-formats (to_json, json_line and csv_row under CSV_HEADER) are written here.
+and every RadicandForm holds all 14 rows, whatever its verdict. Each family
+condition is stated once, as its ledger row, and the verdict is read off the
+rows: n can have at most one of the three shapes, and it gets that family
+when every row of the family passes. The three formats of a RadicandForm
+(to_json, json_line and csv_row under CSV_HEADER) are written here.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     BoundExceeded,
     FactorizationError,
     InputError,
-    InternalCheckError,
     NotFifthPowerFree,
 )
 from .intarith import CERTIFIED_BELOW, factorize
@@ -169,7 +171,10 @@ def radicand_factorization(n: int) -> dict[int, int]:
 def classify(n: int) -> RadicandForm:
     """Check n against the three family shapes and return the verdict ledger.
 
-    n is factored once, and the RadicandForm keeps the factorization.
+    n is factored once, and the RadicandForm keeps the factorization. At most
+    one family shape fits n; the verdict is that family when every one of its
+    rows passes (CHECK_NAMES 1-4 for Form I, 5-10 for Form II, 11-13 for
+    Form III), and NONE otherwise.
     """
     fac = radicand_factorization(n)
     if any(a >= 5 for a in fac.values()):
@@ -179,77 +184,55 @@ def classify(n: int) -> RadicandForm:
     bad = next((p for p in primes if p % 5 == 1), None)
     no_bad = _NO_PRIME_1_MOD_5 if bad is None else (False, f"{bad} = 1 mod 5 divides n")
     n25 = n % 25
-    hyper = n25 in HYPER_MOD_25
-    shape_witness = "n = " + " * ".join(f"{p}^{fac[p]}" if fac[p] > 1 else f"{p}" for p in primes)
-    two = len(primes) == 2
+    witness = "n = " + " * ".join(f"{p}^{fac[p]}" if fac[p] > 1 else f"{p}" for p in primes)
+    shape, no_shape = (True, witness), (False, witness)
+    hyper, not_hyper = _HYPER_ROW[n25], _NOT_HYPER_ROW[n25]
 
-    # Form I: n = 5^e * p
-    p1 = None
-    if two and 5 in fac:
-        other = primes[0] if primes[1] == 5 else primes[1]
-        if fac[other] == 1:
-            p1 = other
-    if p1 is None:
-        form1 = False
-        rows1 = (_NO_PRIME, _NO_PRIME)
-    else:
-        r5, r25 = p1 % 5, p1 % 25
-        form1 = r5 == 4 and r25 != 24 and not hyper
-        rows1 = ((r5 == 4, f"{p1} % 5 = {r5}"), (r25 != 24, f"{p1} % 25 = {r25}"))
-
-    # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
-    p2 = q2 = None
-    if two and 5 not in fac:
+    # each family's rows in the order of CHECK_NAMES, as they read when n lacks its shape
+    form1 = (no_shape, _NO_PRIME, _NO_PRIME, not_hyper)
+    form2 = (no_shape, hyper, _NO_PRIME, _NO_PRIME, _NO_PRIME, _NO_PRIME)
+    form3 = (no_shape, _NO_PRIME, hyper)
+    # n has at most one of the three shapes; the rows of that family decide the verdict
+    rows = None
+    if len(primes) == 2 and 5 in fac:
+        # Form I: n = 5^e * p
+        p = primes[0] if primes[1] == 5 else primes[1]
+        if fac[p] == 1:
+            r5, r25 = p % 5, p % 25
+            form1 = rows = (
+                shape,
+                (r5 == 4, f"{p} % 5 = {r5}"),
+                (r25 != 24, f"{p} % 25 = {r25}"),
+                not_hyper,
+            )
+            family, e, q = Verdict.FORM_I, fac[5], None
+    elif len(primes) == 2:
+        # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
         a, b = primes
         if (a % 5 == 4) != (b % 5 == 4):
-            pp, qq = (a, b) if a % 5 == 4 else (b, a)
-            if fac[qq] == 1:
-                p2, q2 = pp, qq
-    if p2 is None:
-        form2 = False
-        rows2 = (_NO_PRIME,) * 4
-    else:
-        p25, q5, q25 = p2 % 25, q2 % 5, q2 % 25
-        form2 = hyper and p25 != 24 and q5 in (2, 3) and q25 not in (7, 18)
-        rows2 = (
-            (True, f"{p2} % 5 = {p2 % 5}"),
-            (p25 != 24, f"{p2} % 25 = {p25}"),
-            (q5 in (2, 3), f"{q2} % 5 = {q5}"),
-            (q25 not in (7, 18), f"{q2} % 25 = {q25}"),
-        )
+            p, q = (a, b) if a % 5 == 4 else (b, a)
+            if fac[q] == 1:
+                p25, q5, q25 = p % 25, q % 5, q % 25
+                form2 = rows = (
+                    shape,
+                    hyper,
+                    (True, f"{p} % 5 = {p % 5}"),
+                    (p25 != 24, f"{p} % 25 = {p25}"),
+                    (q5 in (2, 3), f"{q} % 5 = {q5}"),
+                    (q25 not in (7, 18), f"{q} % 25 = {q25}"),
+                )
+                family, e = Verdict.FORM_II, fac[p]
+    elif len(primes) == 1 and primes[0] != 5:
+        # Form III: n = p^e
+        p = primes[0]
+        r25 = p % 25
+        form3 = rows = (shape, (r25 == 24, f"{p} % 25 = {r25}"), hyper)
+        family, e, q = Verdict.FORM_III, fac[p], None
 
-    # Form III: n = p^e
-    p3 = primes[0] if len(primes) == 1 and primes[0] != 5 else None
-    if p3 is None:
-        form3 = False
-        row3 = _NO_PRIME
-    else:
-        r25 = p3 % 25
-        form3 = r25 == 24 and hyper
-        row3 = (r25 == 24, f"{p3} % 25 = {r25}")
-
-    if form1 + form2 + form3 > 1:
-        raise InternalCheckError(f"n = {n} matched more than one family")
-    # in the order of CHECK_NAMES
-    rows = (
-        no_bad,
-        (p1 is not None, shape_witness),
-        *rows1,
-        _NOT_HYPER_ROW[n25],
-        (p2 is not None, shape_witness),
-        _HYPER_ROW[n25],
-        *rows2,
-        (p3 is not None, shape_witness),
-        row3,
-        _HYPER_ROW[n25],
-    )
-    if form1:
-        return RadicandForm(n, Verdict.FORM_I, fac[5], p1, None, rows, fac)
-    if form2:
-        return RadicandForm(n, Verdict.FORM_II, fac[p2], p2, q2, rows, fac)
-    if form3:
-        return RadicandForm(n, Verdict.FORM_III, fac[p3], p3, None, rows, fac)
-    return RadicandForm(n, Verdict.NONE, None, None, None, rows, fac)
+    checks = (no_bad, *form1, *form2, *form3)
+    if rows is not None and all(passed for passed, _ in rows):
+        return RadicandForm(n, family, e, p, q, checks, fac)
+    return RadicandForm(n, Verdict.NONE, None, None, None, checks, fac)
 
 
 def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):

@@ -9,8 +9,8 @@ import pytest
 import sympy
 
 from quintic import intarith
-from quintic.errors import BoundExceeded, FactorizationError
-from quintic.intarith import CERTIFIED_BELOW, factorize, is_prime
+from quintic.errors import BoundExceeded, FactorizationError, InputError
+from quintic.intarith import CERTIFIED_BELOW, element_of_order_five, factorize, is_prime, sqrt_mod
 
 _TRIAL_LIMIT = 10**6
 _MR_PROVEN_LIMIT = 3317044064679887385961981
@@ -337,3 +337,44 @@ def test_factorize_matches_sympy_on_both_sides_of_each_bound():
         got = factorize(n)
         assert list(got) == sorted(got), n
         assert got == sympy.factorint(n), n
+
+
+def _seeded_primes_mod_20(rng, r, count=3):
+    """count seeded primes p = r mod 20 in [10^15, 10^18): r fixes p mod 5 and mod 4."""
+    out = []
+    while len(out) < count:
+        p = 20 * rng.randrange(10**15 // 20, 10**18 // 20) + r
+        if sympy.isprime(p):
+            out.append(p)
+    return out
+
+
+def test_element_of_order_five_matches_sympy():
+    rng = random.Random(2020)
+    ps = [p for p in sympy.primerange(2 * 10**5) if p % 5 == 1]
+    ps += _seeded_primes_mod_20(rng, 1) + _seeded_primes_mod_20(rng, 11)  # p = 1 and 3 mod 4
+    for p in ps:
+        y = element_of_order_five(p)
+        assert sympy.n_order(y, p) == 5, p
+        x = next(x for x in range(2, p) if not sympy.is_nthpow_residue(x, 5, p))
+        assert y == pow(x, (p - 1) // 5, p), p
+    assert element_of_order_five(11) == 4 and sympy.n_order(3, 11) == 5
+
+
+def test_sqrt_mod_of_5_matches_sympy():
+    rng = random.Random(2121)
+    ps = [p for p in sympy.primerange(2 * 10**5) if p % 5 == 4]
+    ps += _seeded_primes_mod_20(rng, 9) + _seeded_primes_mod_20(rng, 19)  # p = 1 and 3 mod 4
+    assert {p % 4 for p in ps} == {1, 3}
+    for p in ps:
+        assert sqrt_mod(5, p) == min(sympy.sqrt_mod(5, p, all_roots=True)), p
+
+
+def test_sqrt_mod_refuses_a_non_residue():
+    rng = random.Random(2222)
+    # 5 is a square mod p exactly when p = +-1 mod 5; r = 13, 17 are 1 mod 4 and r = 3, 7 are 3 mod 4
+    ps = [7, 13, 17, 23] + [p for r in (3, 7, 13, 17) for p in _seeded_primes_mod_20(rng, r, 1)]
+    for p in ps:
+        assert not sympy.is_quad_residue(5, p)
+        with pytest.raises(InputError, match=f"5 is not a quadratic residue mod {p}"):
+            sqrt_mod(5, p)

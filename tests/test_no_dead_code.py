@@ -5,9 +5,19 @@ names is code no command runs. Names are matched as identifiers (a bare
 name or an attribute), anywhere in the package except inside the
 definition itself and in the ``__init__`` re-exports. Dunder methods are
 called by the language and are not checked.
+
+A method named like an attribute of a builtin type, of ``array.array`` or of
+an ``enum.Enum`` member would pass on a call to that attribute alone (a
+``value`` method passes on every ``Verdict.value``), so each such method is
+listed, with the reason it is reached, in FOREIGN_NAMED. A method can still
+pass on a call to another quintic method of the same name, such as
+``to_json``.
 """
 
+import array
 import ast
+import builtins
+import enum
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quintic"
@@ -21,6 +31,23 @@ ALLOWED = frozenset({
     "cli.selftest_cmd",
     "cyclo.CycInt.from_json",
 })
+
+#: methods named like a foreign attribute, each with the call that reaches it
+FOREIGN_NAMED = {
+    "intarith._PrimeTable.extend": "factorize and sieve_primes grow the prime table with table.extend",
+}
+
+
+class _Member(enum.Enum):
+    A = 1
+
+
+#: attribute names of every builtin type, of array.array and of an Enum member
+FOREIGN_ATTRIBUTES = frozenset(
+    name
+    for kind in (*(t for t in vars(builtins).values() if isinstance(t, type)), array.array, _Member.A)
+    for name in dir(kind)
+)
 
 
 def _definitions(tree: ast.Module, module: str):
@@ -63,3 +90,13 @@ def test_every_definition_is_referenced_in_the_package():
                 unreferenced.append(qualname)
     assert unreferenced == []
     assert ALLOWED <= defined
+
+
+def test_every_method_named_like_a_foreign_attribute_is_listed():
+    methods = {
+        qualname
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualname, node in _definitions(ast.parse(path.read_text()), path.stem)
+        if qualname.count(".") == 2 and node.name in FOREIGN_ATTRIBUTES
+    }
+    assert methods == FOREIGN_NAMED.keys()

@@ -136,6 +136,30 @@ def test_filtered_enumeration_equals_the_filtered_rows_of_the_unfiltered_one(lo,
         assert want and list(enumerate_radicands(lo, hi, verdict)) == want, verdict
 
 
+#: the families of the ledger, read by the name prefixes of CHECK_NAMES
+_FAMILY_PREFIXES = {"form1-": Verdict.FORM_I, "form2-": Verdict.FORM_II, "form3-": Verdict.FORM_III}
+
+
+def _families_whose_rows_all_pass(form):
+    passed = {verdict: True for verdict in _FAMILY_PREFIXES.values()}
+    for name, (ok, _) in zip(CHECK_NAMES, form.checks, strict=True):
+        verdict = _FAMILY_PREFIXES.get(name[:6])
+        if verdict is not None:
+            passed[verdict] = passed[verdict] and ok
+    return [verdict for verdict, ok in passed.items() if ok]
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2 * 10**4), (10**12, 10**12 + 2000)])
+def test_the_verdict_is_the_one_family_whose_ledger_rows_all_pass(lo, hi):
+    verdicts = set()
+    for form in enumerate_radicands(lo, hi):
+        families = _families_whose_rows_all_pass(form)
+        assert len(families) <= 1, form.n
+        assert form.verdict is (families[0] if families else Verdict.NONE), form.n
+        verdicts.add(form.verdict)
+    assert verdicts == set(Verdict)
+
+
 def test_every_crosscheck_label_lies_in_its_residue_classes():
     classes = {verdict.value: residues for verdict, residues in VERDICT_MOD_25.items()}
     labelled = [(n, label) for n in range(2, 2 * 10**4 + 1) for label in crosscheck_verdicts(n)]
