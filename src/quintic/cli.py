@@ -23,6 +23,7 @@ from .radicand import Verdict
 from .symbols import quintic_symbol, residue_field
 
 _ENUM_CHUNK = 256  # fixed worker chunk size; output order never depends on it
+_SYMBOL_LEGEND = {str(i): f"value zeta^{i}" + (" (a is a fifth power)" if i == 0 else "") for i in range(5)}
 
 
 def _envelope(command: str, inputs: dict, result, warnings: list[str]) -> dict:
@@ -37,12 +38,13 @@ def _envelope(command: str, inputs: dict, result, warnings: list[str]) -> dict:
 
 # Every click.echo names its stream: without file=, click caches a wrapper per
 # sys.stdout object, and each in-process invocation (CliRunner) leaks one.
-def _write(text: str, out):
+def _write(pieces: list[str], out):
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        click.echo(text, nl=False, file=sys.stdout)
+        for piece in pieces:
+            click.echo(piece, nl=False, file=sys.stdout)
 
 
 # "\n" plus the indent of each nesting depth; deeper ones are built when met
@@ -132,7 +134,7 @@ def _put_list(items: list, depth: int, parts: list[str]):
 
 
 def _emit(doc: dict, out):
-    _write(_json_text(doc) + "\n", out)
+    _write([_json_text(doc) + "\n"], out)
 
 
 def _error_doc(exc: QuinticError) -> dict:
@@ -231,8 +233,7 @@ def symbol(a, p, as_json, out):
                 "exponent": quintic_symbol(elem, q),
             }
         )
-    legend = {str(i): f"value zeta^{i}" + (" (a is a fifth power)" if i == 0 else "") for i in range(5)}
-    _emit(_envelope("symbol", {"a": elem.to_json(), "p": p}, {"symbols": rows, "legend": legend}, []), out)
+    _emit(_envelope("symbol", {"a": elem.to_json(), "p": p}, {"symbols": rows, "legend": _SYMBOL_LEGEND}, []), out)
 
 
 def _resolve_h_gamma(n, h_gamma, table):
@@ -304,11 +305,11 @@ def report(n, h_gamma, table, out):
     _emit(_envelope("report", {"n": n, "h_gamma": h}, doc, warnings), out)
 
 
-def _row_chunk(args: tuple[int, int, Verdict | None, bool]) -> str:
-    """The output lines of one chunk of the range, as JSONL or CSV text."""
-    lo, hi, verdict, as_jsonl = args
+def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> str:
+    """The output lines of the chunk that starts at start, cut off at hi, as JSONL or CSV text."""
     line = radicand.RadicandForm.json_line if as_jsonl else radicand.RadicandForm.csv_row
-    return "".join([line(form) + "\n" for form in radicand.enumerate_radicands(lo, hi, verdict)])
+    forms = radicand.enumerate_radicands(start, min(start + _ENUM_CHUNK - 1, hi), verdict)
+    return "".join([line(form) + "\n" for form in forms])
 
 
 @main.command("enumerate")
@@ -328,20 +329,21 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
         lo = max(lo, from_n)
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
+    if workers < 1:
+        raise InputError(f"--workers must be >= 1, got {workers}")
     verdict = None if form_filter is None else Verdict(form_filter)
-    chunks = [(a, min(a + _ENUM_CHUNK - 1, hi), verdict, as_jsonl) for a in range(lo, hi + 1, _ENUM_CHUNK)]
-    workers = min(workers, os.cpu_count() or 1, len(chunks))
+    rows = functools.partial(_row_chunk, hi=hi, verdict=verdict, as_jsonl=as_jsonl)
+    pieces = [] if as_jsonl else [radicand.CSV_HEADER + "\n"]  # held to the end: a failed window writes no row
+    starts = range(lo, hi + 1, _ENUM_CHUNK)
+    workers = min(workers, os.cpu_count() or 1, len(starts[:workers]))  # len(starts) overflows past 2**63
     if workers > 1:
         # imported here: it pulls in multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
-
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_texts = list(pool.map(_row_chunk, chunks))
+            pieces.extend(pool.map(rows, starts))
     else:
-        chunk_texts = [_row_chunk(c) for c in chunks]
-
-    header = "" if as_jsonl else radicand.CSV_HEADER + "\n"
-    _write(header + "".join(chunk_texts), out)
+        pieces.extend(map(rows, starts))
+    _write(pieces, out)
 
 
 @main.command("selftest")

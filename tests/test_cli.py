@@ -12,7 +12,9 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quintic import radicand
 from quintic.cli import _json_text, main
+from quintic.errors import InputError
 
 
 @pytest.fixture
@@ -336,6 +338,50 @@ def test_enumerate_with_a_real_process_pool_matches_serial(runner, monkeypatch, 
     assert len(pids) == 2 and os.getpid() not in pids
     assert (res.exit_code, res.stdout_bytes, res.stderr_bytes) == (0, serial.stdout_bytes, b"")
     assert serial.exit_code == 0 and serial.stderr_bytes == b""
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_1_is_an_input_error(runner, monkeypatch, workers):
+    calls = []
+    monkeypatch.setattr(radicand, "enumerate_radicands", lambda *args: calls.append(args) or iter(()))
+    res = runner.invoke(main, ["enumerate", "2", "1000", "--workers", workers])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr_bytes)["error"] == {
+        "code": "input-error", "message": f"--workers must be >= 1, got {workers}"}
+    assert calls == []
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["--jsonl", "--csv"])
+def test_enumerate_holds_the_text_of_each_row_once(runner, tmp_path, fmt):
+    # the written text is in memory once, not also as a joined copy and a copy with the header
+    out = tmp_path / "rows"
+    res, peak = _traced_peak(lambda: invoke(runner, "enumerate", "2", "20000", fmt, "--out", str(out)))
+    assert res.exit_code == 0
+    assert peak <= 1.25 * out.stat().st_size
+
+
+def test_a_wide_window_is_not_split_into_chunks_up_front(runner, monkeypatch):
+    # 10^8 n are about 390,000 chunks of 256, and 10^22 n more chunks than
+    # len() of a range can count; the first chunk fails. 10^22 comes second,
+    # so code that lists the chunks fails at 10^8 before it tries to list 10^22.
+    def refuse(lo, hi, verdict):
+        raise InputError(f"refused [{lo}, {hi}]")
+
+    monkeypatch.setattr(radicand, "enumerate_radicands", refuse)
+    for hi in (10**8 + 1, 10**22):
+        res, peak = _traced_peak(lambda: runner.invoke(main, ["enumerate", "2", str(hi)]))
+        assert res.exit_code == 2 and res.stdout_bytes == b"", hi
+        assert json.loads(res.stderr_bytes)["error"]["message"] == "refused [2, 257]"
+        assert peak < 2**20, hi
 
 
 def test_in_process_invocations_retain_no_memory(runner):

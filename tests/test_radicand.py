@@ -4,6 +4,7 @@ import json
 import pytest
 
 from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
+from quintic.intarith import sieve_primes
 from quintic.radicand import (
     CHECK_NAMES,
     VERDICT_MOD_25,
@@ -158,6 +159,53 @@ def test_the_verdict_is_the_one_family_whose_ledger_rows_all_pass(lo, hi):
         assert form.verdict is (families[0] if families else Verdict.NONE), form.n
         verdicts.add(form.verdict)
     assert verdicts == set(Verdict)
+
+
+#: the least prime in each of the 20 unit classes mod 25; the rows below read p, q and n
+#: only mod 25, so one prime per class covers every case of a statement mod 25
+_LEAST_PRIME_MOD_25 = {p % 25: p for p in reversed(sieve_primes(1000)) if p != 5}
+
+
+def _passes(form, name):
+    return form.checks[CHECK_NAMES.index(name)][0]
+
+
+def test_the_form2_rows_on_p_and_q_mod_25_agree_under_the_form2_shape():
+    # n = p^e * q with p = 4 mod 5, q = +-2 mod 5 and n = +-1,+-7 mod 25:
+    # p = 24 mod 25 exactly when q = +-7 mod 25
+    assert len(_LEAST_PRIME_MOD_25) == 20
+    seen = set()
+    for p in (p for r, p in _LEAST_PRIME_MOD_25.items() if r % 5 == 4):
+        for q in (q for r, q in _LEAST_PRIME_MOD_25.items() if r % 5 in (2, 3)):
+            for e in range(1, 5):
+                form = classify(p**e * q)
+                assert _passes(form, "form2-shape-pe-q")
+                if _passes(form, "form2-n-pm1pm7-mod-25"):
+                    p_row = _passes(form, "form2-p-not-24-mod-25")
+                    assert p_row == _passes(form, "form2-q-not-pm7-mod-25"), (p, e, q)
+                    seen.add(p_row)
+    assert seen == {False, True}
+
+
+def test_the_form1_row_on_n_mod_25_passes_under_the_form1_shape():
+    # n = 5^e * p is 0 mod 5, so never +-1,+-7 mod 25
+    for p in _LEAST_PRIME_MOD_25.values():
+        for e in range(1, 5):
+            form = classify(5**e * p)
+            assert _passes(form, "form1-shape-5e-p") and _passes(form, "form1-n-not-pm1pm7-mod-25"), (e, p)
+
+
+def test_the_form3_row_on_n_mod_25_passes_when_p_is_24_mod_25():
+    # n = p^e with p = -1 mod 25 is (-1)^e mod 25
+    seen = set()
+    for p in _LEAST_PRIME_MOD_25.values():
+        for e in range(1, 5):
+            form = classify(p**e)
+            assert _passes(form, "form3-shape-pe")
+            if _passes(form, "form3-p-24-mod-25"):
+                assert _passes(form, "form3-n-pm1pm7-mod-25"), (p, e)
+                seen.add(p**e % 25)
+    assert seen == {1, 24}
 
 
 def test_every_crosscheck_label_lies_in_its_residue_classes():
