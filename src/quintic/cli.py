@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
 import click
@@ -23,6 +24,7 @@ from .radicand import Verdict
 from .symbols import quintic_symbol, residue_field
 
 _ENUM_CHUNK = 256  # fixed worker chunk size; output order never depends on it
+_ENUM_BATCH = 64  # chunks per worker handed to the pool at a time
 _SYMBOL_LEGEND = {str(i): f"value zeta^{i}" + (" (a is a fifth power)" if i == 0 else "") for i in range(5)}
 
 
@@ -339,8 +341,11 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     if workers > 1:
         # imported here: it pulls in multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
+        # pool.map submits every item it is given at once, so it gets a bounded batch at a time
+        pending = iter(starts)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pieces.extend(pool.map(rows, starts))
+            for batch in iter(lambda: tuple(islice(pending, _ENUM_BATCH * workers)), ()):
+                pieces.extend(pool.map(rows, batch))
     else:
         pieces.extend(map(rows, starts))
     _write(pieces, out)

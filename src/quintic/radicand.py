@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 from .cyclo import HYPERPRIMARY_CLASSES
 from .errors import (
@@ -91,7 +92,7 @@ _JSON_ROW_PREFIX = tuple(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RadicandForm:
     n: int
     verdict: Verdict
@@ -103,6 +104,12 @@ class RadicandForm:
     #: radicand_factorization(n), prime -> exponent: the record the genus and factor code
     #: read per radicand; outside equality, hashing and the three formats
     factorization: dict[int, int] = field(compare=False)
+
+    def __init__(self, n, verdict, e, p, q, checks, factorization):
+        # one write of the instance dict in place of a frozen __setattr__ per field;
+        # assigning a field afterwards still raises FrozenInstanceError
+        object.__setattr__(self, "__dict__", {"n": n, "verdict": verdict, "e": e, "p": p, "q": q,
+                                              "checks": checks, "factorization": factorization})
 
     def to_json(self) -> dict:
         return {
@@ -143,6 +150,7 @@ _HYPER_ROW = tuple((r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25))
 _NOT_HYPER_ROW = tuple((not passed, witness) for passed, witness in _HYPER_ROW)
 #: a row about p or q when the shape fails: there is no p or q to test
 _NO_PRIME = (False, "-")
+_PASSED = itemgetter(0)  # a ledger row's passed flag
 
 
 def is_fifth_power_free(n: int) -> bool:
@@ -171,20 +179,30 @@ def radicand_factorization(n: int) -> dict[int, int]:
 def classify(n: int) -> RadicandForm:
     """Check n against the three family shapes and return the verdict ledger.
 
-    n is factored once, and the RadicandForm keeps the factorization. At most
-    one family shape fits n; the verdict is that family when every one of its
-    rows passes (CHECK_NAMES 1-4 for Form I, 5-10 for Form II, 11-13 for
-    Form III), and NONE otherwise.
+    n is factored once, and the RadicandForm keeps the factorization. One
+    pass over its primes, which factorize returns ascending, checks that no
+    exponent reaches 5, finds the least prime = 1 mod 5 and writes the
+    witness "n = p^a * ..."; nothing is sorted or scanned again. At most one
+    family shape fits n, and the number of primes and the first two of them
+    tell which. The verdict is that family when every one of its rows passes
+    (CHECK_NAMES 1-4 for Form I, 5-10 for Form II, 11-13 for Form III), and
+    NONE otherwise.
     """
     fac = radicand_factorization(n)
-    if any(a >= 5 for a in fac.values()):
-        raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
-
-    primes = sorted(fac)
-    bad = next((p for p in primes if p % 5 == 1), None)
+    bad = None
+    parts = []
+    for p, a in fac.items():
+        if a == 1:
+            parts.append(str(p))
+        elif a < 5:
+            parts.append(f"{p}^{a}")
+        else:
+            raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
+        if bad is None and p % 5 == 1:
+            bad = p
     no_bad = _NO_PRIME_1_MOD_5 if bad is None else (False, f"{bad} = 1 mod 5 divides n")
     n25 = n % 25
-    witness = "n = " + " * ".join(f"{p}^{fac[p]}" if fac[p] > 1 else f"{p}" for p in primes)
+    witness = "n = " + " * ".join(parts)
     shape, no_shape = (True, witness), (False, witness)
     hyper, not_hyper = _HYPER_ROW[n25], _NOT_HYPER_ROW[n25]
 
@@ -194,24 +212,25 @@ def classify(n: int) -> RadicandForm:
     form3 = (no_shape, _NO_PRIME, hyper)
     # n has at most one of the three shapes; the rows of that family decide the verdict
     rows = None
-    if len(primes) == 2 and 5 in fac:
-        # Form I: n = 5^e * p
-        p = primes[0] if primes[1] == 5 else primes[1]
-        if fac[p] == 1:
-            r5, r25 = p % 5, p % 25
-            form1 = rows = (
-                shape,
-                (r5 == 4, f"{p} % 5 = {r5}"),
-                (r25 != 24, f"{p} % 25 = {r25}"),
-                not_hyper,
-            )
-            family, e, q = Verdict.FORM_I, fac[5], None
-    elif len(primes) == 2:
-        # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
-        a, b = primes
-        if (a % 5 == 4) != (b % 5 == 4):
-            p, q = (a, b) if a % 5 == 4 else (b, a)
-            if fac[q] == 1:
+    if len(fac) == 2:
+        (a, ea), (b, eb) = fac.items()
+        if 5 in fac:
+            # Form I: n = 5^e * p
+            e = fac[5]
+            p, ep = (b, eb) if a == 5 else (a, ea)
+            if ep == 1:
+                r5, r25 = p % 5, p % 25
+                form1 = rows = (
+                    shape,
+                    (r5 == 4, f"{p} % 5 = {r5}"),
+                    (r25 != 24, f"{p} % 25 = {r25}"),
+                    not_hyper,
+                )
+                family, q = Verdict.FORM_I, None
+        elif (a % 5 == 4) != (b % 5 == 4):
+            # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
+            (p, e), (q, eq) = ((a, ea), (b, eb)) if a % 5 == 4 else ((b, eb), (a, ea))
+            if eq == 1:
                 p25, q5, q25 = p % 25, q % 5, q % 25
                 form2 = rows = (
                     shape,
@@ -221,16 +240,16 @@ def classify(n: int) -> RadicandForm:
                     (q5 in (2, 3), f"{q} % 5 = {q5}"),
                     (q25 not in (7, 18), f"{q} % 25 = {q25}"),
                 )
-                family, e = Verdict.FORM_II, fac[p]
-    elif len(primes) == 1 and primes[0] != 5:
+                family = Verdict.FORM_II
+    elif len(fac) == 1 and 5 not in fac:
         # Form III: n = p^e
-        p = primes[0]
+        ((p, e),) = fac.items()
         r25 = p % 25
         form3 = rows = (shape, (r25 == 24, f"{p} % 25 = {r25}"), hyper)
-        family, e, q = Verdict.FORM_III, fac[p], None
+        family, q = Verdict.FORM_III, None
 
     checks = (no_bad, *form1, *form2, *form3)
-    if rows is not None and all(passed for passed, _ in rows):
+    if rows is not None and all(map(_PASSED, rows)):
         return RadicandForm(n, family, e, p, q, checks, fac)
     return RadicandForm(n, Verdict.NONE, None, None, None, checks, fac)
 

@@ -369,19 +369,35 @@ def test_enumerate_holds_the_text_of_each_row_once(runner, tmp_path, fmt):
     assert peak <= 1.25 * out.stat().st_size
 
 
+class _SubmittingPool(_RecordingPool):
+    """A stand-in pool that takes in all its items before mapping, as Executor.map submits them."""
+
+    def map(self, fn, items):
+        return map(fn, list(items))
+
+
 def test_a_wide_window_is_not_split_into_chunks_up_front(runner, monkeypatch):
     # 10^8 n are about 390,000 chunks of 256, and 10^22 n more chunks than
     # len() of a range can count; the first chunk fails. 10^22 comes second,
     # so code that lists the chunks fails at 10^8 before it tries to list 10^22.
+    # With 2 workers the pool takes in whatever it is handed in one go.
+    import concurrent.futures
+
     def refuse(lo, hi, verdict):
         raise InputError(f"refused [{lo}, {hi}]")
 
     monkeypatch.setattr(radicand, "enumerate_radicands", refuse)
-    for hi in (10**8 + 1, 10**22):
-        res, peak = _traced_peak(lambda: runner.invoke(main, ["enumerate", "2", str(hi)]))
-        assert res.exit_code == 2 and res.stdout_bytes == b"", hi
-        assert json.loads(res.stderr_bytes)["error"]["message"] == "refused [2, 257]"
-        assert peak < 2**20, hi
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SubmittingPool)
+    monkeypatch.setattr(_SubmittingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in ("1", "2"):
+        for hi in (10**8 + 1, 10**22):
+            run = ["enumerate", "2", str(hi), "--workers", workers]
+            res, peak = _traced_peak(lambda: runner.invoke(main, run))
+            assert res.exit_code == 2 and res.stdout_bytes == b"", (workers, hi)
+            assert json.loads(res.stderr_bytes)["error"]["message"] == "refused [2, 257]"
+            assert peak < 2**20, (workers, hi)
+    assert _SubmittingPool.sizes == [2, 2]
 
 
 def test_in_process_invocations_retain_no_memory(runner):

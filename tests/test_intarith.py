@@ -321,6 +321,26 @@ def test_cofactors_below_the_block_horizon_never_reach_miller_rabin(monkeypatch,
     assert is_prime_calls == []
 
 
+@pytest.mark.parametrize("n", [
+    2**40, 7**9, 999983**2,  # prime powers, divided out to 1
+    5**4 * 2, 5**3 * 3**2, 2**3 * 5,  # 5^e * p with p < 5
+    2 * 500000067059, 999983 * 1000000000039,  # a prime cofactor ends the division at Miller-Rabin
+    1000003, 6 * 1000003, 2 * 3 * 101,  # a prime cofactor is left after trial division
+])
+def test_factorize_returns_its_primes_ascending(n):
+    # radicand.classify reads the factorization in one pass and relies on this order
+    got = factorize(n)
+    assert list(got) == sorted(got) and got == sympy.factorint(n), n
+
+
+@pytest.mark.parametrize("lo", [10**5, 10**9, 10**12])
+def test_factorize_returns_seeded_primes_ascending(lo):
+    rng = random.Random(lo + 1)
+    for n in (rng.randrange(lo, 2 * lo) for _ in range(300)):
+        got = factorize(n)
+        assert list(got) == sorted(got) and got == sympy.factorint(n), n
+
+
 def _tier_cases():
     """Seeded 2q, pq (small p) and 2^k q, with q a prime on either side of psi_4, psi_7, psi_9."""
     rng = random.Random(1919)

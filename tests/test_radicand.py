@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import random
 
 import pytest
+import sympy
 
 from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
 from quintic.intarith import sieve_primes
@@ -231,21 +233,76 @@ def csv_row_from_dict(row):
     return ",".join(cells)
 
 
+def _first_failing_row(form):
+    """The family whose shape row passes (None for none), and the name of the first of
+    row 0 and that family's rows to fail (None when all pass)."""
+    family = next((name[:6] for name, (ok, _) in zip(CHECK_NAMES, form.checks) if "shape" in name and ok), None)
+    rows = [(name, ok) for name, (ok, _) in zip(CHECK_NAMES, form.checks)
+            if name == CHECK_NAMES[0] or name[:6] == family]
+    return family, next((name for name, ok in rows if not ok), None)
+
+
+def _seeded_prime(rng, lo, mod_5=None):
+    """The least prime from a seeded start in [lo, 2 lo), with p % 5 == mod_5 if given."""
+    p = sympy.nextprime(rng.randrange(lo, 2 * lo) - 1)
+    while mod_5 is not None and p % 5 != mod_5:
+        p = sympy.nextprime(p)
+    return p
+
+
+def _root(x, e):
+    return sympy.integer_nthroot(x, e)[0]
+
+
+def _one_form_per_first_failing_row_near_1e9():
+    """One seeded n in [10^9, 2 * 10^10) per (family shape, first failing row), from
+    5^e * p, p^e * q (p = 4 mod 5), p^e and 21 * p with e in 1..4, p and q seeded primes."""
+    rng = random.Random(2209)
+    found = {}
+    for _ in range(150):
+        e = rng.randint(1, 4)
+        q = _seeded_prime(rng, 100, mod_5=rng.choice((1, 2, 3)))
+        for n in (5**e * _seeded_prime(rng, 10**9 // 5**e),
+                  _seeded_prime(rng, _root(10**9 // q, e), mod_5=4) ** e * q,
+                  _seeded_prime(rng, _root(10**9, e)) ** e,
+                  21 * _seeded_prime(rng, 10**9 // 21)):
+            form = classify(n)
+            found.setdefault(_first_failing_row(form), form)
+    return found
+
+
+def test_the_forms_near_1e9_cover_every_reachable_first_failing_row():
+    found = _one_form_per_first_failing_row_near_1e9()
+    assert all(10**9 <= form.n < 2 * 10**10 for form in found.values())
+    assert set(found) == {
+        ("form1-", None), ("form1-", "no-prime-factor-1-mod-5"), ("form1-", "form1-p-4-mod-5"),
+        ("form1-", "form1-p-not-24-mod-25"),
+        ("form2-", None), ("form2-", "no-prime-factor-1-mod-5"), ("form2-", "form2-n-pm1pm7-mod-25"),
+        ("form2-", "form2-p-not-24-mod-25"),
+        ("form3-", None), ("form3-", "no-prime-factor-1-mod-5"), ("form3-", "form3-p-24-mod-25"),
+        (None, "no-prime-factor-1-mod-5"), (None, None),
+    }
+
+
 def _serializer_forms():
     yield from enumerate_radicands(2, 20000)
     yield from (classify(n) for n in (95, 57, 149))
     yield from enumerate_radicands(10**12, 10**12 + 400, Verdict.FORM_II)
+    yield from _one_form_per_first_failing_row_near_1e9().values()
 
 
 def test_json_line_and_csv_row_match_the_dict_serializers():
-    verdicts, large = set(), 0
+    verdicts, large, powers, bad = set(), 0, 0, 0
     for form in _serializer_forms():
         row = form.to_json()
         assert form.json_line() == json.dumps(row, separators=(",", ":")), form.n
         assert form.csv_row() == csv_row_from_dict(row), form.n
         verdicts.add(form.verdict)
         large += form.n > 10**12
-    assert verdicts == set(Verdict) and large > 0
+        if form.n > 10**9:
+            powers += "^" in form.checks[1][1]
+            bad += not form.checks[0][0]
+    assert verdicts == set(Verdict) and large > 0 and powers > 0 and bad > 0
 
 
 def test_the_form_keeps_its_factorization_out_of_equality_and_every_format():
@@ -254,6 +311,14 @@ def test_the_form_keeps_its_factorization_out_of_equality_and_every_format():
     other = dataclasses.replace(form, factorization={})
     assert other == form and hash(other) == hash(form)
     assert (other.to_json(), other.json_line(), other.csv_row()) == (form.to_json(), form.json_line(), form.csv_row())
+
+
+def test_a_form_cannot_be_changed():
+    form = classify(95)
+    for field in dataclasses.fields(form):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(form, field.name, getattr(form, field.name))
+    assert form == classify(95) and form.factorization == {5: 1, 19: 1}
 
 
 def test_json_line_escapes_witnesses_as_json_dumps_does():
