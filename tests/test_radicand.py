@@ -250,10 +250,6 @@ def _seeded_prime(rng, lo, mod_5=None):
     return p
 
 
-def _root(x, e):
-    return sympy.integer_nthroot(x, e)[0]
-
-
 def _one_form_per_first_failing_row_near_1e9():
     """One seeded n in [10^9, 2 * 10^10) per (family shape, first failing row), from
     5^e * p, p^e * q (p = 4 mod 5), p^e and 21 * p with e in 1..4, p and q seeded primes."""
@@ -263,8 +259,8 @@ def _one_form_per_first_failing_row_near_1e9():
         e = rng.randint(1, 4)
         q = _seeded_prime(rng, 100, mod_5=rng.choice((1, 2, 3)))
         for n in (5**e * _seeded_prime(rng, 10**9 // 5**e),
-                  _seeded_prime(rng, _root(10**9 // q, e), mod_5=4) ** e * q,
-                  _seeded_prime(rng, _root(10**9, e)) ** e,
+                  _seeded_prime(rng, sympy.integer_nthroot(10**9 // q, e)[0], mod_5=4) ** e * q,
+                  _seeded_prime(rng, sympy.integer_nthroot(10**9, e)[0]) ** e,
                   21 * _seeded_prime(rng, 10**9 // 21)):
             form = classify(n)
             found.setdefault(_first_failing_row(form), form)
