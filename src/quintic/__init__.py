@@ -48,8 +48,6 @@ from .symbols import (  # noqa: F401
     residue_field,
 )
 from .genus import (  # noqa: F401
-    CorollaryReport,
-    GenusReport,
     KummerGenerator,
     PeriodPolynomial,
     absolute_genus,
@@ -62,8 +60,6 @@ from .genus import (  # noqa: F401
 )
 from .classgroup import (  # noqa: F401
     ClassGroupModel,
-    GeneratorCertificate,
-    SubgroupLattice,
     ambiguous_subgroup,
     build_lattice,
     canonical_model,

@@ -155,28 +155,14 @@ FIELD_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SubgroupLattice:
-    """The six order-5 subgroups H1..H6 with their field labels.
+def build_lattice(model: ClassGroupModel) -> tuple[Vec, ...]:
+    """The six order-5 subgroups H1..H6 as lines, in label order.
 
     H1 is the ambiguous line (fixed by S), H2 the tau^2-inverted line; the
     remaining four lines are H3..H6 in lexicographic order of their
     normalized directions (any relabeling of those four is a symmetry of
     the model).
     """
-
-    lines: tuple[Vec, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "subgroups": [
-                {"label": f"H{i+1}", "line": list(v), "field": FIELD_NAMES[i]}
-                for i, v in enumerate(self.lines)
-            ]
-        }
-
-
-def build_lattice(model: ClassGroupModel) -> SubgroupLattice:
     h1 = ambiguous_subgroup(model)
     h2 = minus_eigenline(model)
     if h1 == h2:
@@ -186,17 +172,17 @@ def build_lattice(model: ClassGroupModel) -> SubgroupLattice:
             "and are tau^2-fixed)"
         )
     rest = sorted(v for v in ALL_LINES if v not in (h1, h2))
-    return SubgroupLattice((h1, h2, *rest))
+    return (h1, h2, *rest)
 
 
 def tau2_permutation(model: ClassGroupModel) -> tuple[int, ...]:
     """Permutation induced by tau^2 on H1..H6 (1-indexed images)."""
-    lattice = build_lattice(model)
+    lines = build_lattice(model)
     T2 = mat_mul(model.T, model.T)
     perm = []
-    for v in lattice.lines:
+    for v in lines:
         img = line_of(mat_vec(T2, v))
-        perm.append(lattice.lines.index(img) + 1)
+        perm.append(lines.index(img) + 1)
     return tuple(perm)
 
 
@@ -312,6 +298,10 @@ EXPECTED_CAPITULATION_TYPES = (
 #: and the capitulation suite checks all three against the oracles
 CANONICAL_LATTICE = build_lattice(canonical_model())
 CANONICAL_TAU2 = tau2_permutation(canonical_model())
+#: report's "subgroups" list, built once and shared by every report
+CANONICAL_SUBGROUPS = [
+    {"label": f"H{i+1}", "line": list(v), "field": FIELD_NAMES[i]} for i, v in enumerate(CANONICAL_LATTICE)
+]
 
 
 TAU2_PROOF_NOTE = (
@@ -327,37 +317,6 @@ HYPOTHESIS_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Condition:
-    description: str
-    symbol: int | None
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {"description": self.description, "symbol": self.symbol, "passed": self.passed}
-
-
-@dataclass(frozen=True)
-class GeneratorCertificate:
-    """The family's fixed residue condition, and why no generators follow from it."""
-
-    n: int
-    verdict: Verdict
-    conditions: tuple[Condition, ...]
-    splitting: str
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "form": self.verdict.value,
-            "applicable": False,
-            "conditions": [c.to_json() for c in self.conditions],
-            "generators": None,
-            "splitting": self.splitting,
-            "auxiliary_prime": None,
-        }
-
-
 RESIDUE_READING_NOTE = (
     "residue conditions at p = -1 mod 5 are evaluated in the residue field "
     "F_{p^2} of a prime above p; every rational integer is a fifth power "
@@ -369,13 +328,7 @@ RESIDUE_READING_NOTE = (
 )
 
 
-def _nonresidue_condition(a: int, p: int, label: str) -> Condition:
-    q = factor_rational_prime(p)[0]
-    i = quintic_symbol(CycInt(a), q)
-    return Condition(f"{label} is not a quintic residue modulo {p}", i, i != 0)
-
-
-def generator_certificate(form: RadicandForm) -> GeneratorCertificate:
+def generator_certificate(form: RadicandForm) -> dict:
     """The family's fixed residue condition, evaluated; always inapplicable.
 
     Forms I and II would take generators [P1] above p and [L]^(1-tau^2)
@@ -394,10 +347,20 @@ def generator_certificate(form: RadicandForm) -> GeneratorCertificate:
     else:
         fixed_value = 5 if form.verdict is Verdict.FORM_I else form.q
         splitting = f"{p} O_k = P1^5 P2^5"
-    fixed = _nonresidue_condition(fixed_value, p, str(fixed_value))
-    if fixed.passed:
+    symbol = quintic_symbol(CycInt(fixed_value), factor_rational_prime(p)[0])
+    if symbol != 0:
         raise InternalCheckError(
             f"{fixed_value} is a quintic non-residue at a prime above {p} = {p % 5} mod 5, "
             f"where every rational integer is a fifth power"
         )
-    return GeneratorCertificate(form.n, form.verdict, (fixed,), splitting)
+    return {
+        "n": form.n,
+        "form": form.verdict.value,
+        "applicable": False,
+        "conditions": [
+            {"description": f"{fixed_value} is not a quintic residue modulo {p}", "symbol": symbol, "passed": False}
+        ],
+        "generators": None,
+        "splitting": splitting,
+        "auxiliary_prime": None,
+    }

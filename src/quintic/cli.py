@@ -159,7 +159,17 @@ def _guard(fn):
     return wrapper
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a command's usage error as an input-error document, not as click's text."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(InputError(exc.format_message()))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 @click.option("--quiet", is_flag=True, default=False,
               help="Accepted for scripting; changes nothing yet, since no command writes progress.")
@@ -248,7 +258,7 @@ def _resolve_h_gamma(n, h_gamma, table):
 
 def _corollary_section(form, h):
     try:
-        return genus.corollary_report(form, h).to_json()
+        return genus.corollary_report(form, h)
     except QuinticError as exc:
         return _error_doc(exc)
 
@@ -263,7 +273,7 @@ def genus_cmd(n, h_gamma, table, as_json, out):
     """Genus-field report for N: r, 5^r, period polynomials, d, q*, generators."""
     h = _resolve_h_gamma(n, h_gamma, table)
     form = radicand.classify(n)
-    report = genus.build_genus_report(form).to_json()
+    report = genus.build_genus_report(form)
     report["corollary"] = _corollary_section(form, h) if h is not None else None
     _emit(_envelope("genus", {"n": n, "h_gamma": h}, report, [HYPOTHESIS_NOTE]), out)
 
@@ -287,12 +297,12 @@ def report(n, h_gamma, table, out):
         "capitulation": None,
     }
     try:
-        doc["genus"] = genus.build_genus_report(form).to_json()
+        doc["genus"] = genus.build_genus_report(form)
     except QuinticError as exc:
         doc["genus"] = _error_doc(exc)
     if form.verdict is not Verdict.NONE:
         try:
-            certificate = classgroup.generator_certificate(form).to_json()
+            certificate = classgroup.generator_certificate(form)
             warnings.append(RESIDUE_READING_NOTE)
         except QuinticError as exc:
             certificate = _error_doc(exc)
@@ -302,7 +312,7 @@ def report(n, h_gamma, table, out):
             "admissible_types": [list(t) for t in classgroup.EXPECTED_CAPITULATION_TYPES],
             "certificate": certificate,
             "tau2_permutation": list(classgroup.CANONICAL_TAU2),
-            "subgroups": classgroup.CANONICAL_LATTICE.to_json()["subgroups"],
+            "subgroups": classgroup.CANONICAL_SUBGROUPS,
         }
     _emit(_envelope("report", {"n": n, "h_gamma": h}, doc, warnings), out)
 

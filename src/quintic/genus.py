@@ -453,64 +453,28 @@ def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
     return tuple(sorted(out, key=lambda g: g.exponent_tuple()))
 
 
-@dataclass(frozen=True)
-class GenusReport:
-    n: int
-    r: int
-    genus_number: int
-    absolute_components: tuple[PeriodPolynomial, ...]
-    relative_candidates: tuple[KummerGenerator, ...]
-    d: int
-    qstar_inferred: int | None
-    rank_value: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "genus_number": self.genus_number,
-            "absolute_components": [c.to_json() for c in self.absolute_components],
-            "relative_candidates": [g.to_json() for g in self.relative_candidates],
-            "d": self.d,
-            "qstar_inferred": self.qstar_inferred,
-            "rank_value": self.rank_value,
-        }
-
-
-def build_genus_report(form: RadicandForm) -> GenusReport:
-    """Assemble absolute and relative genus data; rank fields stay None when
-    n falls outside the three families."""
+def build_genus_report(form: RadicandForm) -> dict:
+    """The genus document of form; outside the three families it has no
+    relative candidates and its rank fields are None."""
     components = absolute_genus(form)
     r = len(components)
     d = count_ramified_d(form)
-    if form.verdict is Verdict.NONE:
-        return GenusReport(form.n, r, 5**r, components, (), d, None, None)
-    q = infer_qstar(form, d)
-    return GenusReport(form.n, r, 5**r, components, relative_genus(form), d, q, d - 3 + q)
+    classified = form.verdict is not Verdict.NONE
+    q = infer_qstar(form, d) if classified else None
+    return {
+        "n": form.n,
+        "r": r,
+        "genus_number": 5**r,
+        "absolute_components": [c.to_json() for c in components],
+        "relative_candidates": [g.to_json() for g in relative_genus(form)] if classified else [],
+        "d": d,
+        "qstar_inferred": q,
+        "rank_value": d - 3 + q if classified else None,
+    }
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
-    """Consequences of an exactly-once divisible class number h_Gamma."""
-
-    n: int
-    r: int
-    h_gamma: int
-    five_divides_exactly: bool
-    statements: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "h_gamma": self.h_gamma,
-            "five_divides_exactly": self.five_divides_exactly,
-            "statements": list(self.statements),
-        }
-
-
-def corollary_report(form: RadicandForm, h_gamma: int) -> CorollaryReport:
-    """Field-coincidence consequences of 5 || h_Gamma, checked against r.
+def corollary_report(form: RadicandForm, h_gamma: int) -> dict:
+    """The corollary document: consequences of 5 || h_Gamma, checked against r.
 
     When 5 divides h_Gamma exactly, at most one prime p = 1 mod 5 can divide
     n; r >= 2 contradicts the supplied class number. With r = 1 the genus
@@ -520,26 +484,23 @@ def corollary_report(form: RadicandForm, h_gamma: int) -> CorollaryReport:
     r = sum(1 for p in form.factorization if p % 5 == 1)
     exact = h_gamma % 5 == 0 and h_gamma % 25 != 0
     if not exact:
-        return CorollaryReport(
-            form.n, r, h_gamma, False,
-            (f"5 does not divide h_Gamma = {h_gamma} exactly; no conclusion drawn",),
-        )
-    if r >= 2:
+        statements = [f"5 does not divide h_Gamma = {h_gamma} exactly; no conclusion drawn"]
+    elif r >= 2:
         raise ContradictionWitness(
             f"r = {r} primes = 1 mod 5 divide n = {form.n}, but 5^r | h_Gamma "
             f"forces r <= 1 when 5 divides h_Gamma = {h_gamma} exactly"
         )
-    if r == 1:
-        statements = (
+    elif r == 1:
+        statements = [
             "Gamma* = Gamma_5(1): the genus field is the Hilbert 5-class field of Gamma",
             "the composita k.Gamma_5(1) of the five conjugate quintic fields coincide",
-        )
+        ]
     else:
-        statements = (
+        statements = [
             "r = 0: Gamma* = Gamma",
             "the five composita k.Gamma_5(1), ..., k.Gamma''''_5(1) are pairwise distinct",
-        )
-    return CorollaryReport(form.n, r, h_gamma, True, statements)
+        ]
+    return {"n": form.n, "r": r, "h_gamma": h_gamma, "five_divides_exactly": exact, "statements": statements}
 
 
 def load_class_number_table(path) -> dict[int, int]:

@@ -208,7 +208,15 @@ def _suite_capitulation() -> SuiteResult:
     res.note(classgroup.plus_eigenline(m) == classgroup.ambiguous_subgroup(m), "canonical plus eigenline")
     perm = classgroup.tau2_permutation(m)
     res.note(perm == (1, 2, 6, 5, 4, 3), "canonical tau2 involution")
-    res.note(classgroup.CANONICAL_LATTICE == classgroup.build_lattice(m), "served subgroup lattice")
+    lines = classgroup.build_lattice(m)
+    subgroups = [
+        {"label": f"H{i}", "line": list(v), "field": field}
+        for i, (v, field) in enumerate(zip(lines, classgroup.FIELD_NAMES, strict=True), 1)
+    ]
+    res.note(
+        classgroup.CANONICAL_LATTICE == lines and classgroup.CANONICAL_SUBGROUPS == subgroups,
+        "served subgroup lattice",
+    )
     res.note(classgroup.CANONICAL_TAU2 == perm, "served tau2 permutation")
     return res
 

@@ -1,8 +1,12 @@
+import json
+
 import pytest
+from click.testing import CliRunner
 
 from quintic.classgroup import (
     ALL_LINES,
     CANONICAL_LATTICE,
+    CANONICAL_SUBGROUPS,
     CANONICAL_TAU2,
     EXPECTED_CAPITULATION_TYPES,
     FIELD_NAMES,
@@ -20,6 +24,7 @@ from quintic.classgroup import (
     plus_eigenline,
     tau2_permutation,
 )
+from quintic.cli import main
 from quintic.cyclo import CycInt
 from quintic.errors import InputError, InternalCheckError, ModelInvariantError
 from quintic.primes import factor_rational_prime
@@ -58,11 +63,11 @@ def test_ambiguous_subgroup_of_the_canonical_model():
 
 
 def test_lattice_ordering_follows_the_labeling_rule():
-    lat = build_lattice(canonical_model())
-    assert lat.lines == ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4))
+    lines = build_lattice(canonical_model())
+    assert lines == ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4))
     assert FIELD_NAMES[0].startswith("K1")
-    assert lat.to_json()["subgroups"][0]["field"] == FIELD_NAMES[0]
-    assert set(lat.lines) == set(ALL_LINES)
+    assert CANONICAL_SUBGROUPS[0]["field"] == FIELD_NAMES[0]
+    assert set(lines) == set(ALL_LINES)
 
 
 def test_twisted_model_is_constructible_but_has_no_lattice():
@@ -116,36 +121,34 @@ def test_dropping_ambiguous_constraint_enlarges_differently():
 
 def test_certificate_form_one():
     cert = generator_certificate(classify(95))
-    assert cert.verdict is Verdict.FORM_I
-    assert cert.splitting == "19 O_k = P1^5 P2^5"
-    fixed = cert.conditions[0]
-    assert "5" in fixed.description and "19" in fixed.description
+    assert cert["form"] == Verdict.FORM_I.value
+    assert cert["splitting"] == "19 O_k = P1^5 P2^5"
+    fixed = cert["conditions"][0]
+    assert "5" in fixed["description"] and "19" in fixed["description"]
     q = factor_rational_prime(19)[0]
-    assert fixed.symbol == brute_force_symbol(CycInt(5), q)
-    assert fixed.passed == (fixed.symbol != 0)
-    doc = cert.to_json()
-    assert doc["applicable"] is False
-    assert doc["generators"] is None and doc["auxiliary_prime"] is None
+    assert fixed["symbol"] == brute_force_symbol(CycInt(5), q)
+    assert fixed["passed"] == (fixed["symbol"] != 0)
+    assert cert["applicable"] is False
+    assert cert["generators"] is None and cert["auxiliary_prime"] is None
 
 
 def test_certificate_form_two():
     cert = generator_certificate(classify(57))
-    assert cert.verdict is Verdict.FORM_II
-    fixed = cert.conditions[0]
-    assert fixed.description.startswith("3 ")
+    assert cert["form"] == Verdict.FORM_II.value
+    fixed = cert["conditions"][0]
+    assert fixed["description"].startswith("3 ")
     q = factor_rational_prime(19)[0]
-    assert fixed.symbol == brute_force_symbol(CycInt(3), q)
-    assert fixed.passed == (fixed.symbol != 0)
+    assert fixed["symbol"] == brute_force_symbol(CycInt(3), q)
+    assert fixed["passed"] == (fixed["symbol"] != 0)
 
 
 def test_certificate_form_three():
     cert = generator_certificate(classify(149))
-    assert cert.verdict is Verdict.FORM_III
-    assert cert.splitting == "5 O_k = B1^4 B2^4 B3^4 B4^4 B5^4"
-    (fixed,) = cert.conditions
-    assert "5" in fixed.description and "149" in fixed.description
-    doc = cert.to_json()
-    assert doc["applicable"] is False and doc["generators"] is None
+    assert cert["form"] == Verdict.FORM_III.value
+    assert cert["splitting"] == "5 O_k = B1^4 B2^4 B3^4 B4^4 B5^4"
+    (fixed,) = cert["conditions"]
+    assert "5" in fixed["description"] and "149" in fixed["description"]
+    assert cert["applicable"] is False and cert["generators"] is None
 
 
 def test_certificate_conditions_match_the_oracle_for_rational_values():
@@ -154,8 +157,8 @@ def test_certificate_conditions_match_the_oracle_for_rational_values():
     # inapplicable rather than asserting generators
     for n in (95, 57, 149):
         cert = generator_certificate(classify(n))
-        assert cert.to_json()["applicable"] is False
-        assert all(c.symbol == 0 for c in cert.conditions)
+        assert cert["applicable"] is False
+        assert all(c["symbol"] == 0 for c in cert["conditions"])
 
 
 def test_certificate_rejects_unclassified():
@@ -164,8 +167,8 @@ def test_certificate_rejects_unclassified():
 
 
 def test_certificate_json_shape():
-    doc = generator_certificate(classify(95)).to_json()
-    assert set(doc) == {
+    doc = generator_certificate(classify(95))
+    assert list(doc) == [
         "n",
         "form",
         "applicable",
@@ -173,7 +176,7 @@ def test_certificate_json_shape():
         "generators",
         "splitting",
         "auxiliary_prime",
-    }
+    ]
 
 
 @pytest.mark.parametrize("n", [95, 57, 149])
@@ -182,10 +185,7 @@ def test_certificate_raises_if_the_fixed_condition_ever_passes(monkeypatch, n):
     # non-residue; a passing condition can only come from a broken symbol layer
     import quintic.classgroup as cg
 
-    def passing(a, p, label):
-        return cg.Condition(f"{label} is not a quintic residue modulo {p}", 1, True)
-
-    monkeypatch.setattr(cg, "_nonresidue_condition", passing)
+    monkeypatch.setattr(cg, "quintic_symbol", lambda a, q: 1)
     with pytest.raises(InternalCheckError):
         generator_certificate(classify(n))
 
@@ -198,11 +198,21 @@ def test_certificate_condition_fails_for_every_classified_radicand():
     assert len(forms) > 50
     for form in forms:
         cert = generator_certificate(form)
-        assert cert.to_json()["applicable"] is False and cert.conditions[0].symbol == 0
+        assert cert["applicable"] is False and cert["conditions"][0]["symbol"] == 0
 
 
 def test_served_capitulation_constants_match_the_oracles():
     assert EXPECTED_CAPITULATION_TYPES == enumerate_capitulation_types()
     model = canonical_model()
-    assert CANONICAL_LATTICE == build_lattice(model)
+    lines = build_lattice(model)
+    assert CANONICAL_LATTICE == lines
     assert CANONICAL_TAU2 == tau2_permutation(model) == (1, 2, 6, 5, 4, 3)
+    subgroups = [
+        {"label": f"H{i}", "line": list(v), "field": field}
+        for i, (v, field) in enumerate(zip(lines, FIELD_NAMES, strict=True), 1)
+    ]
+    assert CANONICAL_SUBGROUPS == subgroups
+    # every report serves this one list, so a report must leave it as it was
+    res = CliRunner().invoke(main, ["report", "149"], catch_exceptions=False)
+    assert json.loads(res.output)["result"]["capitulation"]["subgroups"] == subgroups
+    assert CANONICAL_SUBGROUPS == subgroups

@@ -102,6 +102,27 @@ def test_symbol_rejects_lambda(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["classify", "95", "--bogus"],
+    ["classify", "abc"],
+    ["selftest", "--suite", "nope"],
+    ["genus", "11", "--table", "{missing}"],
+    ["report"],
+], ids=["unknown-option", "non-integer-n", "bad-suite", "missing-table", "missing-argument"])
+def test_a_usage_error_is_an_input_error_document(runner, tmp_path, args):
+    args = [a.format(missing=tmp_path / "missing.csv") for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr)["error"]["code"] == "input-error"
+
+
+@pytest.mark.parametrize("args, head", [
+    ([], "Usage:"), (["--help"], "Usage:"), (["report", "--help"], "Usage:"), (["--version"], "main, version"),
+])
+def test_help_and_version_keep_click_text(runner, args, head):
+    assert runner.invoke(main, args).output.startswith(head)
+
+
 def test_report_149(runner):
     res = invoke(runner, "report", "149")
     doc = json.loads(res.output)

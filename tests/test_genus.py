@@ -309,7 +309,7 @@ def test_absolute_genus_counts():
     assert [c.p for c in absolute_genus(classify(11))] == [11]
     assert [c.p for c in absolute_genus(classify(341))] == [11, 31]  # 11 * 31
     report = build_genus_report(classify(341))
-    assert (report.r, report.genus_number) == (2, 25)
+    assert (report["r"], report["genus_number"]) == (2, 25)
 
 
 def test_ramified_prime_counts():
@@ -437,26 +437,26 @@ def test_relative_genus_matches_the_oracle_on_the_benchmark_report_radicands():
 
 def test_genus_report_for_149():
     rep = build_genus_report(classify(149))
-    assert rep.d == 2 and rep.qstar_inferred == 2 and rep.rank_value == 1
-    assert rep.genus_number == 1
+    assert rep["d"] == 2 and rep["qstar_inferred"] == 2 and rep["rank_value"] == 1
+    assert rep["genus_number"] == 1
 
 
 def test_genus_report_for_unclassified_n():
     rep = build_genus_report(classify(6))
-    assert rep.qstar_inferred is None and rep.relative_candidates == ()
+    assert rep["qstar_inferred"] is None and rep["relative_candidates"] == []
 
 
 def test_corollary_r0_distinct():
     rep = corollary_report(classify(95), 5)
-    assert rep.r == 0 and rep.five_divides_exactly
-    assert "distinct" in rep.statements[1]
+    assert rep["r"] == 0 and rep["five_divides_exactly"]
+    assert "distinct" in rep["statements"][1]
 
 
 def test_corollary_r1_coincidence():
     rep = corollary_report(classify(11), 5)
-    assert rep.r == 1
-    assert "Gamma* = Gamma_5(1)" in rep.statements[0]
-    assert "coincide" in rep.statements[1]
+    assert rep["r"] == 1
+    assert "Gamma* = Gamma_5(1)" in rep["statements"][0]
+    assert "coincide" in rep["statements"][1]
 
 
 def test_corollary_contradiction_witness():
@@ -466,9 +466,9 @@ def test_corollary_contradiction_witness():
 
 def test_corollary_without_exact_divisibility_draws_no_conclusion():
     rep = corollary_report(classify(341), 25)
-    assert rep.five_divides_exactly is False
+    assert rep["five_divides_exactly"] is False
     rep = corollary_report(classify(341), 7)
-    assert rep.five_divides_exactly is False
+    assert rep["five_divides_exactly"] is False
 
 
 def test_class_number_table_parsing(tmp_path):

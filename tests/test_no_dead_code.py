@@ -20,15 +20,16 @@ import builtins
 import enum
 from pathlib import Path
 
+from quintic.cli import main
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quintic"
 
-#: reached from outside the package: click registers the command callbacks
-#: by their decorator, and from_json is the library inverse of to_json
+#: reached from outside the package: click calls the callback of every command
+#: registered on the group, and the group's own invoke; from_json is the
+#: library inverse of to_json
 ALLOWED = frozenset({
-    "cli.factor",
-    "cli.genus_cmd",
-    "cli.enumerate_cmd",
-    "cli.selftest_cmd",
+    *(f"cli.{command.callback.__name__}" for command in main.commands.values()),
+    f"cli.{type(main).invoke.__qualname__}",
     "cyclo.CycInt.from_json",
 })
 
