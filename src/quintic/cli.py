@@ -160,7 +160,16 @@ def _guard(fn):
 
 
 class _Main(click.Group):
-    """Reports a command's usage error as an input-error document, not as click's text."""
+    """Reports a usage error as an input-error document, not as click's text."""
+
+    def parse_args(self, ctx, args):
+        bare = not args  # read first: click's parser consumes args
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            if bare:  # click 8.2 and later raise this to print the help
+                raise
+            _fail(InputError(exc.format_message()))
 
     def invoke(self, ctx):
         try:
@@ -347,7 +356,8 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     rows = functools.partial(_row_chunk, hi=hi, verdict=verdict, as_jsonl=as_jsonl)
     pieces = [] if as_jsonl else [radicand.CSV_HEADER + "\n"]  # held to the end: a failed window writes no row
     starts = range(lo, hi + 1, _ENUM_CHUNK)
-    workers = min(workers, os.cpu_count() or 1, len(starts[:workers]))  # len(starts) overflows past 2**63
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1, len(starts[:workers]))  # len(starts) overflows past 2**63
     if workers > 1:
         # imported here: it pulls in multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor

@@ -3,7 +3,9 @@
 Elements live on the power basis 1, zeta, zeta^2, zeta^3 with
 arbitrary-precision integer coordinates; products reduce modulo
 Phi5(x) = x^4 + x^3 + x^2 + x + 1 (zeta^4 = -1 - zeta - zeta^2 - zeta^3).
-Everything here is a pure function on immutable values.
+Everything here is a pure function on immutable values. Norms, Euclid's
+algorithm and canonical associates run on the coordinate 4-tuples and wrap
+only their results as CycInt; ``mul`` is the one product formula.
 """
 
 from __future__ import annotations
@@ -60,17 +62,7 @@ class CycInt:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, a2, a3 = self.c
-        b0, b1, b2, b3 = o.c
-        c0 = a0 * b0
-        c1 = a0 * b1 + a1 * b0
-        c2 = a0 * b2 + a1 * b1 + a2 * b0
-        c3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-        c4 = a1 * b3 + a2 * b2 + a3 * b1
-        c5 = a2 * b3 + a3 * b2
-        c6 = a3 * b3
-        # fold zeta^5 = 1, zeta^6 = zeta, then zeta^4 = -(1 + zeta + zeta^2 + zeta^3)
-        return _wrap((c0 + c5 - c4, c1 + c6 - c4, c2 - c4, c3 - c4))
+        return _wrap(mul(self.c, o.c))
 
     __rmul__ = __mul__
 
@@ -127,6 +119,25 @@ def _wrap(c: tuple) -> CycInt:
     return obj
 
 
+def mul(a: tuple, b: tuple) -> tuple:
+    """The product of two elements given as power-basis 4-tuples.
+
+    The one multiplication formula of the package: CycInt.__mul__, the
+    tuple kernels below and the f = 4 residue field of symbols call it.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    # c4 is the zeta^4 coefficient, folded by zeta^4 = -(1 + zeta + zeta^2 +
+    # zeta^3); zeta^5 = 1 and zeta^6 = zeta fold the terms above it
+    c4 = a1 * b3 + a2 * b2 + a3 * b1
+    return (
+        a0 * b0 + a2 * b3 + a3 * b2 - c4,
+        a0 * b1 + a1 * b0 + a3 * b3 - c4,
+        a0 * b2 + a1 * b1 + a2 * b0 - c4,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4,
+    )
+
+
 ZERO = CycInt(0)
 ONE = CycInt(1)
 ZETA = CycInt((0, 1, 0, 0))
@@ -151,29 +162,34 @@ def galois_apply(t: int, a: CycInt) -> CycInt:
     return _wrap((v[0] - k, v[1] - k, v[2] - k, v[3] - k))
 
 
-def _real_norm(b: CycInt) -> int:
-    """N(b) over Q(sqrt 5) for b in the real subring Z[t], t = zeta + zeta^4.
+def _conj(a: tuple) -> tuple:
+    """tau^2(a), the complex conjugate zeta -> zeta^4, on coordinates."""
+    a0, a1, a2, a3 = a
+    return (a0 - a1, -a1, a3 - a1, a2 - a1)
 
-    t = (-1, 0, -1, -1), so b = x + y*t = (x - y, 0, -y, -y) gives y = -b2
-    and x = b0 - b2; then N(b) = (x + y*t)(x + y*t'), and t + t' = t*t' = -1
-    make it x^2 - x*y - y^2.
+
+def _norm_pair(a: tuple) -> tuple[tuple, int]:
+    """c = a * tau^2(a) and N(a), for a given as coordinates.
+
+    c is a times its complex conjugate, so it lies in the real subring Z[t],
+    t = zeta + zeta^4 = (-1, 0, -1, -1), and N(a) is its norm over Q(sqrt 5).
+    c = x + y*t = (x - y, 0, -y, -y) gives y = -c2 and x = c0 - c2; then
+    N = (x + y*t)(x + y*t'), and t + t' = t*t' = -1 make it x^2 - x*y - y^2.
     """
-    c = b.c
-    if c[1] or c[2] != c[3]:
-        raise InternalCheckError(f"{b!r} does not lie in Z[zeta + zeta^4]")
-    y = -c[2]
-    x = c[0] + y
-    return x * x - x * y - y * y
+    c = mul(a, _conj(a))
+    c0, c1, c2, c3 = c
+    if c1 or c2 != c3:
+        raise InternalCheckError(f"{c!r}, {a!r} times its conjugate, does not lie in Z[zeta + zeta^4]")
+    x = c0 - c2
+    return c, x * x + x * c2 - c2 * c2
 
 
 def norm(a: CycInt) -> int:
-    """Field norm N(a), a rational integer >= 0, from one product.
+    """Field norm N(a), a rational integer >= 0, from one product (_norm_pair).
 
-    a * tau^2(a) is a times its complex conjugate, so it lies in the real
-    subring, and N(a) is its norm over Q(sqrt 5) (_real_norm).
     brute_force_norm, the four-conjugate product, is the oracle.
     """
-    return _real_norm(a * galois_apply(2, a))
+    return _norm_pair(a.c)[1]
 
 
 def brute_force_norm(a: CycInt) -> int:
@@ -184,78 +200,100 @@ def brute_force_norm(a: CycInt) -> int:
     return m.c[0]
 
 
-def _round_div(x: int, n: int) -> int:
-    # nearest integer to x/n for n > 0, half rounded up
-    return (2 * x + n) // (2 * n)
+_OFFSETS = tuple(d for d in _cartesian((-1, 0, 1), repeat=4) if d != (0, 0, 0, 0))
 
 
-_OFFSETS = tuple(_wrap(d) for d in _cartesian((-1, 0, 1), repeat=4) if d != (0, 0, 0, 0))
+def _divmod(a: tuple, b: tuple, c: tuple, nb: int) -> tuple[tuple, tuple, tuple, int]:
+    """q, r with a = q*b + r and N(r) < N(b), then r * tau^2(r) and N(r).
+
+    Coordinates throughout, for b != 0 with (c, nb) = _norm_pair(b). The
+    quotient starts from coordinatewise nearest-integer rounding of the exact
+    field quotient; when that misses the Euclidean bound (coordinate rounding
+    alone is not guaranteed here), a bounded search over offset vectors in
+    {-1,0,1}^4 restores it, taking the first offset in _OFFSETS that works.
+    """
+    # c is real, so tau(c) = (c0 - c2, 0, -c2, -c2) = tau(b) * tau^3(b), the
+    # product of the three conjugates of b is tau^2(b) * tau(c), and
+    # a/b = a * tau^2(b) * tau(c) / N(b)
+    c0, c2 = c[0], c[2]
+    n0, n1, n2, n3 = mul(mul(a, _conj(b)), (c0 - c2, 0, -c2, -c2))
+    # nearest integer to x/nb, half rounded up
+    h = 2 * nb
+    q = ((2 * n0 + nb) // h, (2 * n1 + nb) // h, (2 * n2 + nb) // h, (2 * n3 + nb) // h)
+    a0, a1, a2, a3 = a
+    p0, p1, p2, p3 = mul(q, b)
+    r = (a0 - p0, a1 - p1, a2 - p2, a3 - p3)
+    rc, nr = _norm_pair(r)
+    if nr < nb:
+        return q, r, rc, nr
+    q0, q1, q2, q3 = q
+    for d0, d1, d2, d3 in _OFFSETS:
+        q = (q0 + d0, q1 + d1, q2 + d2, q3 + d3)
+        p0, p1, p2, p3 = mul(q, b)
+        r = (a0 - p0, a1 - p1, a2 - p2, a3 - p3)
+        rc, nr = _norm_pair(r)
+        if nr < nb:
+            return q, r, rc, nr
+    raise InternalCheckError(f"Euclidean division failed for {a!r} / {b!r}")
+
+
+def _divide(a: CycInt, b: CycInt) -> tuple[tuple, tuple]:
+    """Quotient and remainder coordinates of a by b != 0."""
+    b = CycInt(b).c
+    if b == ZERO.c:
+        raise ZeroDivisionError("division by zero in Z[zeta5]")
+    return _divmod(CycInt(a).c, b, *_norm_pair(b))[:2]
 
 
 def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
-    """Quotient and remainder with norm(r) < norm(b).
-
-    The quotient starts from coordinatewise nearest-integer rounding of the
-    exact field quotient; when that misses the Euclidean bound (coordinate
-    rounding alone is not guaranteed here), a bounded search over offset
-    vectors in {-1,0,1}^4 restores it, taking the first offset that works.
-    """
-    a = CycInt(a)
-    b = CycInt(b)
-    if not b:
-        raise ZeroDivisionError("division by zero in Z[zeta5]")
-    # c = b * tau^2(b) is real, tau(c) = tau(b) * tau^3(b), so the product of
-    # the three conjugates of b is tau^2(b) * tau(c), and N(b) = N(c) over Q(sqrt 5)
-    b2 = galois_apply(2, b)
-    c = b * b2
-    conj = b2 * galois_apply(1, c)
-    nb = _real_norm(c)
-    num = a * conj
-    q = _wrap(tuple([_round_div(x, nb) for x in num.c]))
-    r = a - q * b
-    if norm(r) < nb:
-        return q, r
-    for delta in _OFFSETS:
-        q2 = q + delta
-        r2 = a - q2 * b
-        if norm(r2) < nb:
-            return q2, r2
-    raise InternalCheckError(f"Euclidean division failed for {a!r} / {b!r}")
+    """Quotient and remainder with norm(r) < norm(b) (_divmod)."""
+    q, r = _divide(a, b)
+    return _wrap(q), _wrap(r)
 
 
 def exact_div(a: CycInt, b: CycInt) -> CycInt:
     """a/b when b divides a exactly; a nonzero remainder raises InternalCheckError."""
-    q, r = euclid_divmod(a, b)
-    if r:
+    q, r = _divide(a, b)
+    if r != ZERO.c:
         raise InternalCheckError(f"{b!r} does not divide {a!r}")
-    return q
+    return _wrap(q)
 
 
 def canonical_associate(a: CycInt) -> CycInt:
     """Deterministic representative among the ten associates ±zeta^j * a.
 
     The representative with the lexicographically smallest coordinate tuple
-    is chosen, making gcd and factorization outputs reproducible.
+    is chosen, making gcd and factorization outputs reproducible. On the
+    coordinates (a0, a1, a2, a3, 0) of 1..zeta^4, multiplying by zeta is a
+    rotation to (0, a0, a1, a2, a3); subtracting a3 from each returns to
+    the power basis.
     """
-    best = a
-    cur = a
+    c = best = a.c
     for _ in range(5):
-        for cand in (cur, -cur):
-            if cand.c < best.c:
-                best = cand
-        cur = cur * ZETA
-    return best
+        a0, a1, a2, a3 = c
+        neg = (-a0, -a1, -a2, -a3)
+        if c < best:
+            best = c
+        if neg < best:
+            best = neg
+        c = (-a3, a0 - a3, a1 - a3, a2 - a3)
+    return _wrap(best)
 
 
 def gcd(a: CycInt, b: CycInt) -> CycInt:
-    """A generator of the ideal (a, b), returned as a canonical associate."""
-    a = CycInt(a)
-    b = CycInt(b)
-    if not a and not b:
+    """A generator of the ideal (a, b), returned as a canonical associate.
+
+    Each step hands its remainder's r * tau^2(r) and N(r) to the next, where
+    r is the divisor; N(b) = 0 exactly when b = 0.
+    """
+    a = CycInt(a).c
+    b = CycInt(b).c
+    if a == b == ZERO.c:
         raise InputError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, euclid_divmod(a, b)[1]
-    return canonical_associate(a)
+    c, nb = _norm_pair(b)
+    while nb:
+        a, (_, b, c, nb) = b, _divmod(a, b, c, nb)
+    return canonical_associate(_wrap(a))
 
 
 def lambda_valuation(a: CycInt) -> int:

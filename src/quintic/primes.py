@@ -135,18 +135,36 @@ def is_primary(a: CycInt) -> int | None:
     return r if r else None
 
 
-#: the units u = epsilon^m * zeta^j of primary_normalize's search, each
-#: beside its coordinates reduced mod 5, in search order: m in 0, 1, -1, ...,
-#: 4, -4 (identity first, then widening), then j in 0..4; epsilon^-1 is
-#: epsilon - 1 (the golden-ratio relation x^2 = x + 1)
-_UNITS_MOD5 = tuple(
-    (u, CycInt(tuple(x % 5 for x in u.c)))
-    for u in (
-        (EPSILON**m if m >= 0 else (EPSILON - CycInt(1)) ** -m) * ZETA**j
-        for m in (0, 1, -1, 2, -2, 3, -3, 4, -4)
-        for j in range(5)
-    )
+#: the exponents (m, j) of the units u = epsilon^m * zeta^j of
+#: primary_normalize's search, in search order: m in 0, 1, -1, ..., 4, -4
+#: (identity first, then widening), then j in 0..4
+_UNIT_EXPONENTS = tuple((m, j) for m in (0, 1, -1, 2, -2, 3, -3, 4, -4) for j in range(5))
+#: the units themselves, in the same order; epsilon^-1 is epsilon - 1 (the
+#: golden-ratio relation x^2 = x + 1)
+_SEARCH_UNITS = tuple(
+    (EPSILON**m if m >= 0 else (EPSILON - CycInt(1)) ** -m) * ZETA**j for m, j in _UNIT_EXPONENTS
 )
+
+
+def _primary_units() -> dict[tuple, CycInt]:
+    """For each class pi mod 5 that has a primary associate, the first unit u
+    of the search with u * pi primary.
+
+    u * pi = r mod 5 for a rational residue r exactly when pi = r * u^-1
+    mod 5, and u^-1 = epsilon^-m * zeta^-j is itself in the search list.
+    The first unit listed for a class wins, as it does in the search.
+    """
+    index = {mj: i for i, mj in enumerate(_UNIT_EXPONENTS)}
+    table: dict[tuple, CycInt] = {}
+    for (m, j), u in zip(_UNIT_EXPONENTS, _SEARCH_UNITS):
+        inverse = _SEARCH_UNITS[index[-m, -j % 5]].c
+        for r in range(1, 5):
+            table.setdefault(tuple(r * x % 5 for x in inverse), u)
+    return table
+
+
+#: primary_normalize's unit for each class mod 5, as coordinates reduced mod 5
+_PRIMARY_UNIT = _primary_units()
 
 
 def primary_normalize(q: CycPrime) -> CycPrime:
@@ -155,25 +173,25 @@ def primary_normalize(q: CycPrime) -> CycPrime:
     Searches u * pi over u = s * zeta^j * epsilon^m with s = +-1, j in 0..4,
     m in -4..4, trying the identity unit first so already-primary elements
     come back unchanged. A failed search raises rather than widening.
-    Being primary depends only on u * pi mod 5, so the search multiplies
-    residues mod 5 and the full-size associate is built once, for the unit
-    found. -u * pi is primary exactly when u * pi is, so s = -1 never comes
-    first. brute_force_primary_normalize, the full-size search, is the oracle.
+    Being primary depends only on pi mod 5, so the unit the search finds is
+    read from _PRIMARY_UNIT by that class, and the full-size associate is
+    one product. -u * pi is primary exactly when u * pi is, so s = -1 never
+    comes first. brute_force_primary_normalize, the full-size search, is the
+    oracle.
     """
     if q.p == 5:
         raise InputError("lambda has no primary associate (not coprime to 5)")
-    pi_mod5 = CycInt(tuple(x % 5 for x in q.element.c))
-    for u, u_mod5 in _UNITS_MOD5:
-        if is_primary(u_mod5 * pi_mod5) is not None:
-            return CycPrime(q.p, u * q.element, q.f, q.e)
-    raise _no_primary_associate(q)
+    u = _PRIMARY_UNIT.get(tuple([x % 5 for x in q.element.c]))
+    if u is None:
+        raise _no_primary_associate(q)
+    return CycPrime(q.p, u * q.element, q.f, q.e)
 
 
 def brute_force_primary_normalize(q: CycPrime) -> CycPrime:
     """Oracle for primary_normalize: the same search on full-size associates."""
     if q.p == 5:
         raise InputError("lambda has no primary associate (not coprime to 5)")
-    for u, _ in _UNITS_MOD5:
+    for u in _SEARCH_UNITS:
         for cand in (u * q.element, -(u * q.element)):
             if is_primary(cand) is not None:
                 return CycPrime(q.p, cand, q.f, q.e)

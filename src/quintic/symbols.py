@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import polyfp
-from .cyclo import CycInt, galois_apply
+from .cyclo import CycInt, galois_apply, mul
 from .errors import FieldTooLarge, InternalCheckError, NotCoprime, SymbolUndefined
 from .primes import MEMO_SIZE, CycPrime
 
@@ -102,32 +102,25 @@ def euler_power(abar: tuple[int, ...], rf: ResidueField) -> tuple[int, ...]:
         # F_p[x]/(x^2 + m1*x + m0): the roots are x and sigma(x) = -m1 - x
         m0, m1 = rf.modulus[0], rf.modulus[1]
 
-        def mul(u, v):
+        def mul2(u, v):
             t = u[1] * v[1]
             return (u[0] * v[0] - m0 * t) % p, (u[0] * v[1] + u[1] * v[0] - m1 * t) % p
 
-        b0, b1 = _power(mul, (*abar, 0)[:2], (p + 1) // 5)
+        b0, b1 = _power(mul2, (*abar, 0)[:2], (p + 1) // 5)
         c = (b0 - m1 * b1, -b1)  # sigma(b)
         inv = pow((b0 * b0 - m1 * b0 * b1 + m0 * b1 * b1) % p, -1, p)  # 1 / (b * sigma(b))
-        c0, c1 = mul(c, c)
+        c0, c1 = mul2(c, c)
         return polyfp.trim((c0 * inv % p, c1 * inv % p))
 
     # f = 4: the residue field is Z[zeta5]/p itself, multiplied on power-basis
-    # tuples as CycInt.__mul__ multiplies, each coordinate reduced mod p
+    # tuples by cyclo.mul, each coordinate reduced mod p
     def mul4(u, v):
-        a0, a1, a2, a3 = u
-        b0, b1, b2, b3 = v
-        c4 = a1 * b3 + a2 * b2 + a3 * b1
-        return (
-            (a0 * b0 + a2 * b3 + a3 * b2 - c4) % p,
-            (a0 * b1 + a1 * b0 + a3 * b3 - c4) % p,
-            (a0 * b2 + a1 * b1 + a2 * b0 - c4) % p,
-            (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4) % p,
-        )
+        c0, c1, c2, c3 = mul(u, v)
+        return c0 % p, c1 % p, c2 % p, c3 % p
 
     b = _power(mul4, (*abar, 0, 0, 0)[:4], (p * p + 1) // 5)
     c = galois_apply(2, CycInt(b)).c  # sigma(b)
-    # b * sigma(b) = x + y*t in F_{p^2} = F_p[t], t = zeta + zeta^-1 (cyclo._real_norm);
+    # b * sigma(b) = x + y*t in F_{p^2} = F_p[t], t = zeta + zeta^-1 (cyclo._norm_pair);
     # its inverse is (x + y*t') / (x^2 - x*y - y^2), and x + y*t' = (x, 0, y, y)
     r = mul4(b, c)
     y = -r[2]

@@ -108,7 +108,10 @@ def test_symbol_rejects_lambda(runner):
     ["selftest", "--suite", "nope"],
     ["genus", "11", "--table", "{missing}"],
     ["report"],
-], ids=["unknown-option", "non-integer-n", "bad-suite", "missing-table", "missing-argument"])
+    ["--bogus"],
+    ["--bogus", "report", "149"],
+], ids=["unknown-option", "non-integer-n", "bad-suite", "missing-table", "missing-argument",
+        "unknown-group-option", "unknown-group-option-before-a-command"])
 def test_a_usage_error_is_an_input_error_document(runner, tmp_path, args):
     args = [a.format(missing=tmp_path / "missing.csv") for a in args]
     res = runner.invoke(main, args)
@@ -274,6 +277,14 @@ def test_a_filtered_uncertified_window_fails_as_the_unfiltered_one(runner, form,
     assert res.exit_code == 2 and res.stdout_bytes == b""
     assert json.loads(res.stderr_bytes)["error"]["code"] == "uncertified-factorization"
     assert res.stderr_bytes == unfiltered.stderr_bytes
+
+
+def test_a_serial_enumerate_does_not_ask_for_the_cpu_count(runner, monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "cpu_count", lambda: calls.append(None) or 4)
+    for args in (["enumerate", "2", "2000"], ["enumerate", "2", "2000", "--workers", "1"]):
+        assert invoke(runner, *args).exit_code == 0
+    assert calls == []
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-process pool")

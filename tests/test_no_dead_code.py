@@ -25,10 +25,11 @@ from quintic.cli import main
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quintic"
 
 #: reached from outside the package: click calls the callback of every command
-#: registered on the group, and the group's own invoke; from_json is the
-#: library inverse of to_json
+#: registered on the group, and the group's own parse_args and invoke;
+#: from_json is the library inverse of to_json
 ALLOWED = frozenset({
     *(f"cli.{command.callback.__name__}" for command in main.commands.values()),
+    f"cli.{type(main).parse_args.__qualname__}",
     f"cli.{type(main).invoke.__qualname__}",
     "cyclo.CycInt.from_json",
 })

@@ -1,9 +1,16 @@
+import hashlib
+import itertools
+import json
+import random
+
 import pytest
+import sympy
 
 from quintic.cyclo import CycInt, LAMBDA, euclid_divmod, exact_div, galois_apply, norm
 from quintic.errors import FactorizationError, InputError, NoPrimaryAssociate
 from quintic.intarith import sieve_primes
 from quintic.primes import (
+    CycPrime,
     SplittingType,
     brute_force_primary_normalize,
     factor_radicand,
@@ -13,6 +20,9 @@ from quintic.primes import (
     splitting_type,
 )
 from quintic.radicand import radicand_factorization
+
+#: sha256 of test_the_primes_above_split_p_are_pinned's lines
+SPLITTING_DIGEST = "e2637c03a0f4c60ed836879df5b56e0ef68a4191b0b1252e5516e0a5f10ad22c"
 
 
 def divides(d: CycInt, a: CycInt) -> bool:
@@ -191,6 +201,48 @@ def test_primary_normalize_matches_the_full_size_search_below_2e4():
             normalized += got is not None
             failed += got is None
     assert (normalized, failed) == (2665, 1844)
+
+
+def _splitting_primes():
+    """Every prime p = 1 or 4 mod 5 below 2*10^4, then 200 seeded ones of 3 to 16 digits."""
+    yield from (p for p in sieve_primes(20000) if p % 5 in (1, 4))
+    rng = random.Random(20240502)
+    found = 0
+    while found < 200:
+        digits = rng.randint(3, 16)
+        p = sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits))
+        if p % 5 in (1, 4):
+            found += 1
+            yield p
+
+
+def test_the_primes_above_split_p_are_pinned():
+    # recorded on the object-per-step Euclid: gcd's quotient choices, its
+    # canonical associate and the order of the primes must all stay
+    digest = hashlib.sha256()
+    for p in _splitting_primes():
+        doc = [q.to_json() for q in factor_rational_prime(p)]
+        digest.update(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == SPLITTING_DIGEST
+
+
+def test_primary_normalize_matches_the_full_size_search_on_every_class_mod_5():
+    # being primary depends only on pi mod 5, so the 625 classes cover every
+    # input; each is lifted by a seeded multiple of 5 so the full-size product is used
+    rng = random.Random(625)
+    normalized = 0
+    for residues in itertools.product(range(5), repeat=4):
+        lift = tuple(r + 5 * rng.randrange(-(10**9), 10**9) for r in residues)
+        q = CycPrime(11, CycInt(lift), 1, 1)
+        try:
+            got = primary_normalize(q)
+        except NoPrimaryAssociate:
+            with pytest.raises(NoPrimaryAssociate):
+                brute_force_primary_normalize(q)
+            continue
+        assert got == brute_force_primary_normalize(q)
+        normalized += 1
+    assert normalized == 100
 
 
 def test_cycprime_json_shape():
