@@ -200,7 +200,9 @@ def brute_force_norm(a: CycInt) -> int:
     return m.c[0]
 
 
-_OFFSETS = tuple(d for d in _cartesian((-1, 0, 1), repeat=4) if d != (0, 0, 0, 0))
+#: quotient offsets in the order Euclid tries them: none, then {-1,0,1}^4
+#: lexicographically
+_OFFSETS = ((0, 0, 0, 0), *(d for d in _cartesian((-1, 0, 1), repeat=4) if any(d)))
 
 
 def _divmod(a: tuple, b: tuple, c: tuple, nb: int) -> tuple[tuple, tuple, tuple, int]:
@@ -219,14 +221,8 @@ def _divmod(a: tuple, b: tuple, c: tuple, nb: int) -> tuple[tuple, tuple, tuple,
     n0, n1, n2, n3 = mul(mul(a, _conj(b)), (c0 - c2, 0, -c2, -c2))
     # nearest integer to x/nb, half rounded up
     h = 2 * nb
-    q = ((2 * n0 + nb) // h, (2 * n1 + nb) // h, (2 * n2 + nb) // h, (2 * n3 + nb) // h)
+    q0, q1, q2, q3 = (2 * n0 + nb) // h, (2 * n1 + nb) // h, (2 * n2 + nb) // h, (2 * n3 + nb) // h
     a0, a1, a2, a3 = a
-    p0, p1, p2, p3 = mul(q, b)
-    r = (a0 - p0, a1 - p1, a2 - p2, a3 - p3)
-    rc, nr = _norm_pair(r)
-    if nr < nb:
-        return q, r, rc, nr
-    q0, q1, q2, q3 = q
     for d0, d1, d2, d3 in _OFFSETS:
         q = (q0 + d0, q1 + d1, q2 + d2, q3 + d3)
         p0, p1, p2, p3 = mul(q, b)
