@@ -217,8 +217,8 @@ def _splitting_primes():
 
 
 def test_the_primes_above_split_p_are_pinned():
-    # recorded on the object-per-step Euclid: gcd's quotient choices, its
-    # canonical associate and the order of the primes must all stay
+    # the output bytes hold gcd's quotient choices, its canonical associate
+    # and the order of the primes, so all three must stay as recorded
     digest = hashlib.sha256()
     for p in _splitting_primes():
         doc = [q.to_json() for q in factor_rational_prime(p)]
@@ -228,7 +228,8 @@ def test_the_primes_above_split_p_are_pinned():
 
 def test_primary_normalize_matches_the_full_size_search_on_every_class_mod_5():
     # being primary depends only on pi mod 5, so the 625 classes cover every
-    # input; each is lifted by a seeded multiple of 5 so the full-size product is used
+    # input; each is lifted by a seeded multiple of 5 so the full-size product
+    # is used, and only the element and p != 5 of the stand-in prime are read
     rng = random.Random(625)
     normalized = 0
     for residues in itertools.product(range(5), repeat=4):
