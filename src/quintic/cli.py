@@ -28,21 +28,15 @@ _ENUM_BATCH = 64  # chunks per worker handed to the pool at a time
 _SYMBOL_LEGEND = {str(i): f"value zeta^{i}" + (" (a is a fifth power)" if i == 0 else "") for i in range(5)}
 
 
-def _envelope(command: str, inputs: dict, result, warnings: list[str]) -> dict:
-    return {
-        "tool_version": __version__,
-        "command": command,
-        "input": inputs,
-        "result": result,
-        "warnings": warnings,
-    }
-
-
 # Every click.echo names its stream: without file=, click caches a wrapper per
 # sys.stdout object, and each in-process invocation (CliRunner) leaks one.
 def _write(pieces: list[str], out):
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise InputError(f"cannot open --out file {out}: {exc.strerror}") from exc
+        with fh:
             fh.writelines(pieces)
     else:
         for piece in pieces:
@@ -135,7 +129,8 @@ def _put_list(items: list, depth: int, parts: list[str]):
     parts.append(_newline(depth) + "]")
 
 
-def _emit(doc: dict, out):
+def _emit(command: str, inputs: dict, result, warnings: list[str], out):
+    doc = {"tool_version": __version__, "command": command, "input": inputs, "result": result, "warnings": warnings}
     _write([_json_text(doc) + "\n"], out)
 
 
@@ -148,19 +143,17 @@ def _fail(exc: QuinticError):
     sys.exit(exc.exit_code)
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except QuinticError as exc:
-            _fail(exc)
-
-    return wrapper
+def _section(build, *args):
+    """build(*args), or the error document of the QuinticError it raises."""
+    try:
+        return build(*args)
+    except QuinticError as exc:
+        return _error_doc(exc)
 
 
 class _Main(click.Group):
-    """Reports a usage error as an input-error document, not as click's text."""
+    """The one failure boundary: a usage error or a QuinticError leaves as an
+    error document on stderr with its exit code, not as click's text or a traceback."""
 
     def parse_args(self, ctx, args):
         bare = not args  # read first: click's parser consumes args
@@ -176,17 +169,19 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except click.UsageError as exc:
             _fail(InputError(exc.format_message()))
+        except QuinticError as exc:
+            _fail(exc)
 
 
 @click.group(cls=_Main)
 @click.version_option(__version__)
-@click.option("--quiet", is_flag=True, default=False,
+@click.option("--quiet", is_flag=True, default=False, expose_value=False,
               help="Accepted for scripting; changes nothing yet, since no command writes progress.")
-def main(quiet):
+def main():
     """Exact-arithmetic analyzer for pure quintic fields Q(n^(1/5))."""
 
 
-_json_flag = click.option("--json", "as_json", is_flag=True, default=True,
+_json_flag = click.option("--json", is_flag=True, default=True, expose_value=False,
                           help="Emit a JSON envelope (always on; accepted for scripting).")
 _out_opt = click.option("--out", type=click.Path(writable=True, dir_okay=False), default=None,
                         help="Write output to a file instead of stdout.")
@@ -203,22 +198,20 @@ def _h_gamma_opts(fn):
 @click.argument("n", type=int)
 @_json_flag
 @_out_opt
-@_guard
-def classify(n, as_json, out):
+def classify(n, out):
     """Classify the radicand N into family I, II, III or none."""
     form = radicand.classify(n)
-    _emit(_envelope("classify", {"n": n}, form.to_json(), [HYPOTHESIS_NOTE]), out)
+    _emit("classify", {"n": n}, form.to_json(), [HYPOTHESIS_NOTE], out)
 
 
 @main.command()
 @click.argument("n", type=int)
 @_json_flag
 @_out_opt
-@_guard
-def factor(n, as_json, out):
+def factor(n, out):
     """Factor N over Z[zeta5]: unit times prime powers."""
     fac = factor_radicand(n, radicand.radicand_factorization(n))
-    _emit(_envelope("factor", {"n": n}, fac.to_json(), []), out)
+    _emit("factor", {"n": n}, fac.to_json(), [], out)
 
 
 def _parse_cyc(text: str) -> CycInt:
@@ -237,8 +230,7 @@ def _parse_cyc(text: str) -> CycInt:
 @click.argument("p", type=int)
 @_json_flag
 @_out_opt
-@_guard
-def symbol(a, p, as_json, out):
+def symbol(a, p, out):
     """Quintic residue symbols of A at every prime of Z[zeta5] above P.
 
     A is a rational integer or four comma-separated power-basis coordinates.
@@ -254,7 +246,7 @@ def symbol(a, p, as_json, out):
                 "exponent": quintic_symbol(elem, q),
             }
         )
-    _emit(_envelope("symbol", {"a": elem.to_json(), "p": p}, {"symbols": rows, "legend": _SYMBOL_LEGEND}, []), out)
+    _emit("symbol", {"a": elem.to_json(), "p": p}, {"symbols": rows, "legend": _SYMBOL_LEGEND}, [], out)
 
 
 def _resolve_h_gamma(n, h_gamma, table):
@@ -265,33 +257,24 @@ def _resolve_h_gamma(n, h_gamma, table):
     return h_gamma if h_gamma is not None else h
 
 
-def _corollary_section(form, h):
-    try:
-        return genus.corollary_report(form, h)
-    except QuinticError as exc:
-        return _error_doc(exc)
-
-
 @main.command("genus")
 @click.argument("n", type=int)
 @_h_gamma_opts
 @_json_flag
 @_out_opt
-@_guard
-def genus_cmd(n, h_gamma, table, as_json, out):
+def genus_cmd(n, h_gamma, table, out):
     """Genus-field report for N: r, 5^r, period polynomials, d, q*, generators."""
     h = _resolve_h_gamma(n, h_gamma, table)
     form = radicand.classify(n)
     report = genus.build_genus_report(form)
-    report["corollary"] = _corollary_section(form, h) if h is not None else None
-    _emit(_envelope("genus", {"n": n, "h_gamma": h}, report, [HYPOTHESIS_NOTE]), out)
+    report["corollary"] = _section(genus.corollary_report, form, h) if h is not None else None
+    _emit("genus", {"n": n, "h_gamma": h}, report, [HYPOTHESIS_NOTE], out)
 
 
 @main.command()
 @click.argument("n", type=int)
 @_h_gamma_opts
 @_out_opt
-@_guard
 def report(n, h_gamma, table, out):
     """Full pipeline for N: classification, factorization, genus, generators,
     admissible capitulation types."""
@@ -301,20 +284,14 @@ def report(n, h_gamma, table, out):
     doc = {
         "radicand": form.to_json(),
         "factorization": factor_radicand(n, form.factorization).to_json(),
-        "genus": None,
-        "corollary": _corollary_section(form, h) if h is not None else None,
+        "genus": _section(genus.build_genus_report, form),
+        "corollary": _section(genus.corollary_report, form, h) if h is not None else None,
         "capitulation": None,
     }
-    try:
-        doc["genus"] = genus.build_genus_report(form)
-    except QuinticError as exc:
-        doc["genus"] = _error_doc(exc)
     if form.verdict is not Verdict.NONE:
-        try:
-            certificate = classgroup.generator_certificate(form)
+        certificate = _section(classgroup.generator_certificate, form)
+        if "error" not in certificate:
             warnings.append(RESIDUE_READING_NOTE)
-        except QuinticError as exc:
-            certificate = _error_doc(exc)
         doc["capitulation"] = {
             "n": n,
             "form": form.verdict.value,
@@ -323,7 +300,7 @@ def report(n, h_gamma, table, out):
             "tau2_permutation": list(classgroup.CANONICAL_TAU2),
             "subgroups": classgroup.CANONICAL_SUBGROUPS,
         }
-    _emit(_envelope("report", {"n": n, "h_gamma": h}, doc, warnings), out)
+    _emit("report", {"n": n, "h_gamma": h}, doc, warnings, out)
 
 
 def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> str:
@@ -343,7 +320,6 @@ def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> 
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Classify range chunks in parallel; output order is unaffected.")
 @_out_opt
-@_guard
 def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     """Classify every fifth-power-free N in [LO, HI], ascending."""
     if from_n is not None:
@@ -374,7 +350,6 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
 @main.command("selftest")
 @click.option("--suite", "suite_name", type=click.Choice(sorted(selftest.SUITES)), default=None,
               help="Run a single suite instead of all of them.")
-@_guard
 def selftest_cmd(suite_name):
     """Run the oracle-equivalence and invariant suites; exit 0 iff all pass."""
     names = None if suite_name is None else [suite_name]

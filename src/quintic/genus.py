@@ -508,24 +508,30 @@ def load_class_number_table(path) -> dict[int, int]:
 
     Each n >= 2 may have one line, and each h_gamma must be >= 1.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     table: dict[int, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [x.strip() for x in line.split(",")]
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'n,h_gamma', got {raw!r}")
-            try:
-                n, h = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-integer entry {raw!r}") from exc
-            if h < 1:
-                raise InputError(f"{path}:{lineno}: h_gamma must be >= 1, got {raw!r}")
-            if n < 2:
-                raise InputError(f"{path}:{lineno}: n must be >= 2, got {raw!r}")
-            if n in table:
-                raise InputError(f"{path}:{lineno}: a second line for n = {n}, got {raw!r}")
-            table[n] = h
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [x.strip() for x in line.split(",")]
+        if len(parts) != 2:
+            raise InputError(f"{path}:{lineno}: expected 'n,h_gamma', got {raw!r}")
+        try:
+            n, h = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: non-integer entry {raw!r}") from exc
+        if h < 1:
+            raise InputError(f"{path}:{lineno}: h_gamma must be >= 1, got {raw!r}")
+        if n < 2:
+            raise InputError(f"{path}:{lineno}: n must be >= 2, got {raw!r}")
+        if n in table:
+            raise InputError(f"{path}:{lineno}: a second line for n = {n}, got {raw!r}")
+        table[n] = h
     return table

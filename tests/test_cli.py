@@ -13,8 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quintic import radicand
+from quintic.classgroup import RESIDUE_READING_NOTE
 from quintic.cli import _json_text, main
-from quintic.errors import InputError
+from quintic.errors import InputError, InternalCheckError
 
 
 @pytest.fixture
@@ -117,6 +118,91 @@ def test_a_usage_error_is_an_input_error_document(runner, tmp_path, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2 and res.stdout_bytes == b""
     assert json.loads(res.stderr)["error"]["code"] == "input-error"
+
+
+@pytest.mark.parametrize("cmd", ["genus", "report"])
+def test_a_table_that_is_not_utf8_text_is_an_input_error(runner, tmp_path, cmd):
+    table = tmp_path / "h.csv"
+    table.write_bytes(b"\xff\xfe1\x001\x00,\x005\x00\n\x00")  # UTF-16 with its byte order mark
+    res = runner.invoke(main, [cmd, "11", "--table", str(table)])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr)["error"] == {
+        "code": "input-error",
+        "message": f"{table}: not UTF-8 text (invalid start byte at byte 0)",
+    }
+
+
+@pytest.mark.parametrize("args", [["classify", "95"], ["enumerate", "2", "10"]], ids=["classify", "enumerate"])
+def test_an_out_file_that_cannot_be_opened_is_an_input_error(runner, tmp_path, args):
+    out = tmp_path / "missing-dir" / "x.json"
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr)["error"] == {
+        "code": "input-error",
+        "message": f"cannot open --out file {out}: No such file or directory",
+    }
+    assert not out.parent.exists()
+
+
+def _injected_fault(*args):
+    raise InternalCheckError("injected fault")
+
+
+@pytest.mark.parametrize("target, args", [
+    ("quintic.radicand.classify", ["classify", "95"]),
+    ("quintic.radicand.classify", ["enumerate", "2", "50"]),
+    ("quintic.cli.factor_radicand", ["factor", "95"]),
+    ("quintic.cli.factor_radicand", ["report", "149"]),
+    ("quintic.cli.quintic_symbol", ["symbol", "3", "11"]),
+    ("quintic.genus.build_genus_report", ["genus", "11"]),
+], ids=["classify", "enumerate", "factor", "report", "symbol", "genus"])
+def test_an_internal_check_failure_is_an_error_document(runner, monkeypatch, target, args):
+    monkeypatch.setattr(target, _injected_fault)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1 and res.stdout_bytes == b""
+    assert json.loads(res.stderr)["error"] == {"code": "internal-check-failed", "message": "injected fault"}
+
+
+@pytest.mark.parametrize("target, path", [
+    ("quintic.genus.build_genus_report", ["genus"]),
+    ("quintic.genus.corollary_report", ["corollary"]),
+    ("quintic.classgroup.generator_certificate", ["capitulation", "certificate"]),
+], ids=["genus", "corollary", "certificate"])
+def test_a_failing_report_section_is_embedded_as_an_error_document(runner, monkeypatch, target, path):
+    args = ["report", "149", "--h-gamma", "5"]
+    want = json.loads(invoke(runner, *args).output)
+    assert RESIDUE_READING_NOTE in want["warnings"]
+    monkeypatch.setattr(target, _injected_fault)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0 and res.stderr_bytes == b""
+    section = want["result"]
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = {"error": {"code": "internal-check-failed", "message": "injected fault"}}
+    if path[-1] == "certificate":
+        want["warnings"].remove(RESIDUE_READING_NOTE)
+    assert json.loads(res.output) == want
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "95"],
+    ["classify", "32"],
+    ["factor", "95"],
+    ["symbol", "3", "11"],
+    ["genus", "11"],
+    ["report", "149"],
+    ["enumerate", "2", "50"],
+    ["selftest", "--suite", "capitulation"],
+], ids=["classify", "classify-error", "factor", "symbol", "genus", "report", "enumerate", "selftest"])
+def test_the_json_and_quiet_flags_change_nothing(runner, args):
+    def outcome(args):
+        res = runner.invoke(main, args)
+        return res.exit_code, res.stdout_bytes, res.stderr_bytes
+
+    plain = outcome(args)
+    assert outcome(["--quiet", *args]) == plain
+    if args[0] in ("classify", "factor", "symbol", "genus"):
+        assert outcome([*args, "--json"]) == plain
 
 
 @pytest.mark.parametrize("args, head", [
@@ -609,7 +695,6 @@ def test_selftest_reports_failing_suites_by_name(runner, monkeypatch):
 
 def test_selftest_surfaces_unexpected_symbol_errors(runner, monkeypatch):
     from quintic import symbols
-    from quintic.errors import InternalCheckError
 
     real = symbols.quintic_symbol
 

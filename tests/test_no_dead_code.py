@@ -12,6 +12,9 @@ an ``enum.Enum`` member would pass on a call to that attribute alone (a
 listed, with the reason it is reached, in FOREIGN_NAMED. A method can still
 pass on a call to another quintic method of the same name, such as
 ``to_json``.
+
+Every parameter of every function, other than ``self`` and ``cls``, is read
+in the function's body, or is listed with its reason in UNREAD_PARAMETERS.
 """
 
 import array
@@ -38,6 +41,9 @@ ALLOWED = frozenset({
 FOREIGN_NAMED = {
     "intarith._PrimeTable.extend": "factorize and sieve_primes grow the prime table with table.extend",
 }
+
+#: parameters that their function never reads, each with the reason it is kept
+UNREAD_PARAMETERS: dict[str, str] = {}
 
 
 class _Member(enum.Enum):
@@ -102,3 +108,41 @@ def test_every_method_named_like_a_foreign_attribute_is_listed():
         if qualname.count(".") == 2 and node.name in FOREIGN_ATTRIBUTES
     }
     assert methods == FOREIGN_NAMED.keys()
+
+
+def _functions(node: ast.AST, prefix: str):
+    """Every function and lambda under node, nested ones too, by dotted name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        elif isinstance(child, ast.Lambda):
+            yield f"{prefix}.<lambda>", child
+            yield from _functions(child, prefix)
+        else:
+            yield from _functions(child, prefix)
+
+
+def _unread_parameters(fn) -> list[str]:
+    spec = fn.args
+    params = [*spec.posonlyargs, *spec.args, spec.vararg, *spec.kwonlyargs, spec.kwarg]
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    read = {
+        node.id
+        for statement in body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [p.arg for p in params if p is not None and p.arg not in ("self", "cls") and p.arg not in read]
+
+
+def test_every_parameter_is_read_in_its_function():
+    unread = {
+        f"{qualname}.{param}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualname, fn in _functions(ast.parse(path.read_text()), path.stem)
+        for param in _unread_parameters(fn)
+    }
+    assert unread == UNREAD_PARAMETERS.keys()
