@@ -10,7 +10,7 @@ count of the same numbers and the Theta(p^2) expansion over zeta_p
 exponents are kept as oracles. Each polynomial f is certified irreducible
 by one gcd at a small prime q: gcd(X^(q^2) - X, f) = 1 mod q. Relative
 side: the genus field of k/k0 is k adjoined the fifth root of a product of
-normalized prime elements; the admissible exponent patterns are enumerated
+normalized prime elements; the candidate exponent patterns are enumerated
 per family and filtered by the hyperprimary congruence, one representative
 per Kummer class.
 
@@ -394,22 +394,15 @@ def _powers(x: CycInt) -> tuple[CycInt, ...]:
 _LAMBDA_POWERS = _powers(LAMBDA)
 
 
-def _kummer_orbit(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically smallest j-multiple of the exponent tuple, j in 1..4."""
-    return min(tuple(x * j % 5 for x in exps) for j in range(1, 5))
-
-
-#: Kummer class representatives (tuples e with _kummer_orbit(e) == e) among
-#: the exponent patterns in 1..4, in lexicographic order, as (a, a1, a2):
+#: Kummer class representatives (e with line_of(e) == e, its least multiple)
+#: among the exponent patterns in 1..4, in lexicographic order, as (a, a1, a2):
 #: Form I's, and Form III's (a1, a2) with lambda exponent a = 0
-_FORM_I_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=3) if _kummer_orbit(e) == e)
-_FORM_III_EXPONENTS = tuple(
-    (0, *e) for e in product(range(1, 5), repeat=2) if _kummer_orbit(e) == e
-)
+_FORM_I_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=3) if polyfp.line_of(e) == e)
+_FORM_III_EXPONENTS = tuple((0, *e) for e in product(range(1, 5), repeat=2) if polyfp.line_of(e) == e)
 
 
 def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
-    """Admissible Kummer generators for the relative genus field of k/k0.
+    """Candidate Kummer generators for the relative genus field of k/k0, by family shape.
 
     Shapes by family (pi_i the primary-normalized primes above p, q inert):
 
@@ -420,7 +413,8 @@ def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
     Generators coprime to lambda (forms II and III) must be hyperprimary;
     that congruence is invariant on Kummer classes, and one lexicographically
     smallest representative per class is returned. The lambda-divisible
-    Form I admits every exponent pattern (reduced to class representatives).
+    Form I keeps every exponent pattern (reduced to class representatives).
+    No candidate is checked to give an unramified extension of k.
     """
     if form.verdict is Verdict.NONE:
         raise InputError(f"{form.n} is not in any of the three families")

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -18,8 +19,11 @@ from quintic.classgroup import (
     enumerate_capitulation_types,
     generator_certificate,
     invariant_violations,
+    kernel_line,
     mat_mul,
+    mat_poly,
     mat_pow,
+    mat_vec,
     minus_eigenline,
     plus_eigenline,
     tau2_permutation,
@@ -27,6 +31,7 @@ from quintic.classgroup import (
 from quintic.cli import main
 from quintic.cyclo import CycInt
 from quintic.errors import InputError, InternalCheckError, ModelInvariantError
+from quintic.polyfp import line_of
 from quintic.primes import factor_rational_prime
 from quintic.radicand import Verdict, classify
 from quintic.symbols import brute_force_symbol
@@ -60,6 +65,23 @@ def test_ambiguous_subgroup_of_the_canonical_model():
     assert ambiguous_subgroup(m) == (1, 0)
     assert plus_eigenline(m) == (1, 0)
     assert minus_eigenline(m) == (0, 1)
+
+
+@pytest.mark.parametrize("m", [I2, ((2, 0), (0, 3)), ((0, 0), (0, 0))])
+def test_kernel_line_refuses_a_kernel_that_is_not_a_line(m):
+    with pytest.raises(InputError):
+        kernel_line(m)
+
+
+def test_kernel_line_of_s_minus_i_is_the_fixed_line():
+    mats = [((a, b), (c, d)) for a, b, c, d in product(range(5), repeat=4)]
+    order5 = [S for S in mats if S != I2 and mat_pow(S, 5) == I2]
+    assert len(order5) == 24
+    for S in order5:
+        fixed = [v for v in product(range(5), repeat=2) if v != (0, 0) and mat_vec(S, v) == v]
+        s_minus_i = ((S[0][0] - 1) % 5, S[0][1]), (S[1][0], (S[1][1] - 1) % 5)
+        assert mat_poly(S, (-1, 1)) == s_minus_i
+        assert {line_of(v) for v in fixed} == {kernel_line(s_minus_i)}
 
 
 def test_lattice_ordering_follows_the_labeling_rule():
