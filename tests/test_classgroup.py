@@ -79,7 +79,7 @@ def test_kernel_line_of_s_minus_i_is_the_fixed_line():
     assert len(order5) == 24
     for S in order5:
         fixed = [v for v in product(range(5), repeat=2) if v != (0, 0) and mat_vec(S, v) == v]
-        s_minus_i = ((S[0][0] - 1) % 5, S[0][1]), (S[1][0], (S[1][1] - 1) % 5)
+        s_minus_i = (((S[0][0] - 1) % 5, S[0][1]), (S[1][0], (S[1][1] - 1) % 5))
         assert mat_poly(S, (-1, 1)) == s_minus_i
         assert {line_of(v) for v in fixed} == {kernel_line(s_minus_i)}
 
