@@ -26,7 +26,6 @@ from .cyclo import (  # noqa: F401
     norm,
 )
 from .primes import (  # noqa: F401
-    CycFactorization,
     CycPrime,
     SplittingType,
     factor_radicand,
@@ -48,8 +47,6 @@ from .symbols import (  # noqa: F401
     residue_field,
 )
 from .genus import (  # noqa: F401
-    KummerGenerator,
-    PeriodPolynomial,
     absolute_genus,
     build_genus_report,
     corollary_report,

@@ -7,6 +7,7 @@ endings); identical inputs produce byte-identical output. Exit codes:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import sys
@@ -28,19 +29,27 @@ _ENUM_BATCH = 64  # chunks per worker handed to the pool at a time
 _SYMBOL_LEGEND = {str(i): f"value zeta^{i}" + (" (a is a fifth power)" if i == 0 else "") for i in range(5)}
 
 
+def _open_out(out):
+    """--out opened for append, so a failed command leaves it as it was; no --out yields None."""
+    if not out:
+        return contextlib.nullcontext()
+    try:
+        return open(out, "a", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InputError(f"cannot open --out file {out}: {exc.strerror}") from exc
+
+
 # Every click.echo names its stream: without file=, click caches a wrapper per
 # sys.stdout object, and each in-process invocation (CliRunner) leaks one.
-def _write(pieces: list[str], out):
-    if out:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise InputError(f"cannot open --out file {out}: {exc.strerror}") from exc
-        with fh:
-            fh.writelines(pieces)
-    else:
+def _write(pieces: list[str], fh):
+    """Replace what fh, from _open_out, holds with pieces; with fh None, echo them."""
+    if fh is None:
         for piece in pieces:
             click.echo(piece, nl=False, file=sys.stdout)
+        return
+    if fh.seekable() and fh.tell():  # a pipe cannot seek, and /dev/null cannot be truncated
+        fh.truncate(0)
+    fh.writelines(pieces)
 
 
 # "\n" plus the indent of each nesting depth; deeper ones are built when met
@@ -131,7 +140,8 @@ def _put_list(items: list, depth: int, parts: list[str]):
 
 def _emit(command: str, inputs: dict, result, warnings: list[str], out):
     doc = {"tool_version": __version__, "command": command, "input": inputs, "result": result, "warnings": warnings}
-    _write([_json_text(doc) + "\n"], out)
+    with _open_out(out) as fh:
+        _write([_json_text(doc) + "\n"], fh)
 
 
 def _error_doc(exc: QuinticError) -> dict:
@@ -210,8 +220,7 @@ def classify(n, out):
 @_out_opt
 def factor(n, out):
     """Factor N over Z[zeta5]: unit times prime powers."""
-    fac = factor_radicand(n, radicand.radicand_factorization(n))
-    _emit("factor", {"n": n}, fac.to_json(), [], out)
+    _emit("factor", {"n": n}, factor_radicand(n, radicand.radicand_factorization(n)), [], out)
 
 
 def _parse_cyc(text: str) -> CycInt:
@@ -283,7 +292,7 @@ def report(n, h_gamma, table, out):
     warnings = [HYPOTHESIS_NOTE, TAU2_PROOF_NOTE]
     doc = {
         "radicand": form.to_json(),
-        "factorization": factor_radicand(n, form.factorization).to_json(),
+        "factorization": factor_radicand(n, form.factorization),
         "genus": _section(genus.build_genus_report, form),
         "corollary": _section(genus.corollary_report, form, h) if h is not None else None,
         "capitulation": None,
@@ -334,17 +343,18 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     starts = range(lo, hi + 1, _ENUM_CHUNK)
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1, len(starts[:workers]))  # len(starts) overflows past 2**63
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which no other path needs
-        from concurrent.futures import ProcessPoolExecutor
-        # pool.map submits every item it is given at once, so it gets a bounded batch at a time
-        pending = iter(starts)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in iter(lambda: tuple(islice(pending, _ENUM_BATCH * workers)), ()):
-                pieces.extend(pool.map(rows, batch))
-    else:
-        pieces.extend(map(rows, starts))
-    _write(pieces, out)
+    with _open_out(out) as fh:  # before any classify, so a bad --out is refused at once
+        if workers > 1:
+            # imported here: it pulls in multiprocessing, which no other path needs
+            from concurrent.futures import ProcessPoolExecutor
+            # pool.map submits every item it is given at once, so it gets a bounded batch at a time
+            pending = iter(starts)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for batch in iter(lambda: tuple(islice(pending, _ENUM_BATCH * workers)), ()):
+                    pieces.extend(pool.map(rows, batch))
+        else:
+            pieces.extend(map(rows, starts))
+        _write(pieces, fh)
 
 
 @main.command("selftest")

@@ -12,7 +12,8 @@ by one gcd at a small prime q: gcd(X^(q^2) - X, f) = 1 mod q. Relative
 side: the genus field of k/k0 is k adjoined the fifth root of a product of
 normalized prime elements; the candidate exponent patterns are enumerated
 per family and filtered by the hyperprimary congruence, one representative
-per Kummer class.
+per Kummer class. absolute_genus, relative_genus and build_genus_report
+return the lists and the dict that the genus document prints.
 
 The ramified-prime count d feeds the ambiguous-rank formula
 rank = d - 3 + q*; under the standing rank-1 hypothesis q* is inferred
@@ -21,7 +22,6 @@ as 1 + 3 - d rather than computed from unit norm equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
@@ -35,28 +35,14 @@ from .errors import (
     QstarOutOfRange,
 )
 from .intarith import is_prime
-from .primes import SPLITTING_MOD_5, CycPrime, factor_rational_prime, primary_normalize
+from .primes import SPLITTING_MOD_5, factor_rational_prime, primary_normalize
 from .radicand import RadicandForm, Verdict
 
 
-@dataclass(frozen=True)
-class PeriodPolynomial:
-    """Monic quintic minimal polynomial of the Gaussian periods for p."""
-
-    p: int
-    coefficients: tuple[int, ...]  # ascending; constant term first, monic
-
-    def discriminant(self) -> int:
-        return _poly_discriminant(self.coefficients)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "coefficients": [str(c) for c in self.coefficients]}
-
-
-def period_polynomial(p: int) -> PeriodPolynomial:
+def period_polynomial(p: int) -> tuple[int, ...]:
     """Minimal polynomial of the five Gaussian periods of degree (p-1)/5.
 
-    The coefficients are period_coefficients(p, cyclotomic_numbers(p)),
+    The ascending coefficients are period_coefficients(p, cyclotomic_numbers(p)),
     certified monic with X^4 coefficient 1 and irreducible over Q. p is
     bounded only by is_prime's deterministic Miller-Rabin limit.
     """
@@ -68,7 +54,7 @@ def period_polynomial(p: int) -> PeriodPolynomial:
         raise InternalCheckError(f"period polynomial for p = {p} has a bad leading part")
     if _irreducibility_witness(result) is None:
         raise InternalCheckError(f"could not certify irreducibility for p = {p}")
-    return PeriodPolynomial(p, result)
+    return result
 
 
 #: row 5i + j, dotted with (p, 1, J1's four power-basis coordinates), is
@@ -265,21 +251,16 @@ def _rational_coefficients(poly: list[list[int]], p: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _poly_discriminant(coeffs: tuple[int, ...]) -> int:
-    """disc(f) for monic quintic f, via the Sylvester resultant of f and f'."""
+def discriminant(coeffs: tuple[int, ...]) -> int:
+    """disc(f) for monic f of degree n with ascending coefficients coeffs:
+    (-1)^(n(n-1)/2) times the Sylvester resultant of f and f'."""
     n = len(coeffs) - 1
-    deriv = tuple(i * coeffs[i] for i in range(1, n + 1))
-    rows = []
     rev = list(reversed(coeffs))
-    drev = list(reversed(deriv))
-    size = 2 * n - 1
-    for i in range(n - 1):
-        rows.append([0] * i + rev + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + drev + [0] * (size - n - i))
-    res = _bareiss_det(rows)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res  # lc = 1
+    drev = [i * coeffs[i] for i in range(n, 0, -1)]  # f', descending
+    # the 2n - 1 rows of the Sylvester matrix: n - 1 shifts of f, then n of f'
+    rows = [[0] * i + rev + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + drev + [0] * (n - 1 - i) for i in range(n)]
+    return (-1) ** (n * (n - 1) // 2) * _bareiss_det(rows)
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -327,10 +308,12 @@ def _irreducibility_witness(coeffs: tuple[int, ...]) -> int | None:
     return None
 
 
-def absolute_genus(form: RadicandForm) -> tuple[PeriodPolynomial, ...]:
+def absolute_genus(form: RadicandForm) -> list[dict]:
     """The M(p) components of the genus field of Gamma, one per prime p = 1 mod 5
-    dividing n, ascending; their number is r and the genus number is 5^r."""
-    return tuple(period_polynomial(p) for p in sorted(form.factorization) if p % 5 == 1)
+    dividing n, ascending, as the genus document lists them: p and the period
+    polynomial's coefficients. Their number is r and the genus number is 5^r."""
+    return [{"p": p, "coefficients": [str(c) for c in period_polynomial(p)]}
+            for p in sorted(form.factorization) if p % 5 == 1]
 
 
 def count_ramified_d(form: RadicandForm) -> int:
@@ -362,27 +345,6 @@ def infer_qstar(form: RadicandForm, d: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class KummerGenerator:
-    """A radical w = lambda^a * prod(pi_i^a_i) with k0(w^(1/5)) = candidate genus field."""
-
-    lambda_exp: int
-    prime_exps: tuple[tuple[CycPrime, int], ...]
-    realization: CycInt
-
-    def exponent_tuple(self) -> tuple[int, ...]:
-        return (self.lambda_exp,) + tuple(k for _, k in self.prime_exps)
-
-    def to_json(self) -> dict:
-        return {
-            "lambda_exp": self.lambda_exp,
-            "primes": [
-                {**q.to_json(), "exponent": k} for q, k in self.prime_exps
-            ],
-            "w": self.realization.to_json(),
-        }
-
-
 def _powers(x: CycInt) -> tuple[CycInt, ...]:
     """x^0, ..., x^4, in three products."""
     out = [ONE, x]
@@ -401,8 +363,11 @@ _FORM_I_EXPONENTS = tuple(e for e in product(range(1, 5), repeat=3) if polyfp.li
 _FORM_III_EXPONENTS = tuple((0, *e) for e in product(range(1, 5), repeat=2) if polyfp.line_of(e) == e)
 
 
-def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
+def relative_genus(form: RadicandForm) -> list[dict]:
     """Candidate Kummer generators for the relative genus field of k/k0, by family shape.
+
+    Each w = lambda^a * prod(pi_i^a_i), k0(w^(1/5)) a candidate genus field,
+    is listed as the genus document prints it: a, each pi_i with a_i, and w.
 
     Shapes by family (pi_i the primary-normalized primes above p, q inert):
 
@@ -414,7 +379,8 @@ def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
     that congruence is invariant on Kummer classes, and one lexicographically
     smallest representative per class is returned. The lambda-divisible
     Form I keeps every exponent pattern (reduced to class representatives).
-    No candidate is checked to give an unramified extension of k.
+    The list is sorted, stably, on a followed by the primes' exponents. No
+    candidate is checked to give an unramified extension of k.
     """
     if form.verdict is Verdict.NONE:
         raise InputError(f"{form.n} is not in any of the three families")
@@ -436,15 +402,16 @@ def relative_genus(form: RadicandForm) -> tuple[KummerGenerator, ...]:
             (a, ((pi1, a1), (pi2, a2)), _LAMBDA_POWERS[a] * pw1[a1] * pw2[a2])
             for a, a1, a2 in exps
         ]
-    out: list[KummerGenerator] = []
-    for lambda_exp, pe, w in candidates:
-        if lambda_exp or hyperprimary_class(w) is not None:
-            out.append(KummerGenerator(lambda_exp, pe, w))
+    out = [(a, pe, w) for a, pe, w in candidates if a or hyperprimary_class(w) is not None]
     if not out:
         raise NoAdmissibleGenerator(
             f"no admissible Kummer generator for n = {form.n} ({len(candidates)} rejected)"
         )
-    return tuple(sorted(out, key=lambda g: g.exponent_tuple()))
+    out.sort(key=lambda c: (c[0], *(k for _, k in c[1])))
+    return [
+        {"lambda_exp": a, "primes": [{**q.to_json(), "exponent": k} for q, k in pe], "w": w.to_json()}
+        for a, pe, w in out
+    ]
 
 
 def build_genus_report(form: RadicandForm) -> dict:
@@ -459,8 +426,8 @@ def build_genus_report(form: RadicandForm) -> dict:
         "n": form.n,
         "r": r,
         "genus_number": 5**r,
-        "absolute_components": [c.to_json() for c in components],
-        "relative_candidates": [g.to_json() for g in relative_genus(form)] if classified else [],
+        "absolute_components": components,
+        "relative_candidates": relative_genus(form) if classified else [],
         "d": d,
         "qstar_inferred": q,
         "rank_value": d - 3 + q if classified else None,

@@ -2,7 +2,8 @@
 
 Z[zeta5] has class number 1, so every prime ideal is generated by a single
 element; factorizations here are always on the level of elements, with the
-leftover unit tracked explicitly.
+leftover unit tracked explicitly. factor_radicand returns the document that
+the factor command prints.
 """
 
 from __future__ import annotations
@@ -52,20 +53,6 @@ class CycPrime:
         return {"p": self.p, "pi": self.element.to_json(), "f": self.f, "e": self.e}
 
 
-@dataclass(frozen=True)
-class CycFactorization:
-    """unit * prod(prime^exponent), an exact factorization in Z[zeta5]."""
-
-    unit: CycInt
-    factors: tuple[tuple[CycPrime, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "unit": self.unit.to_json(),
-            "factors": [{"prime": q.to_json(), "exponent": k} for q, k in self.factors],
-        }
-
-
 def splitting_type(p: int) -> SplittingType:
     """Splitting of p in Z[zeta5]; decided by the order of p mod 5."""
     if not is_prime(p):
@@ -107,9 +94,10 @@ def factor_rational_prime(p: int) -> tuple[CycPrime, ...]:
     return result
 
 
-def factor_radicand(n: int, factorization: dict[int, int]) -> CycFactorization:
-    """Full factorization over Z[zeta5] of a rational integer n >= 2, given
-    its factorization over Z (radicand_factorization(n))."""
+def factor_radicand(n: int, factorization: dict[int, int]) -> dict:
+    """The factor document of a rational integer n >= 2, given its
+    factorization over Z (radicand_factorization(n)): the unit and the prime
+    powers of n over Z[zeta5], with unit * prod(prime^exponent) = n."""
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
     factors: list[tuple[CycPrime, int]] = []
@@ -123,7 +111,7 @@ def factor_radicand(n: int, factorization: dict[int, int]) -> CycFactorization:
     unit = cyclo.exact_div(CycInt(n), prod)
     if cyclo.norm(unit) != 1:
         raise InternalCheckError(f"non-unit cofactor while factoring {n}")
-    return CycFactorization(unit, tuple(factors))
+    return {"unit": unit.to_json(), "factors": [{"prime": q.to_json(), "exponent": k} for q, k in factors]}
 
 
 def is_primary(a: CycInt) -> int | None:

@@ -145,30 +145,26 @@ def _suite_symbols(limit: int = 42, triples: int = 200) -> SuiteResult:
 def _suite_periods(limit: int = 100) -> SuiteResult:
     res = SuiteResult("periods")
     pp = genus.period_polynomial(11)
-    res.note(pp.coefficients == (1, 3, -3, -4, 1, 1), "frozen p=11 polynomial")
-    res.note(pp.discriminant() == 11**4, "p=11 discriminant")
+    res.note(pp == (1, 3, -3, -4, 1, 1), "frozen p=11 polynomial")
+    res.note(genus.discriminant(pp) == 11**4, "p=11 discriminant")
     for p in [p for p in sieve_primes(limit) if p % 5 == 1]:
         poly = genus.period_polynomial(p)
-        res.note(poly.coefficients[4] == 1, f"trace at {p}")
+        res.note(poly[4] == 1, f"trace at {p}")
         g0 = primitive_root(p)
         res.note(
-            genus.brute_force_period_coefficients(p, g0) == poly.coefficients,
+            genus.brute_force_period_coefficients(p, g0) == poly,
             f"expansion oracle at {p}",
         )
         # the O(p) count of the cyclotomic numbers, from a second primitive
         # root g0^k, k the least integer above 1 coprime to p - 1
         g1 = pow(g0, next(k for k in count(2) if math.gcd(k, p - 1) == 1), p)
         cyc = genus.brute_force_cyclotomic_numbers(p, g1)
-        res.note(genus.period_coefficients(p, cyc) == poly.coefficients, f"walk oracle at {p}")
+        res.note(genus.period_coefficients(p, cyc) == poly, f"walk oracle at {p}")
         # the p-part is exactly p^4 (the field discriminant); the cofactor is
         # the square of the period-order index, coprime to p
-        d = abs(poly.discriminant())
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
+        d, r = divmod(abs(genus.discriminant(poly)), p**4)
         s = math.isqrt(d)
-        res.note(v == 4 and s * s == d and math.gcd(s, p) == 1, f"discriminant shape at {p}")
+        res.note(r == 0 and s * s == d and math.gcd(s, p) == 1, f"discriminant shape at {p}")
     return res
 
 

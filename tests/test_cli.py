@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,9 @@ from quintic import radicand
 from quintic.classgroup import RESIDUE_READING_NOTE
 from quintic.cli import _json_text, main
 from quintic.errors import InputError, InternalCheckError
+from quintic.genus import absolute_genus, relative_genus
+from quintic.primes import factor_radicand
+from quintic.radicand import Verdict
 
 
 @pytest.fixture
@@ -142,6 +146,56 @@ def test_an_out_file_that_cannot_be_opened_is_an_input_error(runner, tmp_path, a
         "message": f"cannot open --out file {out}: No such file or directory",
     }
     assert not out.parent.exists()
+
+
+@pytest.fixture
+def pool_in_process(monkeypatch):
+    """Two CPUs and a _RecordingPool for ProcessPoolExecutor, so --workers 2 maps in this process."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_enumerate_refuses_an_out_file_that_cannot_be_opened_before_it_classifies(
+        runner, monkeypatch, tmp_path, pool_in_process, workers):
+    import quintic.radicand
+
+    calls = record_calls(monkeypatch, quintic.radicand.classify)
+    out = tmp_path / "missing-dir" / "x.jsonl"
+    res = runner.invoke(main, ["enumerate", "2", "100000", "--workers", workers, "--out", str(out)])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr)["error"] == {
+        "code": "input-error",
+        "message": f"cannot open --out file {out}: No such file or directory",
+    }
+    assert calls == [] and _RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failed_enumerate_window_leaves_its_out_file_as_it_was(runner, tmp_path, pool_in_process, workers):
+    # the first of the three chunks holds n = 1000003 * 1000033, which cannot be certified
+    out = tmp_path / "rows.jsonl"
+    out.write_bytes(b'{"n": 2}\nan earlier run\n')
+    res = runner.invoke(main, ["enumerate", "1000036000000", "1000036000600", "--workers", workers,
+                               "--out", str(out)])
+    assert res.exit_code == 2 and res.stdout_bytes == b""
+    assert json.loads(res.stderr)["error"]["code"] == "uncertified-factorization"
+    assert _RecordingPool.sizes == ([2] if workers == "2" else [])
+    assert out.read_bytes() == b'{"n": 2}\nan earlier run\n'
+
+
+@pytest.mark.parametrize("args", [["classify", "95"], ["enumerate", "2", "300"], ["enumerate", "2", "300", "--csv"]])
+def test_an_out_file_holds_exactly_what_stdout_would(runner, tmp_path, args):
+    out = tmp_path / "x"
+    out.write_bytes(b"a longer earlier file\n" * 2000)
+    res = invoke(runner, *args, "--out", str(out))
+    assert (res.exit_code, res.stdout_bytes, res.stderr_bytes) == (0, b"", b"")
+    assert out.read_bytes() == invoke(runner, *args).stdout_bytes
+    # a device such as /dev/null cannot be truncated, and is still a valid --out
+    assert invoke(runner, *args, "--out", os.devnull).exit_code == 0
 
 
 def _injected_fault(*args):
@@ -777,3 +831,30 @@ class _Small(enum.IntEnum):
 def test_json_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         _json_text(doc)
+
+
+def _contract_radicands():
+    """The README's radicands 95 (I), 57 (II), 149 (III), 341 = 11 * 31 (none)
+    and 11, then one seeded n of each verdict from a seeded window above 10^5."""
+    rng = random.Random(2027)
+    lo = rng.randrange(10**5, 2 * 10**5)
+    window = list(radicand.enumerate_radicands(lo, lo + 5000))
+    return [95, 57, 149, 341, 11, *(rng.choice([f.n for f in window if f.verdict is v]) for v in Verdict)]
+
+
+def test_the_section_builders_return_the_documents_the_commands_print(runner):
+    forms = [radicand.classify(n) for n in _contract_radicands()]
+    assert {f.verdict for f in forms} == set(Verdict)
+    assert sum(p % 5 == 1 for f in forms for p in f.factorization) >= 3
+    for form in forms:
+        n = str(form.n)
+        factored = json.loads(invoke(runner, "factor", n).output)["result"]
+        genus_doc = json.loads(invoke(runner, "report", n).output)["result"]["genus"]
+        assert factor_radicand(form.n, form.factorization) == factored, n
+        assert absolute_genus(form) == genus_doc["absolute_components"], n
+        if form.verdict is Verdict.NONE:
+            assert genus_doc["relative_candidates"] == []
+            with pytest.raises(InputError):
+                relative_genus(form)
+        else:
+            assert relative_genus(form) == genus_doc["relative_candidates"], n

@@ -19,7 +19,6 @@ from quintic.errors import (
     QstarOutOfRange,
 )
 from quintic.genus import (
-    KummerGenerator,
     absolute_genus,
     brute_force_cyclotomic_numbers,
     brute_force_period_coefficients,
@@ -28,6 +27,7 @@ from quintic.genus import (
     count_ramified_d,
     cyclotomic_numbers,
     cyclotomic_numbers_from_jacobi_sum,
+    discriminant,
     infer_qstar,
     load_class_number_table,
     period_coefficients,
@@ -81,12 +81,12 @@ def numeric_period_coefficients(p: int) -> list[complex]:
 def test_frozen_polynomial_for_eleven():
     # the periods for p = 11 are 2cos(2*pi*a/11); minimal polynomial
     # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1
-    assert period_polynomial(11).coefficients == (1, 3, -3, -4, 1, 1)
+    assert period_polynomial(11) == (1, 3, -3, -4, 1, 1)
 
 
 @pytest.mark.parametrize("p", [11, 31, 41, 61, 71])
 def test_numeric_root_oracle(p):
-    exact = period_polynomial(p).coefficients
+    exact = period_polynomial(p)
     approx = numeric_period_coefficients(p)
     for k in range(6):
         assert abs(approx[k].real - exact[k]) < 1e-6
@@ -100,13 +100,13 @@ def test_numeric_root_oracle(p):
 def test_recomputation_with_another_primitive_root(p):
     # g0^k is a primitive root exactly when k is coprime to p - 1
     g1 = pow(primitive_root(p), next(k for k in count(2) if math.gcd(k, p - 1) == 1), p)
-    assert period_polynomial(p).coefficients == walk_polynomial(p, g1)
+    assert period_polynomial(p) == walk_polynomial(p, g1)
 
 
 @pytest.mark.parametrize("p", [CAP_PRIME, ABOVE_1E12, NEAR_1E24])
 def test_irreducibility_via_sympy(p):
     x = sympy.symbols("x")
-    f = sum(c * x**k for k, c in enumerate(period_polynomial(p).coefficients))
+    f = sum(c * x**k for k, c in enumerate(period_polynomial(p)))
     assert sympy.Poly(f, x).is_irreducible
 
 
@@ -149,7 +149,7 @@ def seeded_quintics(seed):
 
 
 def test_witness_is_the_first_prime_sympy_calls_irreducible():
-    periods = [period_polynomial(p).coefficients for p in sieve_primes(5000) if p % 5 == 1]
+    periods = [period_polynomial(p) for p in sieve_primes(5000) if p % 5 == 1]
     built = seeded_quintics(5)
     refused = 0
     for coeffs in periods + built:
@@ -169,7 +169,7 @@ def test_period_polynomial_refuses_without_a_witness(monkeypatch):
 # the witnesses are 2, 2, 3 and 7: 1381 and 2011 are genus-periods grid primes
 @pytest.mark.parametrize("p", [11, 1381, 2011, 6581])
 def test_witness_makes_one_gcd_per_candidate_prime(p, monkeypatch):
-    w = genus._irreducibility_witness(period_polynomial(p).coefficients)
+    w = genus._irreducibility_witness(period_polynomial(p))
     calls = []
     gcd = genus.polyfp.gcd
 
@@ -186,8 +186,8 @@ def test_witness_makes_one_gcd_per_candidate_prime(p, monkeypatch):
 def test_discriminant_is_p4_times_a_coprime_square(p):
     poly = period_polynomial(p)
     x = sympy.symbols("x")
-    f = sum(c * x**k for k, c in enumerate(poly.coefficients))
-    d = poly.discriminant()
+    f = sum(c * x**k for k, c in enumerate(poly))
+    d = discriminant(poly)
     assert d == int(sympy.discriminant(f))
     v = 0
     while d % p == 0:
@@ -203,7 +203,7 @@ def test_discriminant_is_p4_times_a_coprime_square(p):
 @pytest.mark.parametrize("p", [11, 31, 41, 61, 71])
 def test_cyclotomic_numbers_match_the_expansion_oracle(p):
     g = primitive_root(p)
-    assert period_polynomial(p).coefficients == brute_force_period_coefficients(p, g)
+    assert period_polynomial(p) == brute_force_period_coefficients(p, g)
 
 
 def test_jacobi_sums_match_the_walk_below_10_4():
@@ -211,13 +211,13 @@ def test_jacobi_sums_match_the_walk_below_10_4():
     ps = [p for p in sieve_primes(10**4) if p % 5 == 1]
     assert len(ps) == 306
     for p in ps:
-        assert period_polynomial(p).coefficients == walk_polynomial(p, primitive_root(p)), p
+        assert period_polynomial(p) == walk_polynomial(p, primitive_root(p)), p
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_jacobi_sums_match_the_walk_near_10_6(seed):
     p = seeded_prime(seed, 10**6)
-    assert period_polynomial(p).coefficients == walk_polynomial(p, primitive_root(p))
+    assert period_polynomial(p) == walk_polynomial(p, primitive_root(p))
 
 
 def _cyclotomic_rows_from_the_definition():
@@ -294,7 +294,7 @@ def test_declared_cap_is_reachable_within_budget():
 
 
 def test_discriminant_for_eleven_is_exactly_p4():
-    assert period_polynomial(11).discriminant() == 11**4
+    assert discriminant(period_polynomial(11)) == 11**4
 
 
 def test_period_polynomial_rejects_bad_inputs():
@@ -305,9 +305,9 @@ def test_period_polynomial_rejects_bad_inputs():
 
 
 def test_absolute_genus_counts():
-    assert absolute_genus(classify(95)) == ()
-    assert [c.p for c in absolute_genus(classify(11))] == [11]
-    assert [c.p for c in absolute_genus(classify(341))] == [11, 31]  # 11 * 31
+    assert absolute_genus(classify(95)) == []
+    assert absolute_genus(classify(11)) == [{"p": 11, "coefficients": ["1", "3", "-3", "-4", "1", "1"]}]
+    assert [c["p"] for c in absolute_genus(classify(341))] == [11, 31]  # 11 * 31
     report = build_genus_report(classify(341))
     assert (report["r"], report["genus_number"]) == (2, 25)
 
@@ -335,41 +335,54 @@ def test_qstar_out_of_range_is_reported():
         infer_qstar(classify(95), 5)
 
 
+def _exponents(g):
+    """(a, a1, ...) of a relative candidate document."""
+    return (g["lambda_exp"], *(q["exponent"] for q in g["primes"]))
+
+
+def _read_back(g):
+    """lambda^a * prod(pi^k) of a relative candidate document, each power from scratch."""
+    w = LAMBDA ** g["lambda_exp"]
+    for q in g["primes"]:
+        w = w * CycInt.from_json(q["pi"]) ** q["exponent"]
+    return w
+
+
 def test_relative_genus_form_one_shape():
     gens = relative_genus(classify(95))
     assert len(gens) == 16  # one representative per Kummer class
     for g in gens:
-        assert g.lambda_exp in (1, 2, 3, 4)
-        assert len(g.prime_exps) == 2
-        assert all(q.p == 19 for q, _ in g.prime_exps)
-        assert g.realization == _realize(g.lambda_exp, g.prime_exps)
+        assert g["lambda_exp"] in (1, 2, 3, 4)
+        assert len(g["primes"]) == 2
+        assert all(q["p"] == 19 for q in g["primes"])
+        assert CycInt.from_json(g["w"]) == _read_back(g)
 
 
 def test_relative_genus_form_two_shape():
     gens = relative_genus(classify(57))
     assert gens
     for g in gens:
-        assert g.lambda_exp == 0
-        (q0, k0), (q1, k1) = g.prime_exps
-        assert q0.p == 3 and k0 == 1
-        assert q1.p == 19 and 1 <= k1 <= 4
-        assert hyperprimary_class(g.realization) is not None
+        assert g["lambda_exp"] == 0
+        q0, q1 = g["primes"]
+        assert q0["p"] == 3 and q0["exponent"] == 1
+        assert q1["p"] == 19 and 1 <= q1["exponent"] <= 4
+        assert hyperprimary_class(CycInt.from_json(g["w"])) is not None
 
 
 def test_relative_genus_form_three_shape():
     gens = relative_genus(classify(149))
     assert gens  # at least one admissible generator exists
-    exps = [g.exponent_tuple() for g in gens]
+    exps = [_exponents(g) for g in gens]
     assert exps == sorted(exps)
     for g in gens:
-        assert g.lambda_exp == 0
-        assert all(q.p == 149 for q, _ in g.prime_exps)
-        assert hyperprimary_class(g.realization) is not None
+        assert g["lambda_exp"] == 0
+        assert all(q["p"] == 149 for q in g["primes"])
+        assert hyperprimary_class(CycInt.from_json(g["w"])) is not None
 
 
 def test_relative_genus_classes_are_kummer_inequivalent():
     gens = relative_genus(classify(149))
-    tuples = {g.exponent_tuple() for g in gens}
+    tuples = {_exponents(g) for g in gens}
     for t in tuples:
         for j in (2, 3, 4):
             multiplied = tuple(x * j % 5 for x in t)
@@ -396,7 +409,7 @@ def _class_representatives(length):
 
 
 def relative_genus_oracle(form):
-    """relative_genus as a loop that realizes every candidate from scratch."""
+    """relative_genus as a loop that realizes and writes every candidate from scratch."""
     pis = tuple(primary_normalize(q) for q in factor_rational_prime(form.p))
     if form.verdict is Verdict.FORM_I:
         candidates = [(a, ((pis[0], a1), (pis[1], a2))) for a, a1, a2 in _class_representatives(3)]
@@ -409,8 +422,10 @@ def relative_genus_oracle(form):
     for lambda_exp, pe in candidates:
         w = _realize(lambda_exp, pe)
         if lambda_exp or hyperprimary_class(w) is not None:
-            out.append(KummerGenerator(lambda_exp, pe, w))
-    return tuple(sorted(out, key=lambda g: g.exponent_tuple()))
+            primes = [{"p": q.p, "pi": [str(x) for x in q.element.c], "f": q.f, "e": q.e, "exponent": k}
+                      for q, k in pe]
+            out.append({"lambda_exp": lambda_exp, "primes": primes, "w": [str(x) for x in w.c]})
+    return sorted(out, key=_exponents)
 
 
 def test_relative_genus_matches_the_oracle_on_every_family_member_below_10_4():

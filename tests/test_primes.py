@@ -19,7 +19,7 @@ from quintic.primes import (
     primary_normalize,
     splitting_type,
 )
-from quintic.radicand import radicand_factorization
+from quintic.radicand import is_fifth_power_free, radicand_factorization
 
 #: sha256 of test_the_primes_above_split_p_are_pinned's lines
 SPLITTING_DIGEST = "e2637c03a0f4c60ed836879df5b56e0ef68a4191b0b1252e5516e0a5f10ad22c"
@@ -101,31 +101,59 @@ def factor(n):
     return factor_radicand(n, radicand_factorization(n))
 
 
-def expand(fac):
-    """unit * prod(prime^exponent), multiplied out."""
-    acc = fac.unit
-    for q, k in fac.factors:
-        acc = acc * q.element**k
+def expand(doc):
+    """unit * prod(prime^exponent), read back from the factor document and multiplied out."""
+    acc = CycInt.from_json(doc["unit"])
+    for entry in doc["factors"]:
+        acc = acc * CycInt.from_json(entry["prime"]["pi"]) ** entry["exponent"]
     return acc
 
 
 def test_factor_radicand_25_is_lambda_to_the_eighth():
-    fac = factor(25)
-    assert [(q.p, k) for q, k in fac.factors] == [(5, 8)]
-    assert expand(fac) == CycInt(25)
+    doc = factor(25)
+    assert [(e["prime"]["p"], e["exponent"]) for e in doc["factors"]] == [(5, 8)]
+    assert expand(doc) == CycInt(25)
 
 
 def test_factor_radicand_95():
-    fac = factor(95)
-    assert [(q.p, q.f, k) for q, k in fac.factors] == [(5, 1, 4), (19, 2, 1), (19, 2, 1)]
-    assert norm(fac.unit) == 1
-    assert expand(fac) == CycInt(95)
+    doc = factor(95)
+    shape = [(e["prime"]["p"], e["prime"]["f"], e["exponent"]) for e in doc["factors"]]
+    assert shape == [(5, 1, 4), (19, 2, 1), (19, 2, 1)]
+    assert norm(CycInt.from_json(doc["unit"])) == 1
+    assert expand(doc) == CycInt(95)
 
 
 def test_factor_radicand_inert_prime():
-    fac = factor(2)
-    (q, k), = fac.factors
-    assert q.f == 4 and k == 1 and q.element == CycInt(2)
+    (entry,) = factor(2)["factors"]
+    q = entry["prime"]
+    assert q["f"] == 4 and entry["exponent"] == 1 and CycInt.from_json(q["pi"]) == CycInt(2)
+
+
+def _certifiable_near_10_12(count, seed):
+    """count seeded fifth-power-free n in [10^12, 2 * 10^12) that factorize can certify."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.randrange(10**12, 2 * 10**12)
+        try:
+            fac = radicand_factorization(n)
+        except FactorizationError:
+            continue
+        if max(fac.values()) < 5:
+            found.append(n)
+    return found
+
+
+def test_the_factor_document_reads_back_to_n():
+    # read back with CycInt.from_json: unit * prod(pi^e) = n, N(unit) = 1 and N(pi) = p^f
+    ns = [n for n in range(2, 3001) if is_fifth_power_free(n)] + _certifiable_near_10_12(50, 1012)
+    for n in ns:
+        doc = factor(n)
+        assert norm(CycInt.from_json(doc["unit"])) == 1, n
+        for entry in doc["factors"]:
+            q = entry["prime"]
+            assert norm(CycInt.from_json(q["pi"])) == q["p"] ** q["f"], (n, q)
+        assert expand(doc) == CycInt(n), n
 
 
 def test_factor_radicand_rejects_uncertifiable_cofactors():
@@ -253,9 +281,3 @@ def test_cycprime_json_shape():
     assert doc["p"] == 19 and doc["f"] == 2 and doc["e"] == 1
     assert CycInt.from_json(doc["pi"]) == q.element
 
-
-def test_factorization_json_round_trips_value():
-    fac = factor(57)
-    doc = fac.to_json()
-    assert CycInt.from_json(doc["unit"]) == fac.unit
-    assert len(doc["factors"]) == len(fac.factors)
