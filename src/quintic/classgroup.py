@@ -167,36 +167,18 @@ def tau2_permutation(model: ClassGroupModel) -> tuple[int, ...]:
     """Permutation induced by tau^2 on H1..H6 (1-indexed images)."""
     lines = build_lattice(model)
     T2 = mat_mul(model.T, model.T)
-    perm = []
-    for v in lines:
-        img = line_of(mat_vec(T2, v))
-        perm.append(lines.index(img) + 1)
-    return tuple(perm)
+    return tuple(lines.index(line_of(mat_vec(T2, v))) + 1 for v in lines)
 
 
-@dataclass(frozen=True)
-class ModelSurvey:
-    """Exhaustive statistics over every (S, T) pair satisfying the model relations."""
-
-    pairs_total: int
-    kernel_dim_one: int
-    kernel_equals_image: int
-    kernel_tau2_stable: int
-    tau2_pointwise_fixed: int
-    tau2_pointwise_inverted: int
-    ambiguity_operator_ok: bool
-    order5_count: int
-    order5_kernel_dim_one: int
-
-
-def model_survey() -> ModelSurvey:
-    """Check the ambiguous/principal-genus identities over all valid pairs.
+def model_survey() -> dict[str, bool]:
+    """Check the ambiguous/principal-genus identities over all valid pairs, by name.
 
     The order-5 matrices S are the 24 non-identity unipotents, and each
     must fix exactly one line, the kernel line of S - I (the rank-1
-    hypothesis); kernel_dim_one counts the pairs whose S does. For every
+    hypothesis); 480 pairs (S, T) satisfy the model relations. For every
     pair, ker(S - I) = im(S - I), read as (S - I)^2 = 0, and tau^2 carries
-    it to itself (it is one of the lines the induced permutation fixes).
+    it to itself, by +1 or -1 (it is one of the lines the induced
+    permutation fixes).
     Whether tau^2 restricts to +1 or -1 on that line is NOT decided by the
     matrix relations: both happen, in equal numbers. The arithmetic situation
     realizes the +1 half (ambiguous classes are tau^2-fixed, a fact imported
@@ -207,8 +189,7 @@ def model_survey() -> ModelSurvey:
     """
     mats = [((a, b), (c, d)) for a in range(5) for b in range(5) for c in range(5) for d in range(5)]
     order5 = [m for m in mats if m != I2 and mat_pow(m, 5) == I2]
-
-    pairs = kdim = keqi = stable = pfix = pinv = o5dim = 0
+    pairs = kdim = keqi = pfix = pinv = o5dim = 0
     amb_ok = True
     for S in order5:
         SI = mat_poly(S, (-1, 1))
@@ -223,22 +204,22 @@ def model_survey() -> ModelSurvey:
             pairs += 1
             kdim += dim_one
             keqi += ker_is_im
-            T2 = mat_mul(T, T)
-            w = mat_vec(T2, ker)
-            if line_of(w) == ker:
-                stable += 1
-                if w == ker:
-                    pfix += 1
-                elif w == ((-ker[0]) % 5, (-ker[1]) % 5):
-                    pinv += 1
-    return ModelSurvey(pairs, kdim, keqi, stable, pfix, pinv, amb_ok, len(order5), o5dim)
+            w = mat_vec(mat_mul(T, T), ker)
+            pfix += w == ker
+            pinv += w == ((-ker[0]) % 5, (-ker[1]) % 5)
+    return {
+        "pair count": pairs == 480,
+        "ambiguous rank": kdim == pairs,
+        "principal genus": keqi == pairs,
+        "tau2 stability": pfix + pinv == pairs,
+        "tau2 sign split": pfix == pinv == 240,
+        "ambiguity operator": amb_ok,
+        "order-5 fixed lines": len(order5) == o5dim == 24,
+    }
 
 
-def enumerate_capitulation_types(
-    require_ambiguous_capitulates: bool = True,
-    require_uniform_conjugates: bool = True,
-) -> tuple[tuple[int, ...], ...]:
-    """All admissible capitulation 6-tuples over {0..6}.
+def enumerate_capitulation_types() -> tuple[tuple[int, ...], ...]:
+    """All admissible capitulation 6-tuples over {0..6}, ascending.
 
     Entry i_j = 0 means every class capitulates in K_j; i_j in 1..6 means
     exactly the cyclic subgroup H_{i_j} does. Constraints:
@@ -249,35 +230,31 @@ def enumerate_capitulation_types(
           i_j in {0, 1};
       (c) the tau^2 conjugacy of K2..K6 forces entries 2..6 to agree.
 
-    (b) and (c) are the two flags; with both active exactly four tuples
-    survive.
+    Exactly four tuples survive (b) and (c).
     """
-    out = []
-    for t in product(range(7), repeat=6):
-        if require_ambiguous_capitulates and not all(e in (0, 1) for e in t):
-            continue
-        if require_uniform_conjugates and len(set(t[1:])) != 1:
-            continue
-        out.append(t)
-    return tuple(sorted(out))
+    return tuple(
+        t for t in product(range(7), repeat=6) if all(e in (0, 1) for e in t) and len(set(t[1:])) == 1
+    )
 
 
-#: what enumerate_capitulation_types() returns with every constraint active:
-#: i1 in {0, 1}, and i2..i6 all equal and in {0, 1}
+#: what enumerate_capitulation_types() returns: i1 in {0, 1}, and i2..i6 all
+#: equal and in {0, 1}
 EXPECTED_CAPITULATION_TYPES = (
     (0, 0, 0, 0, 0, 0),
     (0, 1, 1, 1, 1, 1),
     (1, 0, 0, 0, 0, 0),
     (1, 1, 1, 1, 1, 1),
 )
+#: build_lattice(canonical_model()) and tau2_permutation(canonical_model()),
+#: the same for every classified radicand; the capitulation suite checks all
+#: three literals against those oracles
+CANONICAL_LATTICE = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4))
+CANONICAL_TAU2 = (1, 2, 6, 5, 4, 3)
 
-
-#: the lattice and tau^2 permutation of the canonical model, the same for every
-#: classified radicand; report serves them with EXPECTED_CAPITULATION_TYPES,
-#: and the capitulation suite checks all three against the oracles
-CANONICAL_LATTICE = build_lattice(canonical_model())
-CANONICAL_TAU2 = tau2_permutation(canonical_model())
-#: report's "subgroups" list, built once and shared by every report
+#: report's admissible_types, tau2_permutation and subgroups lists, built once
+#: and shared by every report
+ADMISSIBLE_TYPES = [list(t) for t in EXPECTED_CAPITULATION_TYPES]
+TAU2_PERMUTATION = list(CANONICAL_TAU2)
 CANONICAL_SUBGROUPS = [
     {"label": f"H{i+1}", "line": list(v), "field": FIELD_NAMES[i]} for i, v in enumerate(CANONICAL_LATTICE)
 ]

@@ -304,9 +304,9 @@ def report(n, h_gamma, table, out):
         doc["capitulation"] = {
             "n": n,
             "form": form.verdict.value,
-            "admissible_types": [list(t) for t in classgroup.EXPECTED_CAPITULATION_TYPES],
+            "admissible_types": classgroup.ADMISSIBLE_TYPES,
             "certificate": certificate,
-            "tau2_permutation": list(classgroup.CANONICAL_TAU2),
+            "tau2_permutation": classgroup.TAU2_PERMUTATION,
             "subgroups": classgroup.CANONICAL_SUBGROUPS,
         }
     _emit("report", {"n": n, "h_gamma": h}, doc, warnings, out)

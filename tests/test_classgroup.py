@@ -5,12 +5,14 @@ import pytest
 from click.testing import CliRunner
 
 from quintic.classgroup import (
+    ADMISSIBLE_TYPES,
     ALL_LINES,
     CANONICAL_LATTICE,
     CANONICAL_SUBGROUPS,
     CANONICAL_TAU2,
     EXPECTED_CAPITULATION_TYPES,
     FIELD_NAMES,
+    TAU2_PERMUTATION,
     ClassGroupModel,
     I2,
     ambiguous_subgroup,
@@ -124,21 +126,12 @@ def test_model_survey_reads_the_fixed_lines_from_the_action(monkeypatch):
 
 
 def test_rejected_type_examples():
+    # one witness per constraint: (2, 0, ...) has a uniform tail but an entry
+    # outside {0, 1}, so it breaks only (b); (1, 1, 1, 1, 1, 0) has every
+    # entry in {0, 1} but a tail that is not uniform, so it breaks only (c)
     types = enumerate_capitulation_types()
-    assert (2, 0, 0, 0, 0, 0) not in types
-    assert (1, 1, 1, 1, 1, 0) not in types
-
-
-def test_dropping_uniformity_strictly_enlarges():
-    loose = enumerate_capitulation_types(require_uniform_conjugates=False)
-    assert set(EXPECTED_CAPITULATION_TYPES) < set(loose)
-    assert len(loose) == 2**6
-
-
-def test_dropping_ambiguous_constraint_enlarges_differently():
-    loose = enumerate_capitulation_types(require_ambiguous_capitulates=False)
-    assert len(loose) == 49  # 7 choices for entry 1, 7 for the shared tail
-    assert set(EXPECTED_CAPITULATION_TYPES) < set(loose)
+    assert len(set((2, 0, 0, 0, 0, 0)[1:])) == 1 and (2, 0, 0, 0, 0, 0) not in types
+    assert set((1, 1, 1, 1, 1, 0)) <= {0, 1} and (1, 1, 1, 1, 1, 0) not in types
 
 
 def test_certificate_form_one():
@@ -224,7 +217,8 @@ def test_certificate_condition_fails_for_every_classified_radicand():
 
 
 def test_served_capitulation_constants_match_the_oracles():
-    assert EXPECTED_CAPITULATION_TYPES == enumerate_capitulation_types()
+    types = enumerate_capitulation_types()
+    assert EXPECTED_CAPITULATION_TYPES == types
     model = canonical_model()
     lines = build_lattice(model)
     assert CANONICAL_LATTICE == lines
@@ -233,8 +227,15 @@ def test_served_capitulation_constants_match_the_oracles():
         {"label": f"H{i}", "line": list(v), "field": field}
         for i, (v, field) in enumerate(zip(lines, FIELD_NAMES, strict=True), 1)
     ]
-    assert CANONICAL_SUBGROUPS == subgroups
-    # every report serves this one list, so a report must leave it as it was
+    served = {
+        "admissible_types": [list(t) for t in types],
+        "tau2_permutation": list(CANONICAL_TAU2),
+        "subgroups": subgroups,
+    }
+    assert (ADMISSIBLE_TYPES, TAU2_PERMUTATION, CANONICAL_SUBGROUPS) == tuple(served.values())
+    # every report serves these lists, so a report must leave them as they were
     res = CliRunner().invoke(main, ["report", "149"], catch_exceptions=False)
-    assert json.loads(res.output)["result"]["capitulation"]["subgroups"] == subgroups
-    assert CANONICAL_SUBGROUPS == subgroups
+    cap = json.loads(res.output)["result"]["capitulation"]
+    assert {key: cap[key] for key in served} == served
+    assert (ADMISSIBLE_TYPES, TAU2_PERMUTATION, CANONICAL_SUBGROUPS) == tuple(served.values())
+

@@ -640,6 +640,30 @@ def test_importing_the_cli_loads_no_multiprocessing():
     assert res.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_runs_no_classgroup_oracle():
+    # report's capitulation lists are built from literals, so a fresh import
+    # calls none of the functions the capitulation suite checks them against
+    code = (
+        "import sys\n"
+        "called = set()\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_filename.endswith('classgroup.py'):\n"
+        "        called.add(frame.f_code.co_name)\n"
+        "sys.setprofile(watch)\n"
+        "import quintic.cli\n"
+        "sys.setprofile(None)\n"
+        "print(*sorted(called))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    called = set(res.stdout.split())
+    assert "<module>" in called  # the probe saw classgroup being imported
+    assert called.isdisjoint({"canonical_model", "build_lattice", "tau2_permutation",
+                              "enumerate_capitulation_types", "model_survey", "mat_mul", "mat_vec"})
+
+
 def record_calls(monkeypatch, orig):
     """Records the first argument of every call of orig, through every module binding of it."""
     calls = []

@@ -15,6 +15,11 @@ pass on a call to another quintic method of the same name, such as
 
 Every parameter of every function, other than ``self`` and ``cls``, is read
 in the function's body, or is listed with its reason in UNREAD_PARAMETERS.
+
+Every module-level constant (a name a top-level assignment binds, dunders
+aside) is read somewhere in the package outside its own assignment and the
+``__init__`` re-exports, so a flag or a record that goes cannot leave its
+constants behind.
 """
 
 import array
@@ -146,3 +151,37 @@ def test_every_parameter_is_read_in_its_function():
         for param in _unread_parameters(fn)
     }
     assert unread == UNREAD_PARAMETERS.keys()
+
+
+def _constants(tree: ast.Module):
+    """The names bound by each top-level assignment, with the assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node
+
+
+def _reads(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_every_module_level_constant_is_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {module: list(_reads(tree)) for module, tree in trees.items() if module != "__init__"}
+    unread = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _constants(tree)
+        if not any(
+            read == name and not (other == module and node.lineno <= line <= node.end_lineno)
+            for other, names in reads.items()
+            for read, line in names
+        )
+    ]
+    assert unread == []
