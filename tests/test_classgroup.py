@@ -238,4 +238,3 @@ def test_served_capitulation_constants_match_the_oracles():
     cap = json.loads(res.output)["result"]["capitulation"]
     assert {key: cap[key] for key in served} == served
     assert (ADMISSIBLE_TYPES, TAU2_PERMUTATION, CANONICAL_SUBGROUPS) == tuple(served.values())
-
