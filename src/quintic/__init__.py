@@ -27,11 +27,9 @@ from .cyclo import (  # noqa: F401
 )
 from .primes import (  # noqa: F401
     CycPrime,
-    SplittingType,
     factor_radicand,
     factor_rational_prime,
     primary_normalize,
-    splitting_type,
 )
 from .radicand import (  # noqa: F401
     RadicandForm,

@@ -189,7 +189,7 @@ def model_survey() -> dict[str, bool]:
     """
     mats = [((a, b), (c, d)) for a in range(5) for b in range(5) for c in range(5) for d in range(5)]
     order5 = [m for m in mats if m != I2 and mat_pow(m, 5) == I2]
-    pairs = kdim = keqi = pfix = pinv = o5dim = 0
+    pairs = keqi = pfix = pinv = o5dim = 0
     amb_ok = True
     for S in order5:
         SI = mat_poly(S, (-1, 1))
@@ -202,16 +202,13 @@ def model_survey() -> dict[str, bool]:
             if invariant_violations(S, T):
                 continue
             pairs += 1
-            kdim += dim_one
             keqi += ker_is_im
             w = mat_vec(mat_mul(T, T), ker)
             pfix += w == ker
             pinv += w == ((-ker[0]) % 5, (-ker[1]) % 5)
     return {
         "pair count": pairs == 480,
-        "ambiguous rank": kdim == pairs,
         "principal genus": keqi == pairs,
-        "tau2 stability": pfix + pinv == pairs,
         "tau2 sign split": pfix == pinv == 240,
         "ambiguity operator": amb_ok,
         "order-5 fixed lines": len(order5) == o5dim == 24,

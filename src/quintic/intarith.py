@@ -63,8 +63,6 @@ _BLOCK = 256  # primes per gcd block
 #: divide more than R further blocks (the costs are in the module docstring)
 _MR_AFTER_BLOCKS = 16
 _SEGMENT = 1 << 15  # odd numbers sieved at a time as the prime table grows
-_FLAG_CHUNK = 256  # segment flags read off at a time
-_CHUNK_OFFSETS = tuple(range(0, 2 * _FLAG_CHUNK, 2))  # odd candidate i of a chunk is first + 2i
 
 
 def is_prime(n: int) -> bool:
@@ -117,9 +115,7 @@ class _PrimeTable:
         """Hold every prime <= bound, sieving the odd numbers above limit segment by segment.
 
         The sievers, the odd primes up to isqrt(bound), come from the table
-        itself, grown that far first. A segment's primes are read off its
-        flags 256 at a time, as offsets from a fixed tuple added to the
-        chunk's first number, so no int is made for a rejected candidate.
+        itself, grown that far first.
         """
         if bound <= self.limit:
             return
@@ -141,9 +137,7 @@ class _PrimeTable:
                     s += p
                 i = (s - first) // 2
                 flags[i::p] = bytes(len(range(i, len(flags), p)))
-            for i in range(0, len(flags), _FLAG_CHUNK):
-                base = first + 2 * i
-                primes.extend(map(base.__add__, compress(_CHUNK_OFFSETS, flags[i : i + _FLAG_CHUNK])))
+            primes.extend(compress(range(first, last + 1, 2), flags))
             first = last + 2
         self.limit = bound
         # the block that held the old last prime may have grown: recompute from it

@@ -9,7 +9,6 @@ the factor command prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from . import cyclo
@@ -21,23 +20,9 @@ from .intarith import element_of_order_five, is_prime, sqrt_mod
 #: in-process run (many distinct primes) from growing without limit
 MEMO_SIZE = 64
 
-
-class SplittingType(Enum):
-    RAMIFIED = "ramified"
-    SPLIT_FOUR = "split-four"
-    SPLIT_TWO = "split-two"
-    INERT = "inert"
-
-
-#: for a prime p, by p mod 5: how p splits in Z[zeta5] and g, the number of
-#: primes above it; residue 0 is p = 5 itself
-SPLITTING_MOD_5 = (
-    (SplittingType.RAMIFIED, 1),
-    (SplittingType.SPLIT_FOUR, 4),
-    (SplittingType.INERT, 1),
-    (SplittingType.INERT, 1),
-    (SplittingType.SPLIT_TWO, 2),
-)
+#: for a prime p, by p mod 5: the residue degree f and the number g of
+#: primes of Z[zeta5] above p; residue 0 is p = 5 itself, which is lambda^4
+SPLITTING_MOD_5 = ((1, 1), (1, 4), (4, 1), (4, 1), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -46,18 +31,19 @@ class CycPrime:
 
     p: int
     element: CycInt
-    f: int  # residue degree
-    e: int  # ramification index (4 only for p = 5)
+
+    @property
+    def f(self) -> int:
+        """The residue degree, decided by p mod 5."""
+        return SPLITTING_MOD_5[self.p % 5][0]
+
+    @property
+    def e(self) -> int:
+        """The ramification index: 4 at p = 5, 1 everywhere else."""
+        return 4 if self.p == 5 else 1
 
     def to_json(self) -> dict:
         return {"p": self.p, "pi": self.element.to_json(), "f": self.f, "e": self.e}
-
-
-def splitting_type(p: int) -> SplittingType:
-    """Splitting of p in Z[zeta5]; decided by the order of p mod 5."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    return SPLITTING_MOD_5[p % 5][0]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -72,22 +58,22 @@ def factor_rational_prime(p: int) -> tuple[CycPrime, ...]:
     conjugate pairs of roots of Phi5 mod p).
     p = +-2 mod 5: p itself stays prime (f = 4).
     """
-    kind = splitting_type(p)
-    if kind is SplittingType.RAMIFIED:
-        return (CycPrime(5, LAMBDA, 1, 4),)
-    if kind is SplittingType.INERT:
-        return (CycPrime(p, CycInt(p), 4, 1),)
-    if kind is SplittingType.SPLIT_FOUR:
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    r = p % 5
+    if r == 0:
+        return (CycPrime(5, LAMBDA),)
+    if r in (2, 3):
+        return (CycPrime(p, CycInt(p)),)
+    if r == 1:
         y = element_of_order_five(p)
         gens = [ZETA - CycInt(c) for c in sorted(pow(y, i, p) for i in range(1, 5))]
-        f = 1
     else:
         s = sqrt_mod(5, p)
         inv2 = pow(2, -1, p)
         t_roots = sorted((sgn * s - 1) * inv2 % p for sgn in (1, -1))
         gens = [CycInt((1, -t, 1, 0)) for t in t_roots]
-        f = 2
-    result = tuple(CycPrime(p, cyclo.gcd(CycInt(p), h), f, 1) for h in gens)
+    result = tuple(CycPrime(p, cyclo.gcd(CycInt(p), h)) for h in gens)
     for q in result:
         if cyclo.norm(q.element) != p**q.f:
             raise InternalCheckError(f"bad prime norm above {p}: {q.element!r}")
@@ -172,7 +158,7 @@ def primary_normalize(q: CycPrime) -> CycPrime:
     u = _PRIMARY_UNIT.get(tuple([x % 5 for x in q.element.c]))
     if u is None:
         raise _no_primary_associate(q)
-    return CycPrime(q.p, u * q.element, q.f, q.e)
+    return CycPrime(q.p, u * q.element)
 
 
 def brute_force_primary_normalize(q: CycPrime) -> CycPrime:
@@ -182,7 +168,7 @@ def brute_force_primary_normalize(q: CycPrime) -> CycPrime:
     for u in _SEARCH_UNITS:
         for cand in (u * q.element, -(u * q.element)):
             if is_primary(cand) is not None:
-                return CycPrime(q.p, cand, q.f, q.e)
+                return CycPrime(q.p, cand)
     raise _no_primary_associate(q)
 
 

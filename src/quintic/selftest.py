@@ -72,7 +72,7 @@ def _suite_ring(seed: int = 20240501, pairs: int = 2000) -> SuiteResult:
         pi = pis[rng.randrange(len(pis))]
         eps = cyclo.EPSILON if rng.randrange(2) else cyclo.EPSILON - 1
         u = eps ** rng.randrange(9) * cyclo.ZETA ** rng.randrange(5) * rng.choice((1, -1))
-        q = CycPrime(pi.p, u * pi.element, pi.f, pi.e)
+        q = CycPrime(pi.p, u * pi.element)
         res.note(
             primary(primes.primary_normalize, q) == primary(primes.brute_force_primary_normalize, q),
             f"primary oracle {q.element!r}",

@@ -122,7 +122,7 @@ def test_model_survey_reads_the_fixed_lines_from_the_action(monkeypatch):
 
     monkeypatch.setattr(cg, "mat_vec", lambda a, v: v)
     failures = SUITES["capitulation"]().failures
-    assert "ambiguous rank" in failures and "order-5 fixed lines" in failures
+    assert "order-5 fixed lines" in failures
 
 
 def test_rejected_type_examples():

@@ -798,7 +798,7 @@ def test_selftest_summary_pin(runner):
         "suite symbols: 2936 checks, 0 failures [ok]",
         "suite periods: 22 checks, 0 failures [ok]",
         "suite classifier: 38574 checks, 0 failures [ok]",
-        "suite capitulation: 13 checks, 0 failures [ok]",
+        "suite capitulation: 11 checks, 0 failures [ok]",
     ]
 
 

@@ -17,6 +17,8 @@ enumerate-large-primes, with no change to their bytes, for the same reason.
 The psi12 group was recorded when is_prime gained base 41, with which
 factor, classify and genus of that strong pseudoprime to the bases 2..37
 stopped reading it as a prime and refuse it as uncertified.
+The symbol-inert group was recorded before a prime's residue degree and
+ramification index were read off its p rather than stored with it.
 Any change to the CLI's bytes, error codes or error order shows up here.
 """
 
@@ -84,6 +86,11 @@ _FACTOR = tuple(("factor", str(n)) for n in (*_RANGE, 41489734099375, 3284811865
 _SYMBOL = tuple(("symbol", "--", a, str(p)) for a in ("2", "3", "1,2,3,4", "-5,0,1,0")
                 for p in (11, 19, 29, 31, 41, 61, 101, 1009, 99991))
 
+# the same elements at inert primes (degree-4 residue fields, and not-coprime
+# where p divides the element) and at p = 5, where the symbol is refused
+_SYMBOL_INERT = tuple(("symbol", "--", a, str(p)) for a in ("2", "3", "1,2,3,4", "-5,0,1,0")
+                      for p in (2, 3, 5, 7, 13, 10007))
+
 PINNED = {
     "classify": "b799812489c4f6f2cdb97d0335c05a35299f9bfd10a6ab23a76d1e12c5565e07",
     "genus": "8199f7ff1081abcffedd7f84952b98d595fc5ab46ad3c00c9be1f1bdcff6dc2c",
@@ -94,6 +101,7 @@ PINNED = {
     "psi12": "41f34260c58d2cb5de8bdfc6e9bcb08159ead24046667b277cb745bf381c5b95",
     "factor": "88efa6f863847a8db4f906db190c21a83895f788369d09ee9c5bbd59cde3d1be",
     "symbol": "c9106879eeaa242652164cab64fc7c737726fe03cd01360c51a226eb241474f7",
+    "symbol-inert": "c16c4ca14b5fe381e67907cc2de5a355c80ec9c96786974363012ae6a1104200",
     "enumerate": "f9bcfaf5a283baa739b2897cd11afd653e26a23ad8f7128142c5dc1d4922f1ce",
     "enumerate-large-primes": "de31da961a27004b9394d5d77b2d7ab3978d4bb4a2fef7adb4120a167d7f4559",
 }
@@ -116,6 +124,8 @@ def _cases(name):
         return _FACTOR
     if name == "symbol":
         return _SYMBOL
+    if name == "symbol-inert":
+        return _SYMBOL_INERT
     return [(name, str(n)) for n in _RANGE]
 
 

@@ -11,13 +11,11 @@ from quintic.errors import FactorizationError, InputError, NoPrimaryAssociate
 from quintic.intarith import sieve_primes
 from quintic.primes import (
     CycPrime,
-    SplittingType,
     brute_force_primary_normalize,
     factor_radicand,
     factor_rational_prime,
     is_primary,
     primary_normalize,
-    splitting_type,
 )
 from quintic.radicand import is_fifth_power_free, radicand_factorization
 
@@ -30,16 +28,15 @@ def divides(d: CycInt, a: CycInt) -> bool:
 
 
 def test_splitting_types():
-    assert splitting_type(5) is SplittingType.RAMIFIED
-    assert splitting_type(19) is SplittingType.SPLIT_TWO
-    assert splitting_type(2) is SplittingType.INERT
-    assert splitting_type(11) is SplittingType.SPLIT_FOUR
-    assert splitting_type(31) is SplittingType.SPLIT_FOUR
+    # (p, f, g): ramified, split into two, inert, split into four
+    for p, f, g in ((5, 1, 1), (19, 2, 2), (2, 4, 1), (11, 1, 4), (31, 1, 4)):
+        qs = factor_rational_prime(p)
+        assert len(qs) == g and all(q.p == p and q.f == f for q in qs)
 
 
 def test_splitting_rejects_composites():
     with pytest.raises(InputError):
-        splitting_type(15)
+        factor_rational_prime(15)
 
 
 def test_five_ramifies_as_lambda():
@@ -262,7 +259,7 @@ def test_primary_normalize_matches_the_full_size_search_on_every_class_mod_5():
     normalized = 0
     for residues in itertools.product(range(5), repeat=4):
         lift = tuple(r + 5 * rng.randrange(-(10**9), 10**9) for r in residues)
-        q = CycPrime(11, CycInt(lift), 1, 1)
+        q = CycPrime(11, CycInt(lift))
         try:
             got = primary_normalize(q)
         except NoPrimaryAssociate:
