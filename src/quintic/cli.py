@@ -52,90 +52,46 @@ def _write(pieces: list[str], fh):
     fh.writelines(pieces)
 
 
-# "\n" plus the indent of each nesting depth; deeper ones are built when met
-_NEWLINE = tuple("\n" + "  " * depth for depth in range(16))
 _LITERAL = {None: "null", True: "true", False: "false"}
-_ALL_STR = frozenset((str,))
-_ALL_INT = frozenset((int,))
 
 
-def _json_text(doc) -> str:
-    """The bytes the json module writes for doc with a two-space indent.
+def _json_text(value, lead: str = "\n") -> str:
+    """The text the json module writes for value with a two-space indent.
 
     Only the types a command's document holds are written: dict with str keys,
     list, str, int, bool and None, matched by exact type. Anything else (a float,
-    a tuple, an int key, an int subclass) raises TypeError. The json module's
-    indenting encoder runs every token through nested generators in Python;
-    this appends strings to one list and joins it once, and writes a list of
-    only str or only int with one C-level join. The tests hold it to the json
-    module's bytes.
+    a tuple, an int key, an int subclass) raises TypeError. lead is "\n" plus the
+    indent of value's own depth; only the recursion passes it. A container writes
+    a str or int item in place, recurses on any other, and joins its items once.
+    The tests hold it to the json module's bytes.
     """
-    parts: list[str] = []
-    _put(doc, 0, parts)
-    return "".join(parts)
-
-
-def _newline(depth: int) -> str:
-    return _NEWLINE[depth] if depth < len(_NEWLINE) else "\n" + "  " * depth
-
-
-def _put(value, depth: int, parts: list[str]):
     kind = type(value)
     if kind is str:
-        parts.append(_json_str(value))
-    elif kind is int:
-        parts.append(int.__repr__(value))
-    elif kind is dict:
-        _put_dict(value, depth, parts)
-    elif kind is list:
-        _put_list(value, depth, parts)
-    elif value is None or kind is bool:
-        parts.append(_LITERAL[value])
-    else:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
-
-
-def _put_dict(doc: dict, depth: int, parts: list[str]):
-    if not doc:
-        parts.append("{}")
-        return
-    lead = _newline(depth + 1)
-    sep = "," + lead
-    parts.append("{")
-    for key, value in doc.items():
-        if type(key) is not str:
-            raise TypeError(f"cannot write a {type(key).__name__} key as JSON")
-        head = lead + _json_str(key) + ": "
-        kind = type(value)
-        if kind is str:
-            parts.append(head + _json_str(value))
-        elif kind is int:
-            parts.append(head + int.__repr__(value))
-        else:
-            parts.append(head)
-            _put(value, depth + 1, parts)
-        lead = sep
-    parts.append(_newline(depth) + "}")
-
-
-def _put_list(items: list, depth: int, parts: list[str]):
-    if not items:
-        parts.append("[]")
-        return
-    lead = _newline(depth + 1)
-    sep = "," + lead
-    kinds = set(map(type, items))
-    if kinds == _ALL_STR:
-        parts.append("[" + lead + sep.join(map(_json_str, items)))
-    elif kinds == _ALL_INT:
-        parts.append("[" + lead + sep.join(map(int.__repr__, items)))
-    else:
-        parts.append("[")
-        for value in items:
-            parts.append(lead)
-            _put(value, depth + 1, parts)
-            lead = sep
-    parts.append(_newline(depth) + "]")
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = lead + "  "
+        texts = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"cannot write a {type(key).__name__} key as JSON")
+            kind = type(item)
+            text = _json_str(item) if kind is str else int.__repr__(item) if kind is int else _json_text(item, inner)
+            texts.append(_json_str(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(texts) + lead + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = lead + "  "
+        texts = [_json_str(item) if type(item) is str else int.__repr__(item) if type(item) is int
+                 else _json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(texts) + lead + "]"
+    if value is None or kind is bool:
+        return _LITERAL[value]
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def _emit(command: str, inputs: dict, result, warnings: list[str], out):

@@ -850,8 +850,17 @@ class _Small(enum.IntEnum):
     ONE = 1
 
 
-@pytest.mark.parametrize("doc", [{"x": 1.5}, [0.0], {"x": (1, 2)}, (1,), {1: "a"}, {"x": _Small.ONE}],
-                         ids=["float-value", "float-item", "tuple-value", "tuple", "int-key", "int-subclass"])
+class _Word(str):
+    pass
+
+
+# encode_basestring_ascii refuses an int key by itself, but writes a str subclass
+@pytest.mark.parametrize("doc", [{"x": 1.5}, [0.0], {"x": (1, 2)}, (1,), {1: "a"}, {"x": _Small.ONE},
+                                 ["a", 1.5], [{"x": {2: 0}}], [_Small.ONE], {"a": "b", "c": (1,)},
+                                 {_Word("x"): 1}],
+                         ids=["float-value", "float-item", "tuple-value", "tuple", "int-key", "int-subclass",
+                              "float-after-str", "int-key-nested", "int-subclass-item", "tuple-after-str",
+                              "str-subclass-key"])
 def test_json_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         _json_text(doc)
