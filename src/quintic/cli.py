@@ -24,7 +24,6 @@ from .primes import factor_radicand, factor_rational_prime
 from .radicand import Verdict
 from .symbols import quintic_symbol, residue_field
 
-_ENUM_CHUNK = 256  # fixed worker chunk size; output order never depends on it
 _ENUM_BATCH = 64  # chunks per worker handed to the pool at a time
 _SYMBOL_LEGEND = {str(i): f"value zeta^{i}" + (" (a is a fifth power)" if i == 0 else "") for i in range(5)}
 
@@ -271,7 +270,7 @@ def report(n, h_gamma, table, out):
 def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> str:
     """The output lines of the chunk that starts at start, cut off at hi, as JSONL or CSV text."""
     line = radicand.RadicandForm.json_line if as_jsonl else radicand.RadicandForm.csv_row
-    forms = radicand.enumerate_radicands(start, min(start + _ENUM_CHUNK - 1, hi), verdict)
+    forms = radicand.enumerate_radicands(start, min(start + radicand.WINDOW - 1, hi), verdict)
     return "".join([line(form) + "\n" for form in forms])
 
 
@@ -296,7 +295,7 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     verdict = None if form_filter is None else Verdict(form_filter)
     rows = functools.partial(_row_chunk, hi=hi, verdict=verdict, as_jsonl=as_jsonl)
     pieces = [] if as_jsonl else [radicand.CSV_HEADER + "\n"]  # held to the end: a failed window writes no row
-    starts = range(lo, hi + 1, _ENUM_CHUNK)
+    starts = range(lo, hi + 1, radicand.WINDOW)  # fixed chunks: output order never depends on them
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1, len(starts[:workers]))  # len(starts) overflows past 2**63
     with _open_out(out) as fh:  # before any classify, so a bad --out is refused at once

@@ -30,11 +30,17 @@ square root. R weighs the two costs, measured on a 2-CPU Intel Xeon with
 Python 3.11: one block gcd takes about 3 us, and each ``pow`` on a prime
 near 5*10^11 about 7.8 us, so its 7-base test takes about 55 us, or 18
 blocks (the 12 bases used there before took about 100 us).
+
+factorize_window factors a whole window [lo, hi] below CERTIFIED_BELOW from
+the same table, by a sieve that needs no primality test at all, and
+trial_split redoes the division of an n that factorize refuses, for a caller
+that must know its 10^6-smooth part.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from itertools import compress, islice
 from math import gcd, isqrt, prod
 
@@ -228,6 +234,69 @@ def factorize(n: int) -> dict[int, int]:
             )
         fac[m] = fac.get(m, 0) + 1
     return fac
+
+
+def factorize_window(lo: int, hi: int) -> list[dict[int, int]]:
+    """[factorize(n) for n in range(lo, hi + 1)], by one sieve over the window.
+
+    For 1 <= lo <= hi < CERTIFIED_BELOW. Every prime p <= isqrt(hi) visits
+    its multiples in the window, which start at index (-lo) % p, and divides
+    each one's cofactor by p as often as it goes. A cofactor left above 1 is
+    at most hi and has no prime factor up to isqrt(hi), so it is prime with
+    no Miller-Rabin test, and it comes last. So each dict, key order too, is
+    the one factorize returns (the segmented sieve of Bays and Hudson, BIT 17,
+    1977). The prime table grows to isqrt(hi), as it would for factorize.
+    """
+    if not 1 <= lo <= hi < CERTIFIED_BELOW:
+        raise InputError(f"cannot sieve the window [{lo}, {hi}]")
+    root = isqrt(hi)
+    _TABLE.extend(min(root, _TRIAL_LIMIT))  # root < 1000003, the least prime above 10^6
+    primes = _TABLE.primes
+    width = hi - lo + 1
+    rest = list(range(lo, hi + 1))
+    facs: list[dict[int, int]] = [{} for _ in rest]
+    for p in islice(primes, bisect_right(primes, root)):
+        for i in range(-lo % p, width, p):
+            m = rest[i] // p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            rest[i] = m
+            facs[i][p] = e
+    for fac, m in zip(facs, rest):
+        if m > 1:
+            fac[m] = 1
+    return facs
+
+
+def trial_split(n: int) -> tuple[dict[int, int], int]:
+    """n = s * m split at the trial bound: s's {prime: exponent}, primes ascending, and m.
+
+    s is 10^6-smooth and every prime factor of m is above 10^6. This is the
+    split factorize has made when it refuses n, redone by one gcd per block
+    of the full prime table.
+    """
+    _TABLE.extend(_TRIAL_LIMIT)
+    primes = _TABLE.primes
+    fac: dict[int, int] = {}
+    for k, product in enumerate(_TABLE.products):
+        if gcd(product, n) > 1:
+            for p in primes[k * _BLOCK : (k + 1) * _BLOCK]:
+                while n % p == 0:
+                    fac[p] = fac.get(p, 0) + 1
+                    n //= p
+    return fac, n
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on integers from above."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits / k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def sieve_primes(limit: int) -> list[int]:

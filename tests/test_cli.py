@@ -163,7 +163,7 @@ def test_enumerate_refuses_an_out_file_that_cannot_be_opened_before_it_classifie
         runner, monkeypatch, tmp_path, pool_in_process, workers):
     import quintic.radicand
 
-    calls = record_calls(monkeypatch, quintic.radicand.classify)
+    calls = record_calls(monkeypatch, quintic.radicand.classify_factored)
     out = tmp_path / "missing-dir" / "x.jsonl"
     res = runner.invoke(main, ["enumerate", "2", "100000", "--workers", workers, "--out", str(out)])
     assert res.exit_code == 2 and res.stdout_bytes == b""
@@ -204,7 +204,7 @@ def _injected_fault(*args):
 
 @pytest.mark.parametrize("target, args", [
     ("quintic.radicand.classify", ["classify", "95"]),
-    ("quintic.radicand.classify", ["enumerate", "2", "50"]),
+    ("quintic.radicand.classify_factored", ["enumerate", "2", "50"]),
     ("quintic.cli.factor_radicand", ["factor", "95"]),
     ("quintic.cli.factor_radicand", ["report", "149"]),
     ("quintic.cli.quintic_symbol", ["symbol", "3", "11"]),
@@ -387,6 +387,49 @@ def test_enumerate_csv_header(runner):
     lines = res.output.splitlines()
     assert lines[0].startswith("n,verdict,e,p,q,no-prime-factor-1-mod-5")
     assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
+
+
+@pytest.fixture(scope="module")
+def forms_up_to_1e5():
+    """Oracle for enumerate over [2, 10^5]: classify per n, the fifth powers skipped."""
+    forms = []
+    for n in range(2, 10**5 + 1):
+        try:
+            forms.append(radicand.classify(n))
+        except radicand.NotFifthPowerFree:
+            pass
+    return forms
+
+
+@pytest.mark.parametrize("args", [
+    ["--jsonl"], ["--csv"], ["--csv", "--form", "I"], ["--jsonl", "--form", "II"], ["--jsonl", "--form", "III"],
+    pytest.param(["--jsonl", "--form", "none", "--workers", "2"],
+                 marks=pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-process pool")),
+], ids=" ".join)
+def test_enumerate_up_to_1e5_is_the_per_n_classification(runner, forms_up_to_1e5, args):
+    # the sieved windows and the windows classified n by n give the lines classify gives per n
+    verdict = Verdict(args[args.index("--form") + 1]) if "--form" in args else None
+    forms = [form for form in forms_up_to_1e5 if verdict is None or form.verdict is verdict]
+    if "--csv" in args:
+        want = "".join([radicand.CSV_HEADER + "\n", *(form.csv_row() + "\n" for form in forms)])
+    else:
+        want = "".join([form.json_line() + "\n" for form in forms])
+    res = invoke(runner, "enumerate", "2", str(10**5), *args)
+    assert (res.exit_code, res.stderr_bytes) == (0, b"")
+    assert res.stdout_bytes == want.encode()
+
+
+def test_enumerate_refuses_an_uncertifiable_n_without_the_fifth_power_loop(runner, monkeypatch):
+    # 10^38 + 7 = 751 * m with m below 10^36: one integer fifth root of m decides it
+    calls = record_calls(monkeypatch, radicand.is_fifth_power_free)
+    n = str(10**38 + 7)
+    res = runner.invoke(main, ["enumerate", n, n])
+    assert (res.exit_code, res.stdout_bytes, calls) == (2, b"", [])
+    assert res.stderr_bytes == (
+        b'{\n  "error": {\n    "code": "desk-bound-exceeded",\n'
+        b'    "message": "primality of 133155792276964047936085219707057257 cannot be certified'
+        b' deterministically"\n  }\n}\n'
+    )
 
 
 def test_enumerate_invalid_range_exits_2(runner):

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -249,6 +249,70 @@ def test_factorize_refuses_as_the_oracle_does_on_seeded_uncertifiable_products()
     for n in ns:
         assert outcome(factorize, n)[0] in (FactorizationError, BoundExceeded), n
     assert_matches_oracle(ns)
+
+
+def _window_items(lo, hi):
+    return [list(fac.items()) for fac in intarith.factorize_window(lo, hi)]
+
+
+def _factorize_items(lo, hi):
+    return [list(factorize(n).items()) for n in range(lo, hi + 1)]
+
+
+def test_factorize_window_matches_factorize_up_to_1e5():
+    # dicts and key order, over 256-wide windows as enumerate sieves them and
+    # over windows of seeded widths, one of them starting at 1
+    for lo in range(1, 10**5 + 1, 256):
+        hi = min(lo + 255, 10**5)
+        assert _window_items(lo, hi) == _factorize_items(lo, hi), lo
+    rng = random.Random(5)
+    lo = 1
+    while lo <= 10**5:
+        hi = min(lo + rng.randrange(1000), 10**5)
+        assert _window_items(lo, hi) == _factorize_items(lo, hi), lo
+        lo = hi + 1
+
+
+@pytest.mark.parametrize("center", [10**6, 10**9, 10**11, CERTIFIED_BELOW - 300])
+def test_factorize_window_matches_factorize_on_seeded_windows(center):
+    rng = random.Random(center)
+    for _ in range(4):
+        lo = rng.randrange(center - 3000, center)
+        hi = min(lo + rng.randrange(1, 300), CERTIFIED_BELOW - 1)
+        assert _window_items(lo, hi) == _factorize_items(lo, hi), lo
+    # the last window that may be sieved ends just below CERTIFIED_BELOW
+    assert _window_items(CERTIFIED_BELOW - 64, CERTIFIED_BELOW - 1) == _factorize_items(
+        CERTIFIED_BELOW - 64, CERTIFIED_BELOW - 1)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 10), (10, 9), (CERTIFIED_BELOW - 5, CERTIFIED_BELOW)])
+def test_factorize_window_refuses_a_window_it_cannot_certify(lo, hi):
+    # from CERTIFIED_BELOW on, a cofactor left by the sieve may be composite
+    with pytest.raises(InputError, match=f"cannot sieve the window \\[{lo}, {hi}\\]"):
+        intarith.factorize_window(lo, hi)
+
+
+def test_trial_split_returns_the_split_it_was_built_from():
+    rng = random.Random(77)
+    big = [1000003, 1000033, _seeded_prime(rng, 10**8, 2 * 10**8), sympy.nextprime(_MR_PROVEN_LIMIT)]
+    # (the 10^6-smooth part as {prime: exponent}, the primes above 10^6 whose product is the rest)
+    cases = [({}, []), ({2: 1}, []), ({2: 5, 3: 1, 999983: 2}, []), ({7: 1}, [big[0]] * 5),
+             ({2: 9, 5: 4}, [big[0]] * 5 + [big[1]]), ({999983: 1}, big[1:3]), ({3: 2, 11: 1}, big[2:]),
+             ({}, [big[0], big[3]])]
+    for smooth, rest in cases:
+        m = prod(rest)
+        n = m * prod(p**e for p, e in smooth.items())
+        assert intarith.trial_split(n) == (smooth, m), n
+        assert list(intarith.trial_split(n)[0]) == sorted(smooth), n
+
+
+def test_iroot_matches_sympy():
+    rng = random.Random(31)
+    ns = [1, 2, 31, 32, 33, 10**36 - 1, 10**36, 1000003**5 - 1, 1000003**5, 1000003**5 + 1]
+    ns += [rng.randrange(1, 10**40) for _ in range(200)]
+    for k in (2, 3, 5):
+        for n in ns:
+            assert intarith.iroot(n, k) == sympy.integer_nthroot(n, k)[0], (n, k)
 
 
 def _strong_probable_prime(n, a):

@@ -5,8 +5,9 @@ import random
 import pytest
 import sympy
 
-from quintic.errors import FactorizationError, InputError, NotFifthPowerFree
-from quintic.intarith import sieve_primes
+from quintic import radicand
+from quintic.errors import BoundExceeded, FactorizationError, InputError, NotFifthPowerFree
+from quintic.intarith import CERTIFIED_BELOW, sieve_primes
 from quintic.radicand import (
     CHECK_NAMES,
     VERDICT_MOD_25,
@@ -137,6 +138,131 @@ def test_filtered_enumeration_equals_the_filtered_rows_of_the_unfiltered_one(lo,
     for verdict in Verdict:
         want = [form for form in rows if form.verdict is verdict]
         assert want and list(enumerate_radicands(lo, hi, verdict)) == want, verdict
+
+
+def _enumerated_as_before(lo, hi, verdict=None):
+    """Oracle for enumerate_radicands: classify per n, fifth powers skipped, and
+    is_fifth_power_free deciding each refusal. (forms, None), or the forms before
+    the error that ends the window and (its type, its message)."""
+    forms = []
+    for n in range(lo, hi + 1):
+        try:
+            form = classify(n)
+        except NotFifthPowerFree:
+            continue
+        except (FactorizationError, BoundExceeded) as exc:
+            if is_fifth_power_free(n):
+                return forms, (type(exc), str(exc))
+            continue
+        if verdict is None or form.verdict is verdict:
+            forms.append(form)
+    return forms, None
+
+
+def _enumerated(lo, hi):
+    forms = []
+    try:
+        forms.extend(enumerate_radicands(lo, hi))
+    except (FactorizationError, BoundExceeded) as exc:
+        return forms, (type(exc), str(exc))
+    return forms, None
+
+
+def _with_factorizations(forms):
+    # RadicandForm equality leaves the factorization out; the dicts and their key order count here
+    return [(form, list(form.factorization.items())) for form in forms]
+
+
+@pytest.fixture
+def sieved(monkeypatch):
+    """The windows enumerate_radicands hands to factorize_window, in order."""
+    calls = []
+    real = radicand.factorize_window
+    monkeypatch.setattr(radicand, "factorize_window", lambda a, b: calls.append((a, b)) or real(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("root, inside", [(128, True), (129, False)])
+def test_a_window_is_sieved_up_to_the_sieve_ratio(sieved, root, inside):
+    # 16-wide windows ending at root^2: isqrt(hi) = root against SIEVE_RATIO * 16 = 128
+    assert radicand.SIEVE_RATIO * 16 == 128
+    lo, hi = root**2 - 15, root**2
+    got = list(enumerate_radicands(lo, hi))
+    assert sieved == ([(lo, hi)] if inside else [])
+    assert _with_factorizations(got) == _with_factorizations(_enumerated_as_before(lo, hi)[0])
+
+
+@pytest.mark.parametrize("verdict", [None, *Verdict])
+def test_only_a_window_without_a_residue_skip_is_sieved(sieved, verdict):
+    lo, hi = 10**5, 10**5 + 255
+    got = list(enumerate_radicands(lo, hi, verdict))
+    assert sieved == ([(lo, hi)] if verdict in (None, Verdict.NONE) else [])
+    assert _with_factorizations(got) == _with_factorizations(_enumerated_as_before(lo, hi, verdict)[0])
+
+
+def test_only_a_window_below_certified_below_is_sieved(sieved, monkeypatch):
+    # a ratio that lets 128-wide windows near 10^12 pass the first part of the rule
+    monkeypatch.setattr(radicand, "SIEVE_RATIO", 10**4)
+    lo, hi = CERTIFIED_BELOW - 128, CERTIFIED_BELOW - 1
+    got = list(enumerate_radicands(lo, hi))
+    assert sieved == [(lo, hi)]
+    assert _with_factorizations(got) == _with_factorizations(_enumerated_as_before(lo, hi)[0])
+    # one further: CERTIFIED_BELOW itself is in the window, and is refused n by n
+    with pytest.raises(FactorizationError, match=f"cofactor {CERTIFIED_BELOW} of {CERTIFIED_BELOW}"):
+        list(enumerate_radicands(lo + 1, hi + 1))
+    assert sieved == [(lo, hi)]
+
+
+def test_a_wide_range_is_sieved_one_window_at_a_time(sieved):
+    got = list(enumerate_radicands(2, 1000))
+    assert sieved == [(2, 257), (258, 513), (514, 769), (770, 1000)]
+    assert _with_factorizations(got) == _with_factorizations(_enumerated_as_before(2, 1000)[0])
+
+
+_P, _Q = 1000003, 1000033  # the two least primes above 10^6
+
+
+def _refused_cases():
+    """(n, fifth-power-free by construction) for seeded n = s * m that factorize refuses."""
+    rng = random.Random(3636)
+    primes = [sympy.nextprime(rng.randrange(2 * 10**12, 10**13)) for _ in range(6)]
+    semiprimes = [p * q for p, q in zip(primes[::2], primes[1::2])]
+    assert all(3317044064679887385961981 < m < 10**26 for m in semiprimes)  # above psi13
+    cases = [(7 * _P**5, False), (2**4 * 3**4 * _P**5, False), (2**5 * 3 * _P**5, False),
+             (11 * _P**5 * _Q, False), (2**3 * _P**5 * _Q, False)]
+    cases += [(s * m, True) for s, m in zip((1, 6, 2**4 * 3), semiprimes)]
+    cases += [(3**5 * semiprimes[0], False), (_P * _Q, True), (19 * _P**2, True)]
+    return cases
+
+
+def test_a_refusal_is_decided_as_is_fifth_power_free_decides_it():
+    for n, free in _refused_cases():
+        with pytest.raises((FactorizationError, BoundExceeded)):
+            classify(n)
+        assert radicand._refused_n_is_fifth_power_free(n) is free is is_fifth_power_free(n), n
+
+
+@pytest.mark.parametrize("m, free", [
+    (sympy.prevprime(10**18) * sympy.prevprime(10**18), True),  # just below 10^36
+    (sympy.prevprime(15848932) ** 5, False),  # the largest P^5 below 10^36
+    (sympy.nextprime(10**18) ** 2, True),  # just above
+    (_P**5 * _Q, False),
+])
+def test_only_a_rest_from_1e36_on_goes_to_the_fifth_power_loop(monkeypatch, m, free):
+    assert sympy.integer_nthroot(10**36, 5) == (15848931, False)
+    calls = []
+    monkeypatch.setattr(radicand, "is_fifth_power_free", lambda k: calls.append(k) or free)
+    for s in (1, 2 * 3**4):
+        assert radicand._refused_n_is_fifth_power_free(s * m) is free
+    assert calls == ([m, m] if m >= 10**36 else [])
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (7 * _P**5, 7 * _P**5), (11 * _P**5 * _Q, 11 * _P**5 * _Q), (2**5 * _P * _Q - 2, 2**5 * _P * _Q + 2),
+    (6 * _P**5 - 1, 6 * _P**5 + 1),
+])
+def test_a_window_with_refused_n_enumerates_as_before(lo, hi):
+    assert _enumerated(lo, hi) == _enumerated_as_before(lo, hi)
 
 
 #: the families of the ledger, read by the name prefixes of CHECK_NAMES
