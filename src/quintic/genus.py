@@ -7,7 +7,11 @@ computed exactly from the cyclotomic numbers of order 5. Those come from
 the Jacobi sum J(chi, chi) over the prime of Z[zeta5] above p in one integer
 matrix product, so p is bounded only by the Miller-Rabin limit; the O(p)
 count of the same numbers and the Theta(p^2) expansion over zeta_p
-exponents are kept as oracles. Each polynomial f is certified irreducible
+exponents are kept as oracles. The polynomial is read off the power sums
+of the periods: four products by eta_0 in the ring spanned by 1 and the
+periods, their traces, and Newton's identities. Three checks guard it: the
+relations of the table, the exact division in Newton's identities, and a
+root certificate at eta_0. Each polynomial f is certified irreducible
 by one gcd at a small prime q: gcd(X^(q^2) - X, f) = 1 mod q. Relative
 side: the genus field of k/k0 is k adjoined the fifth root of a product of
 normalized prime elements; the candidate exponent patterns are enumerated
@@ -162,45 +166,66 @@ def period_coefficients(p: int, cyc: tuple[tuple[int, ...], ...]) -> tuple[int, 
 
     With C_i = {x : chi(x) = zeta^i} the cosets of the index-5 subgroup of
     the units mod p, for the character chi behind the table, eta_i = sum
-    over x in C_i of zeta_p^x. The product is expanded as vectors
-    (a, c_0..c_4) = a + sum c_k eta_k in the ring spanned by 1 and
-    eta_0..eta_4. With f = (p-1)/5, its structure constants are the
-    cyclotomic numbers of order 5, (h, k) = cyc[h][k]. Substituting y = x*t
-    in eta_i * eta_j and splitting off t = -1 gives
+    over x in C_i of zeta_p^x. Elements of the ring spanned by 1 and
+    eta_0..eta_4 are vectors (a, c_0..c_4) = a + sum c_k eta_k. With
+    f = (p-1)/5, its structure constants are the cyclotomic numbers of
+    order 5, (h, k) = cyc[h][k]. Substituting y = x*t in eta_i * eta_0 and
+    splitting off t = -1 gives
 
-        eta_i * eta_j = f * [-1 in C_(j-i)] + sum_k (j-i, k) * eta_(i+k)
+        eta_i * eta_0 = f * [i = 0] + sum_k (-i, k) * eta_(i+k)
+                      = f * [i = 0] + sum_m (i, m) * eta_m,
 
-    (Gauss, Disquisitiones sec. VII; Berndt-Evans-Williams ch. 2-3). Since
-    p = 1 mod 10, f is even, so -1 lies in C_0. Relabelling the cosets
-    permutes the periods, so the product does not depend on the character
-    behind the table; brute_force_period_coefficients is the independent
-    Theta(p^2) oracle.
+    since p = 1 mod 10 makes f even, so -1 lies in C_0, and (-i, m - i) =
+    (i, m) (Gauss, Disquisitiones sec. VII; Berndt-Evans-Williams ch. 2-3).
+    eta_0^0..eta_0^5 take four products by eta_0. The eta_j are the
+    conjugates of eta_0, so the trace 5a - sum c_k of eta_0^k is the power
+    sum s_k of the periods, and Newton's identities
+    k*b_k = -(s_k + b_1 s_(k-1) + ... + b_(k-1) s_1) give the coefficient b_k
+    of X^(5-k). Three checks raise InternalCheckError: the table relations
+    of _cyclotomic_relations_hold, the exact division by k, and the root
+    certificate that the polynomial vanishes at eta_0 in the ring.
+    Relabelling the cosets permutes the periods, so the polynomial does not
+    depend on the character behind the table;
+    brute_force_period_coefficients is the independent Theta(p^2) oracle.
     """
+    if not _cyclotomic_relations_hold(p, cyc):
+        raise InternalCheckError(f"the cyclotomic numbers for p = {p} break their relations")
     f = (p - 1) // 5
+    powers = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+    for _ in range(4):
+        a, *c = powers[-1]
+        # the table is symmetric, so row m holds the (i, m) for i = 0..4
+        eta = [sum(map(mul, row, c)) for row in cyc]
+        eta[0] += a
+        powers.append((f * c[0], *eta))
+    sums = [5 * a - sum(c) for a, *c in powers]
+    b = [1]
+    for k in range(1, 6):
+        q, r = divmod(-sum(map(mul, b, reversed(sums[1:k + 1]))), k)
+        if r:
+            raise InternalCheckError(f"a period power sum for p = {p} is not divisible by {k}")
+        b.append(q)
+    coeffs = tuple(reversed(b))
+    at_eta = [sum(map(mul, coeffs, column)) for column in zip(*powers)]
+    if _rational_coefficients([at_eta], p) != (0,):
+        raise InternalCheckError(f"the period polynomial for p = {p} does not vanish at eta_0")
+    return coeffs
 
-    def times_eta(vec: list[int], j: int) -> list[int]:
-        out = [0] * 6
-        out[1 + j] = vec[0]
-        for i in range(5):
-            c = vec[1 + i]
-            d = (j - i) % 5
-            if d == 0:
-                out[0] += f * c
-            for k, count in enumerate(cyc[d]):
-                out[1 + (i + k) % 5] += c * count
-        return out
 
-    poly = [[1, 0, 0, 0, 0, 0]]
-    for j in range(5):
-        new = [[0] * 6 for _ in range(len(poly) + 1)]
-        for k, vec in enumerate(poly):
-            up, down = new[k + 1], new[k]
-            for i, v in enumerate(vec):
-                up[i] += v
-            for i, v in enumerate(times_eta(vec, j)):
-                down[i] -= v
-        poly = new
-    return _rational_coefficients(poly, p)
+def _cyclotomic_relations_hold(p: int, cyc: tuple[tuple[int, ...], ...]) -> bool:
+    """(i, j) = (j, i) = (-i, j - i), and row i sums to f - [i = 0], f = (p-1)/5.
+
+    These hold for the cyclotomic numbers of order 5 mod any prime
+    p = 1 mod 10: row i counts the t in C_i with t + 1 in some C_j, which is
+    every t in C_i but t = -1, in C_0 (Berndt-Evans-Williams ch. 2). A root
+    certificate alone accepts some corrupted tables that these reject.
+    """
+    rows = tuple(map(tuple, cyc))
+    f = (p - 1) // 5
+    # (-i, j - i) = (i, j) says that row -i is row i rotated left by i
+    return (rows == tuple(zip(*rows))
+            and all(rows[-i] == rows[i][i:] + rows[i][:i] for i in range(5))
+            and list(map(sum, rows)) == [f - 1, f, f, f, f])
 
 
 def brute_force_period_coefficients(p: int, g: int) -> tuple[int, ...]:

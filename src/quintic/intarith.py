@@ -34,7 +34,8 @@ blocks (the 12 bases used there before took about 100 us).
 factorize_window factors a whole window [lo, hi] below CERTIFIED_BELOW from
 the same table, by a sieve that needs no primality test at all, and
 trial_split redoes the division of an n that factorize refuses, for a caller
-that must know its 10^6-smooth part.
+that must know its 10^6-smooth part. prime_blocks sieves the primes of an
+interval above the table in the same segments, and keeps none of them.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ _BLOCK = 256  # primes per gcd block
 #: divide more than R further blocks (the costs are in the module docstring)
 _MR_AFTER_BLOCKS = 16
 _SEGMENT = 1 << 15  # odd numbers sieved at a time as the prime table grows
+#: odd numbers sieved at a time by prime_blocks, which keeps no table: four
+#: times the table's segment halves the sieve's time from 10^6 to 1.6*10^7
+_BLOCKS_SEGMENT = 4 * _SEGMENT
 
 
 def is_prime(n: int) -> bool:
@@ -131,20 +135,8 @@ class _PrimeTable:
         old_len = len(primes)
         if lo < 2:
             primes.append(2)
-        first = (lo + 1) | 1  # first odd number above lo, at least 3
-        while first <= bound:
-            last = min(bound, first + 2 * (_SEGMENT - 1))
-            flags = bytearray(b"\x01") * ((last - first) // 2 + 1)
-            for p in islice(primes, 1, None):
-                if p * p > last:
-                    break
-                s = max(p * p, -(-first // p) * p)
-                if s % 2 == 0:
-                    s += p
-                i = (s - first) // 2
-                flags[i::p] = bytes(len(range(i, len(flags), p)))
-            primes.extend(compress(range(first, last + 1, 2), flags))
-            first = last + 2
+        for segment in _odd_prime_segments(lo, bound, primes, _SEGMENT):
+            primes.extend(segment)
         self.limit = bound
         # the block that held the old last prime may have grown: recompute from it
         k = old_len // _BLOCK
@@ -153,7 +145,46 @@ class _PrimeTable:
             self.products.append(prod(self.primes[start : start + _BLOCK]))
 
 
+def _odd_prime_segments(lo: int, hi: int, sievers, width: int):
+    """The odd primes in (lo, hi], ascending, as one iterator per ``width`` odd numbers.
+
+    sievers starts with 2 and must hold every odd prime up to isqrt(hi) by
+    the time a segment is sieved; each segment is sieved when it is reached.
+    """
+    first = (lo + 1) | 1  # first odd number above lo, at least 3
+    while first <= hi:
+        last = min(hi, first + 2 * (width - 1))
+        flags = bytearray(b"\x01") * ((last - first) // 2 + 1)
+        for p in islice(sievers, 1, None):
+            if p * p > last:
+                break
+            s = max(p * p, -(-first // p) * p)
+            if s % 2 == 0:
+                s += p
+            i = (s - first) // 2
+            flags[i::p] = bytes(len(range(i, len(flags), p)))
+        yield compress(range(first, last + 1, 2), flags)
+        first = last + 2
+
+
 _TABLE = _PrimeTable()  # built lazily by factorize, never at import
+
+
+def prime_blocks(lo: int, hi: int):
+    """Yield the primes in (lo, hi], lo >= 2, ascending, in lists of at most _BLOCK.
+
+    A segmented sieve that keeps no prime once its block is yielded. Its
+    sievers, the primes up to isqrt(hi), come from the prime table while
+    they stay within 10^6, and from a table of the call's own beyond, so
+    the shared table never grows past 10^6.
+    """
+    root = isqrt(hi)
+    sievers = _TABLE if root <= _TRIAL_LIMIT else _PrimeTable()
+    sievers.extend(root)
+    for segment in _odd_prime_segments(lo, hi, sievers.primes, _BLOCKS_SEGMENT):
+        primes = list(segment)
+        for k in range(0, len(primes), _BLOCK):
+            yield primes[k : k + _BLOCK]
 
 
 def factorize(n: int) -> dict[int, int]:

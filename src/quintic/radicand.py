@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import itemgetter
 
 from .cyclo import HYPERPRIMARY_CLASSES
@@ -45,7 +45,7 @@ from .errors import (
     InputError,
     NotFifthPowerFree,
 )
-from .intarith import CERTIFIED_BELOW, factorize, factorize_window, iroot, trial_split
+from .intarith import CERTIFIED_BELOW, factorize, factorize_window, iroot, prime_blocks, trial_split
 
 
 class Verdict(Enum):
@@ -324,16 +324,22 @@ def _refused_n_is_fifth_power_free(n: int) -> bool:
 
     s is 10^6-smooth and every prime factor of m is above 10^6 (m > 1, since
     n was refused). n is fifth-power-free when every exponent of s is below 5
-    and m is. Below 10^36 a fifth power P^5 that divides m leaves a cofactor
-    below 10^6 with no prime factor up to 10^6, so m = P^5: one integer root
-    decides it. From 10^36 on, m goes to the k^5 loop of is_fifth_power_free.
+    and no P^5 divides m. Below 10^36 a fifth power P^5 that divides m leaves
+    a cofactor below 10^6 with no prime factor up to 10^6, so m = P^5: one
+    integer root decides it. From 10^36 on, such a P is at most m^(1/5), and
+    the primes in (10^6, m^(1/5)] come from intarith.prime_blocks: one gcd of
+    m with each block's product, and a test of P^5 | m for each P of a block
+    that shares a factor with m. At 10^38 - 1 that is about 10^6 primes.
     """
     smooth, m = trial_split(n)
     if any(a >= 5 for a in smooth.values()):
         return False
     if m < 10**36:
         return iroot(m, 5) ** 5 != m
-    return is_fifth_power_free(m)
+    return not any(
+        gcd(prod(block), m) > 1 and any(m % P**5 == 0 for P in block)
+        for block in prime_blocks(10**6, iroot(m, 5))
+    )
 
 
 def crosscheck_verdicts(n: int) -> tuple[str, ...]:

@@ -432,6 +432,20 @@ def test_enumerate_refuses_an_uncertifiable_n_without_the_fifth_power_loop(runne
     )
 
 
+def test_enumerate_refuses_an_n_with_a_rest_above_1e36_by_block_gcds(runner, monkeypatch):
+    # 10^38 - 1 = 3^2 * 11 * m with m about 1.01 * 10^36: the primes in
+    # (10^6, m^(1/5)] are sieved in blocks, and no k^5 loop runs
+    calls = record_calls(monkeypatch, radicand.is_fifth_power_free)
+    n = str(10**38 - 1)
+    res = runner.invoke(main, ["enumerate", n, n])
+    assert (res.exit_code, res.stdout_bytes, calls) == (2, b"", [])
+    assert res.stderr_bytes == (
+        b'{\n  "error": {\n    "code": "desk-bound-exceeded",\n'
+        b'    "message": "primality of 1010101010101010101010101010101010101 cannot be certified'
+        b' deterministically"\n  }\n}\n'
+    )
+
+
 def test_enumerate_invalid_range_exits_2(runner):
     res = runner.invoke(main, ["enumerate", "100", "2"])
     assert res.exit_code == 2

@@ -4,7 +4,7 @@ import math
 import random
 import sys
 import time
-from itertools import count, islice, product
+from itertools import combinations, count, islice, product
 from pathlib import Path
 
 import pytest
@@ -51,6 +51,41 @@ NEAR_1E24 = next(p for p in count(10**24 + 1) if p % 5 == 1 and sympy.isprime(p)
 def walk_polynomial(p: int, g: int) -> tuple[int, ...]:
     """The period polynomial from the O(p) count of the cyclotomic numbers."""
     return period_coefficients(p, brute_force_cyclotomic_numbers(p, g))
+
+
+def expansion_period_coefficients(p: int, cyc) -> tuple[int, ...]:
+    """Oracle for period_coefficients: prod_j (X - eta_j) multiplied out in the eta basis.
+
+    Fifteen products of a vector (a, c_0..c_4) = a + sum c_k eta_k by some
+    eta_j, with eta_i * eta_j = f * [i = j] + sum_k (j-i, k) * eta_(i+k),
+    and each coefficient must come out rational. It reads the table through
+    none of the relations that period_coefficients checks.
+    """
+    f = (p - 1) // 5
+
+    def times_eta(vec, j):
+        out = [0] * 6
+        out[1 + j] = vec[0]
+        for i in range(5):
+            c = vec[1 + i]
+            d = (j - i) % 5
+            if d == 0:
+                out[0] += f * c
+            for k, count_ in enumerate(cyc[d]):
+                out[1 + (i + k) % 5] += c * count_
+        return out
+
+    poly = [[1, 0, 0, 0, 0, 0]]
+    for j in range(5):
+        new = [[0] * 6 for _ in range(len(poly) + 1)]
+        for k, vec in enumerate(poly):
+            up, down = new[k + 1], new[k]
+            for i, v in enumerate(vec):
+                up[i] += v
+            for i, v in enumerate(times_eta(vec, j)):
+                down[i] -= v
+        poly = new
+    return genus._rational_coefficients(poly, p)
 
 
 def seeded_prime(seed: int, lo: int) -> int:
@@ -218,6 +253,106 @@ def test_jacobi_sums_match_the_walk_below_10_4():
 def test_jacobi_sums_match_the_walk_near_10_6(seed):
     p = seeded_prime(seed, 10**6)
     assert period_polynomial(p) == walk_polynomial(p, primitive_root(p))
+
+
+def test_tables_below_10_4_hold_their_relations_and_match_the_expansion_oracle():
+    ps = [p for p in sieve_primes(10**4) if p % 5 == 1]
+    assert len(ps) == 306
+    for p in ps:
+        for cyc in (cyclotomic_numbers(p), brute_force_cyclotomic_numbers(p, primitive_root(p))):
+            assert genus._cyclotomic_relations_hold(p, cyc), (p, cyc)
+            assert period_coefficients(p, cyc) == expansion_period_coefficients(p, cyc), p
+
+
+@pytest.mark.parametrize("p", [CAP_PRIME, ABOVE_1E12, NEAR_1E24])
+def test_power_sums_match_the_expansion_oracle_at_large_p(p):
+    # the Theta(p^2) oracle cannot run here; this one checks the whole polynomial
+    cyc = cyclotomic_numbers(p)
+    assert period_coefficients(p, cyc) == expansion_period_coefficients(p, cyc)
+
+
+def _rejects(coefficients, p, cyc) -> bool:
+    try:
+        coefficients(p, cyc)
+    except InternalCheckError:
+        return True
+    return False
+
+
+def _changed(cyc, changes):
+    """cyc with each entry (i, j) of changes moved by its d."""
+    rows = [list(row) for row in cyc]
+    for (i, j), d in changes:
+        rows[i][j] += d
+    return tuple(map(tuple, rows))
+
+
+def _corrupted_tables(p, cyc):
+    """(one-entry changes by +-1 or +5, swaps within a row, 200 seeded 2-4 entry changes) of cyc."""
+    cells = [(i, j) for i in range(5) for j in range(5)]
+    one_entry = [_changed(cyc, [(cell, d)]) for cell in cells for d in (1, -1, 5)]
+    swaps = []
+    for i, row in enumerate(cyc):
+        for j, k in combinations(range(5), 2):
+            swapped = list(row)
+            swapped[j], swapped[k] = row[k], row[j]
+            swaps.append((*cyc[:i], tuple(swapped), *cyc[i + 1:]))
+    rng = random.Random(p)
+    seeded = [_changed(cyc, [(cell, rng.choice((-2, -1, 1, 2, 5))) for cell in rng.sample(cells, rng.randint(2, 4))])
+              for _ in range(200)]
+    return one_entry, swaps, seeded
+
+
+@pytest.mark.parametrize("p", [11, 31, 41, 1381, 2351, CAP_PRIME])
+def test_a_corrupted_table_is_rejected_where_the_expansion_oracle_rejects_it(p):
+    cyc = cyclotomic_numbers(p)
+    truth = period_coefficients(p, cyc)
+    one_entry, swaps, seeded = _corrupted_tables(p, cyc)
+    assert len(one_entry) == 75 and len(swaps) == 50 and len(seeded) == 200
+    for table in one_entry + swaps + seeded:
+        rejected = _rejects(period_coefficients, p, table)
+        assert rejected is _rejects(expansion_period_coefficients, p, table), table
+        if not rejected:
+            assert period_coefficients(p, table) == truth, table
+    # a one-entry change breaks a row sum, so both reject every one of them
+    assert all(_rejects(period_coefficients, p, table) for table in one_entry)
+
+
+@pytest.mark.parametrize("p", [11, 31, 41, 1381, 2351])
+def test_a_table_from_a_wrong_jacobi_sum_keeps_the_relations_and_is_rejected(p):
+    # such a table passes every relation, so only the exact division and the
+    # root certificate stand between it and a wrong polynomial
+    rng = random.Random(p)
+    tables = []
+    while len(tables) < 100:
+        j1 = CycInt(tuple(rng.randrange(-60, 60) for _ in range(4)))
+        if _accepted(p, j1) and j1 * galois_apply(2, j1) != CycInt(p):
+            tables.append(cyclotomic_numbers_from_jacobi_sum(p, j1))
+    checks = set()
+    for table in tables:
+        assert genus._cyclotomic_relations_hold(p, table), table
+        assert _rejects(expansion_period_coefficients, p, table), table
+        with pytest.raises(InternalCheckError, match="is not divisible by|non-rational|does not vanish") as exc:
+            period_coefficients(p, table)
+        checks.add("divisible" in str(exc.value))
+    assert checks == {True, False}  # each of the two checks is the first to fail on some table
+
+
+# at p = 11 the root certificate alone accepts some changes to row 4, which the
+# relations reject, as the expansion oracle does
+@pytest.mark.parametrize("j, d", [(j, d) for j in range(5) for d in (1, -1, 5)],
+                         ids=[f"row4-col{j}{d:+d}" for j in range(5) for d in (1, -1, 5)])
+def test_p11_row_4_changes_are_rejected(j, d):
+    table = _changed(cyclotomic_numbers(11), [((4, j), d)])
+    assert _rejects(period_coefficients, 11, table)
+    assert _rejects(expansion_period_coefficients, 11, table)
+
+
+def test_the_root_certificate_alone_misses_p11_row_4_changes(monkeypatch):
+    cyc = cyclotomic_numbers(11)
+    tables = [_changed(cyc, [((4, j), d)]) for j in range(5) for d in (1, -1, 5)]
+    monkeypatch.setattr(genus, "_cyclotomic_relations_hold", lambda p, table: True)
+    assert not all(_rejects(period_coefficients, 11, table) for table in tables)
 
 
 def _cyclotomic_rows_from_the_definition():

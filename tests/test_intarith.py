@@ -306,6 +306,15 @@ def test_trial_split_returns_the_split_it_was_built_from():
         assert list(intarith.trial_split(n)[0]) == sorted(smooth), n
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 3), (2, 5000), (10**6, 10**6 + 300000), (10**12 + 3 * 10**6, 10**12 + 3 * 10**6 + 5000)])
+def test_prime_blocks_match_sympy_and_never_grow_the_table_past_10_6(lo, hi):
+    # the last window's sievers reach past 10^6, so they come from a table of the call's own
+    blocks = list(intarith.prime_blocks(lo, hi))
+    assert all(1 <= len(block) <= 256 for block in blocks)
+    assert [p for block in blocks for p in block] == list(sympy.primerange(lo + 1, hi + 1))
+    assert intarith._TABLE.limit <= 10**6
+
+
 def test_iroot_matches_sympy():
     rng = random.Random(31)
     ns = [1, 2, 31, 32, 33, 10**36 - 1, 10**36, 1000003**5 - 1, 1000003**5, 1000003**5 + 1]

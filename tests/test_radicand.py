@@ -7,7 +7,7 @@ import sympy
 
 from quintic import radicand
 from quintic.errors import BoundExceeded, FactorizationError, InputError, NotFifthPowerFree
-from quintic.intarith import CERTIFIED_BELOW, sieve_primes
+from quintic.intarith import CERTIFIED_BELOW, iroot, sieve_primes
 from quintic.radicand import (
     CHECK_NAMES,
     VERDICT_MOD_25,
@@ -242,19 +242,34 @@ def test_a_refusal_is_decided_as_is_fifth_power_free_decides_it():
         assert radicand._refused_n_is_fifth_power_free(n) is free is is_fifth_power_free(n), n
 
 
-@pytest.mark.parametrize("m, free", [
-    (sympy.prevprime(10**18) * sympy.prevprime(10**18), True),  # just below 10^36
-    (sympy.prevprime(15848932) ** 5, False),  # the largest P^5 below 10^36
-    (sympy.nextprime(10**18) ** 2, True),  # just above
-    (_P**5 * _Q, False),
+_R = 10000019  # the least prime above 10^7, some 600 blocks of primes past _P
+
+
+@pytest.mark.parametrize("m, free, finishes", [
+    pytest.param(sympy.prevprime(10**18) ** 2, True, False, id="semiprime-below-1e36"),
+    pytest.param(sympy.prevprime(15848932) ** 5, False, False, id="largest-P5-below-1e36"),
+    pytest.param(sympy.nextprime(10**18) ** 2, True, False, id="semiprime-above-1e36"),
+    pytest.param(_P**5 * _Q, False, True, id="P5-Q"),
+    pytest.param(_P**5 * _R, False, True, id="P5-R"),
+    pytest.param(_R**5 * _Q, False, False, id="R5-Q"),
+    pytest.param(_P**4 * sympy.nextprime(10**13), True, False, id="P4-prime"),
+    pytest.param(sympy.nextprime(15848931) ** 5, False, False, id="P5-at-the-root"),
 ])
-def test_only_a_rest_from_1e36_on_goes_to_the_fifth_power_loop(monkeypatch, m, free):
+def test_a_rest_from_1e36_on_is_decided_by_block_gcds(monkeypatch, m, free, finishes):
+    # every prime factor of m is above 10^6, and free says by construction
+    # whether a fifth power divides it; is_fifth_power_free finishes only when
+    # it meets _P, its least k with k^5 | m, after about 10^6 steps
     assert sympy.integer_nthroot(10**36, 5) == (15848931, False)
     calls = []
-    monkeypatch.setattr(radicand, "is_fifth_power_free", lambda k: calls.append(k) or free)
+    blocks = radicand.prime_blocks
+    monkeypatch.setattr(radicand, "prime_blocks", lambda lo, hi: calls.append((lo, hi)) or blocks(lo, hi))
     for s in (1, 2 * 3**4):
+        with pytest.raises((FactorizationError, BoundExceeded)):
+            classify(s * m)
         assert radicand._refused_n_is_fifth_power_free(s * m) is free
-    assert calls == ([m, m] if m >= 10**36 else [])
+    assert calls == ([(10**6, iroot(m, 5))] * 2 if m >= 10**36 else [])
+    if finishes:
+        assert is_fifth_power_free(m) is free
 
 
 @pytest.mark.parametrize("lo, hi", [
