@@ -25,10 +25,14 @@ class FactorizationError(InputError):
     """Raised when an integer cannot be factored with certified prime factors."""
 
     code = "uncertified-factorization"
+    #: (smooth part as {prime: exponent}, rest) when raised by intarith.factorize
+    split = None
 
 
 class BoundExceeded(InputError):
     code = "desk-bound-exceeded"
+    #: (smooth part as {prime: exponent}, rest) when raised by intarith.factorize
+    split = None
 
 
 class SymbolUndefined(InputError):

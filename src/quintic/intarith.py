@@ -33,9 +33,8 @@ blocks (the 12 bases used there before took about 100 us).
 
 factorize_window factors a whole window [lo, hi] below CERTIFIED_BELOW from
 the same table, by a sieve that needs no primality test at all, and
-trial_split redoes the division of an n that factorize refuses, for a caller
-that must know its 10^6-smooth part. prime_blocks sieves the primes of an
-interval above the table in the same segments, and keeps none of them.
+prime_blocks sieves the primes of such an interval and keeps none of them.
+A refusal of factorize carries its trial split in its ``split`` attribute.
 """
 
 from __future__ import annotations
@@ -69,10 +68,7 @@ _BLOCK = 256  # primes per gcd block
 #: R: a cofactor above _TRIAL_LIMIT goes to is_prime once trial division would
 #: divide more than R further blocks (the costs are in the module docstring)
 _MR_AFTER_BLOCKS = 16
-_SEGMENT = 1 << 15  # odd numbers sieved at a time as the prime table grows
-#: odd numbers sieved at a time by prime_blocks, which keeps no table: four
-#: times the table's segment halves the sieve's time from 10^6 to 1.6*10^7
-_BLOCKS_SEGMENT = 4 * _SEGMENT
+_SEGMENT = 1 << 17  # odd numbers sieved at a time by the prime table and prime_blocks
 
 
 def is_prime(n: int) -> bool:
@@ -135,7 +131,7 @@ class _PrimeTable:
         old_len = len(primes)
         if lo < 2:
             primes.append(2)
-        for segment in _odd_prime_segments(lo, bound, primes, _SEGMENT):
+        for segment in _odd_prime_segments(lo, bound, primes):
             primes.extend(segment)
         self.limit = bound
         # the block that held the old last prime may have grown: recompute from it
@@ -145,15 +141,15 @@ class _PrimeTable:
             self.products.append(prod(self.primes[start : start + _BLOCK]))
 
 
-def _odd_prime_segments(lo: int, hi: int, sievers, width: int):
-    """The odd primes in (lo, hi], ascending, as one iterator per ``width`` odd numbers.
+def _odd_prime_segments(lo: int, hi: int, sievers):
+    """The odd primes in (lo, hi], ascending, as one iterator per _SEGMENT odd numbers.
 
     sievers starts with 2 and must hold every odd prime up to isqrt(hi) by
     the time a segment is sieved; each segment is sieved when it is reached.
     """
     first = (lo + 1) | 1  # first odd number above lo, at least 3
     while first <= hi:
-        last = min(hi, first + 2 * (width - 1))
+        last = min(hi, first + 2 * (_SEGMENT - 1))
         flags = bytearray(b"\x01") * ((last - first) // 2 + 1)
         for p in islice(sievers, 1, None):
             if p * p > last:
@@ -173,15 +169,14 @@ _TABLE = _PrimeTable()  # built lazily by factorize, never at import
 def prime_blocks(lo: int, hi: int):
     """Yield the primes in (lo, hi], lo >= 2, ascending, in lists of at most _BLOCK.
 
-    A segmented sieve that keeps no prime once its block is yielded. Its
-    sievers, the primes up to isqrt(hi), come from the prime table while
-    they stay within 10^6, and from a table of the call's own beyond, so
-    the shared table never grows past 10^6.
+    For hi < CERTIFIED_BELOW, as for factorize_window. A segmented sieve
+    that keeps no prime once its block is yielded; its sievers, the primes
+    up to isqrt(hi) < 1000003, come from the prime table, grown that far.
     """
-    root = isqrt(hi)
-    sievers = _TABLE if root <= _TRIAL_LIMIT else _PrimeTable()
-    sievers.extend(root)
-    for segment in _odd_prime_segments(lo, hi, sievers.primes, _BLOCKS_SEGMENT):
+    if hi >= CERTIFIED_BELOW:
+        raise InputError(f"cannot sieve the primes up to {hi}")
+    _TABLE.extend(min(isqrt(hi), _TRIAL_LIMIT))
+    for segment in _odd_prime_segments(lo, hi, _TABLE.primes):
         primes = list(segment)
         for k in range(0, len(primes), _BLOCK):
             yield primes[k : k + _BLOCK]
@@ -213,6 +208,11 @@ def factorize(n: int) -> dict[int, int]:
     10^6. So factorize(2 * 500000067059) takes one block gcd and a 7-base
     test of the prime cofactor, about 60 us, where trial division to that
     cofactor's square root took about 225 block gcds and 1.05 ms.
+
+    A refusal, FactorizationError or BoundExceeded, comes only after every
+    prime up to 10^6 has been divided out, and carries that trial split as
+    its ``split`` = (fac, m): fac is the 10^6-smooth part of n, primes
+    ascending, and every prime factor of the rest m > 1 is above 10^6.
     """
     if n < 1:
         raise InputError(f"cannot factor {n}")
@@ -259,10 +259,14 @@ def factorize(n: int) -> dict[int, int]:
     # square root and is prime. From 10^12 on, m is either the composite that
     # is_prime last rejected or at least _MR_PROVEN_LIMIT, where is_prime raises.
     if m > 1:
-        if m >= _TRIAL_LIMIT**2 and (m == tested or not is_prime(m)):
-            raise FactorizationError(
-                f"cofactor {m} of {n} is composite and beyond the trial-division bound"
-            )
+        try:
+            if m >= _TRIAL_LIMIT**2 and (m == tested or not is_prime(m)):
+                raise FactorizationError(
+                    f"cofactor {m} of {n} is composite and beyond the trial-division bound"
+                )
+        except (FactorizationError, BoundExceeded) as refusal:
+            refusal.split = fac, m
+            raise
         fac[m] = fac.get(m, 0) + 1
     return fac
 
@@ -299,25 +303,6 @@ def factorize_window(lo: int, hi: int) -> list[dict[int, int]]:
         if m > 1:
             fac[m] = 1
     return facs
-
-
-def trial_split(n: int) -> tuple[dict[int, int], int]:
-    """n = s * m split at the trial bound: s's {prime: exponent}, primes ascending, and m.
-
-    s is 10^6-smooth and every prime factor of m is above 10^6. This is the
-    split factorize has made when it refuses n, redone by one gcd per block
-    of the full prime table.
-    """
-    _TABLE.extend(_TRIAL_LIMIT)
-    primes = _TABLE.primes
-    fac: dict[int, int] = {}
-    for k, product in enumerate(_TABLE.products):
-        if gcd(product, n) > 1:
-            for p in primes[k * _BLOCK : (k + 1) * _BLOCK]:
-                while n % p == 0:
-                    fac[p] = fac.get(p, 0) + 1
-                    n //= p
-    return fac, n
 
 
 def iroot(n: int, k: int) -> int:

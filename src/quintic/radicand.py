@@ -45,7 +45,7 @@ from .errors import (
     InputError,
     NotFifthPowerFree,
 )
-from .intarith import CERTIFIED_BELOW, factorize, factorize_window, iroot, prime_blocks, trial_split
+from .intarith import CERTIFIED_BELOW, factorize, factorize_window, iroot, prime_blocks
 
 
 class Verdict(Enum):
@@ -288,10 +288,10 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
     VERDICT_MOD_25[verdict] ({0, 20}, {7, 18} or {1, 24}) is skipped
     unfactored. The fifth-power check of classify_factored skips n. An n
     whose factorization cannot be certified is still skipped when a fifth
-    power divides it (_refused_n_is_fifth_power_free decides that);
-    otherwise the error stands. Since factorize can only fail from
-    CERTIFIED_BELOW on, where nothing is skipped by residue, a window fails
-    on the same n, filtered or not.
+    power divides it, which _refusal_stands decides from the trial split
+    the error carries; otherwise the error stands. Since factorize can only
+    fail from CERTIFIED_BELOW on, where nothing is skipped by residue, a
+    window fails on the same n, filtered or not.
     """
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
@@ -311,34 +311,37 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
                 form = classify(n) if fac is None else classify_factored(n, fac)
             except NotFifthPowerFree:
                 continue
-            except (FactorizationError, BoundExceeded):
-                if not _refused_n_is_fifth_power_free(n):
-                    continue
-                raise
+            except (FactorizationError, BoundExceeded) as refusal:
+                if _refusal_stands(*refusal.split):
+                    raise
+                continue
             if verdict is None or form.verdict is verdict:
                 yield form
 
 
-def _refused_n_is_fifth_power_free(n: int) -> bool:
-    """is_fifth_power_free(n) for an n that factorize refuses, from its trial split n = s * m.
+def _refusal_stands(smooth: dict[int, int], m: int) -> bool:
+    """Whether factorize's refusal of n = s * m stands, from the split it carries.
 
-    s is 10^6-smooth and every prime factor of m is above 10^6 (m > 1, since
-    n was refused). n is fifth-power-free when every exponent of s is below 5
-    and no P^5 divides m. Below 10^36 a fifth power P^5 that divides m leaves
-    a cofactor below 10^6 with no prime factor up to 10^6, so m = P^5: one
-    integer root decides it. From 10^36 on, such a P is at most m^(1/5), and
-    the primes in (10^6, m^(1/5)] come from intarith.prime_blocks: one gcd of
-    m with each block's product, and a test of P^5 | m for each P of a block
-    that shares a factor with m. At 10^38 - 1 that is about 10^6 primes.
+    smooth holds the exponents of s, which is 10^6-smooth, and every prime
+    factor of m is above 10^6 (m > 1, since n was refused). It stands when n
+    is fifth-power-free: every exponent of s is below 5 and no P^5 divides m.
+    Below 10^36 a fifth power P^5 that divides m leaves a cofactor below 10^6
+    with no prime factor up to 10^6, so m = P^5: one integer root decides it.
+    From 10^36 on, such a P is at most m^(1/5), and the primes in
+    (10^6, m^(1/5)] come from intarith.prime_blocks: one gcd of m with each
+    block's product, and a test of P^5 | m for each P of a block that shares
+    a factor with m. At 10^38 - 1 that is about 10^6 primes. Once m^(1/5)
+    reaches CERTIFIED_BELOW (m about 10^60), past prime_blocks' domain, the
+    refusal stands undecided.
     """
-    smooth, m = trial_split(n)
     if any(a >= 5 for a in smooth.values()):
         return False
+    root = iroot(m, 5)
     if m < 10**36:
-        return iroot(m, 5) ** 5 != m
-    return not any(
+        return root**5 != m
+    return root >= CERTIFIED_BELOW or not any(
         gcd(prod(block), m) > 1 and any(m % P**5 == 0 for P in block)
-        for block in prime_blocks(10**6, iroot(m, 5))
+        for block in prime_blocks(10**6, root)
     )
 
 

@@ -569,6 +569,18 @@ def test_enumerate_with_a_real_process_pool_matches_serial(runner, monkeypatch, 
     assert serial.exit_code == 0 and serial.stderr_bytes == b""
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for a 2-process pool")
+def test_a_refusal_in_a_real_process_pool_fails_as_in_serial(runner):
+    # the refusal of n = 1000003 * 1000033 carries its split back from a worker process
+    window = ["enumerate", "1000036000000", "1000036000600"]
+    pooled = runner.invoke(main, [*window, "--workers", "2"])
+    serial = runner.invoke(main, [*window, "--workers", "1"])
+    assert serial.exit_code == 2 and serial.stdout_bytes == b""
+    assert json.loads(serial.stderr)["error"]["code"] == "uncertified-factorization"
+    assert (pooled.exit_code, pooled.stdout_bytes, pooled.stderr_bytes) == (
+        serial.exit_code, serial.stdout_bytes, serial.stderr_bytes)
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_1_is_an_input_error(runner, monkeypatch, workers):
     calls = []

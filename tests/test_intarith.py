@@ -292,27 +292,43 @@ def test_factorize_window_refuses_a_window_it_cannot_certify(lo, hi):
         intarith.factorize_window(lo, hi)
 
 
-def test_trial_split_returns_the_split_it_was_built_from():
+@pytest.mark.parametrize("fresh_table", [True, False])
+def test_a_refusal_carries_the_split_it_was_built_from(monkeypatch, fresh_table):
+    # factorize grows the table lazily, so each n meets a fresh table, or the full one
+    if not fresh_table:
+        intarith._TABLE.extend(_TRIAL_LIMIT)
     rng = random.Random(77)
     big = [1000003, 1000033, _seeded_prime(rng, 10**8, 2 * 10**8), sympy.nextprime(_MR_PROVEN_LIMIT)]
-    # (the 10^6-smooth part as {prime: exponent}, the primes above 10^6 whose product is the rest)
-    cases = [({}, []), ({2: 1}, []), ({2: 5, 3: 1, 999983: 2}, []), ({7: 1}, [big[0]] * 5),
-             ({2: 9, 5: 4}, [big[0]] * 5 + [big[1]]), ({999983: 1}, big[1:3]), ({3: 2, 11: 1}, big[2:]),
-             ({}, [big[0], big[3]])]
-    for smooth, rest in cases:
+    # (the 10^6-smooth part as {prime: exponent}, the primes above 10^6 whose product is the rest,
+    # the refusal): a rest from psi_13 on cannot be tested, and a smaller one is composite
+    cases = [({7: 1}, [big[0]] * 5, BoundExceeded), ({2: 9, 5: 4}, [big[0]] * 5 + [big[1]], BoundExceeded),
+             ({3: 2, 11: 1}, big[2:], BoundExceeded), ({}, [big[0], big[3]], BoundExceeded),
+             ({999983: 1}, big[1:3], FactorizationError), ({}, big[:2], FactorizationError),
+             ({2: 4, 3: 4, 999983: 2}, [big[0]] * 3, FactorizationError)]
+    for smooth, rest, refusal in cases:
+        if fresh_table:
+            monkeypatch.setattr(intarith, "_TABLE", intarith._PrimeTable())
         m = prod(rest)
         n = m * prod(p**e for p, e in smooth.items())
-        assert intarith.trial_split(n) == (smooth, m), n
-        assert list(intarith.trial_split(n)[0]) == sorted(smooth), n
+        with pytest.raises(refusal) as raised:
+            factorize(n)
+        assert raised.value.split == (smooth, m), n
+        assert list(raised.value.split[0]) == sorted(smooth), n
 
 
-@pytest.mark.parametrize("lo, hi", [(2, 3), (2, 5000), (10**6, 10**6 + 300000), (10**12 + 3 * 10**6, 10**12 + 3 * 10**6 + 5000)])
+@pytest.mark.parametrize("lo, hi", [(2, 3), (2, 5000), (10**6, 10**6 + 300000), (CERTIFIED_BELOW - 5000, CERTIFIED_BELOW - 1)])
 def test_prime_blocks_match_sympy_and_never_grow_the_table_past_10_6(lo, hi):
-    # the last window's sievers reach past 10^6, so they come from a table of the call's own
     blocks = list(intarith.prime_blocks(lo, hi))
     assert all(1 <= len(block) <= 256 for block in blocks)
     assert [p for block in blocks for p in block] == list(sympy.primerange(lo + 1, hi + 1))
     assert intarith._TABLE.limit <= 10**6
+
+
+@pytest.mark.parametrize("hi", [CERTIFIED_BELOW, 10**13])
+def test_prime_blocks_refuse_to_sieve_from_certified_below_on(hi):
+    # as factorize_window does: the sievers up to isqrt(hi) would reach past the table's 10^6
+    with pytest.raises(InputError, match=f"cannot sieve the primes up to {hi}"):
+        next(intarith.prime_blocks(10**6, hi))
 
 
 def test_iroot_matches_sympy():

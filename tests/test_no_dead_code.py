@@ -45,7 +45,7 @@ ALLOWED = frozenset({
 #: methods named like a foreign attribute, each with the call that reaches it
 FOREIGN_NAMED = {
     "intarith._PrimeTable.extend":
-        "factorize, factorize_window, trial_split, prime_blocks and sieve_primes grow a prime table with table.extend",
+        "factorize, factorize_window, prime_blocks and sieve_primes grow a prime table with table.extend",
 }
 
 #: parameters that their function never reads, each with the reason it is kept

@@ -5,9 +5,7 @@ function reads it from there, so the package factors each n once:
 - radicand_factorization, which refuses n < 2 first, is the one caller of
   factorize;
 - enumerate_radicands, which sieves a dense window at once, is the one
-  caller of factorize_window;
-- _refused_n_is_fifth_power_free, which decides a refused n, is the one
-  caller of trial_split.
+  caller of factorize_window.
 
 Inside src/quintic each name may therefore appear only in intarith, which
 defines it, and in radicand, which imports it for its one caller. A use under
@@ -26,7 +24,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quintic"
 CALLERS = {
     "factorize": "radicand_factorization",
     "factorize_window": "enumerate_radicands",
-    "trial_split": "_refused_n_is_fifth_power_free",
 }
 
 

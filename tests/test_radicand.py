@@ -237,9 +237,9 @@ def _refused_cases():
 
 def test_a_refusal_is_decided_as_is_fifth_power_free_decides_it():
     for n, free in _refused_cases():
-        with pytest.raises((FactorizationError, BoundExceeded)):
+        with pytest.raises((FactorizationError, BoundExceeded)) as refusal:
             classify(n)
-        assert radicand._refused_n_is_fifth_power_free(n) is free is is_fifth_power_free(n), n
+        assert radicand._refusal_stands(*refusal.value.split) is free is is_fifth_power_free(n), n
 
 
 _R = 10000019  # the least prime above 10^7, some 600 blocks of primes past _P
@@ -264,12 +264,26 @@ def test_a_rest_from_1e36_on_is_decided_by_block_gcds(monkeypatch, m, free, fini
     blocks = radicand.prime_blocks
     monkeypatch.setattr(radicand, "prime_blocks", lambda lo, hi: calls.append((lo, hi)) or blocks(lo, hi))
     for s in (1, 2 * 3**4):
-        with pytest.raises((FactorizationError, BoundExceeded)):
+        with pytest.raises((FactorizationError, BoundExceeded)) as refusal:
             classify(s * m)
-        assert radicand._refused_n_is_fifth_power_free(s * m) is free
+        assert radicand._refusal_stands(*refusal.value.split) is free
     assert calls == ([(10**6, iroot(m, 5))] * 2 if m >= 10**36 else [])
     if finishes:
         assert is_fifth_power_free(m) is free
+
+
+def test_a_rest_whose_fifth_root_reaches_certified_below_stands_undecided(monkeypatch):
+    # 10^70 + 7 = 1621 * m: a P^5 | m could have P up to m^(1/5), some 2*10^13,
+    # past the primes that prime_blocks sieves, so the error stands at once
+    n = 10**70 + 7
+    calls = []
+    blocks = radicand.prime_blocks
+    monkeypatch.setattr(radicand, "prime_blocks", lambda lo, hi: calls.append((lo, hi)) or blocks(lo, hi))
+    with pytest.raises(BoundExceeded) as refusal:
+        list(enumerate_radicands(n, n))
+    smooth, m = refusal.value.split
+    assert smooth == {1621: 1} and 1621 * m == n and iroot(m, 5) >= CERTIFIED_BELOW
+    assert calls == []
 
 
 @pytest.mark.parametrize("lo, hi", [
