@@ -16,11 +16,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError, InternalCheckError, ModelInvariantError
-from .cyclo import CycInt
 from .polyfp import kernel, line_of
-from .primes import factor_rational_prime
 from .radicand import RadicandForm, Verdict
-from .symbols import quintic_symbol
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 Vec = tuple[int, int]
@@ -282,15 +279,16 @@ RESIDUE_READING_NOTE = (
 
 
 def generator_certificate(form: RadicandForm) -> dict:
-    """The family's fixed residue condition, evaluated; always inapplicable.
+    """The family's fixed residue condition, decided; always inapplicable.
 
     Forms I and II would take generators [P1] above p and [L]^(1-tau^2)
     when 5, resp. q, is a quintic non-residue mod p; Form III would take
     [B1], [B2] above 5 when 5 is. But every family prime p is 4 mod 5
-    (Form III's is 24 mod 25), and at such p every rational integer is a
-    fifth power in the residue field F_{p^2} (RESIDUE_READING_NOTE). So the
-    fixed condition never holds and no generators are emitted. It is still
-    evaluated, and a pass would expose a bug in the symbol layer.
+    (Form III's is 24 mod 25), so a prime above p has residue field F_{p^2},
+    and for a rational a prime to p, a^((p^2-1)/5) = (a^(p-1))^((p+1)/5) = 1:
+    the symbol is 0 (RESIDUE_READING_NOTE). So the fixed condition never
+    holds and no generators are emitted. A family prime of another class,
+    where it could hold, would expose a classifier bug.
     """
     if form.verdict is Verdict.NONE:
         raise InputError(f"{form.n} is not in any of the three families")
@@ -300,18 +298,14 @@ def generator_certificate(form: RadicandForm) -> dict:
     else:
         fixed_value = 5 if form.verdict is Verdict.FORM_I else form.q
         splitting = f"{p} O_k = P1^5 P2^5"
-    symbol = quintic_symbol(CycInt(fixed_value), factor_rational_prime(p)[0])
-    if symbol != 0:
-        raise InternalCheckError(
-            f"{fixed_value} is a quintic non-residue at a prime above {p} = {p % 5} mod 5, "
-            f"where every rational integer is a fifth power"
-        )
+    if p % 5 != 4:
+        raise InternalCheckError(f"the family prime {p} of {form.n} is {p % 5} mod 5, not 4")
     return {
         "n": form.n,
         "form": form.verdict.value,
         "applicable": False,
         "conditions": [
-            {"description": f"{fixed_value} is not a quintic residue modulo {p}", "symbol": symbol, "passed": False}
+            {"description": f"{fixed_value} is not a quintic residue modulo {p}", "symbol": 0, "passed": False}
         ],
         "generators": None,
         "splitting": splitting,

@@ -271,7 +271,9 @@ def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> 
     """The output lines of the chunk that starts at start, cut off at hi, as JSONL or CSV text."""
     line = radicand.RadicandForm.json_line if as_jsonl else radicand.RadicandForm.csv_row
     forms = radicand.enumerate_radicands(start, min(start + radicand.WINDOW - 1, hi), verdict)
-    return "".join([line(form) + "\n" for form in forms])
+    lines = [line(form) for form in forms]
+    lines.append("")  # one join ends every line in a newline, and leaves a chunk without rows empty
+    return "\n".join(lines)
 
 
 @main.command("enumerate")
@@ -280,7 +282,8 @@ def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> 
 @click.option("--form", "form_filter", type=click.Choice(["I", "II", "III", "none"]), default=None,
               help="Only emit radicands with this verdict.")
 @click.option("--jsonl/--csv", "as_jsonl", default=True, help="Row format (JSONL default).")
-@click.option("--from", "from_n", type=int, default=None, help="Resume from this n (inclusive).")
+@click.option("--from", "from_n", type=int, default=None,
+              help="Start at this n (inclusive) when it is above LO. This does not resume: --out is rewritten.")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Classify range chunks in parallel; output order is unaffected.")
 @_out_opt

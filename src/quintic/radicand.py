@@ -27,6 +27,13 @@ condition is stated once, as its ledger row, and the verdict is read off the
 rows: n can have at most one of the three shapes, and it gets that family
 when every row of the family passes. The three formats of a RadicandForm
 (to_json, json_line and csv_row under CSV_HEADER) are written here.
+
+Most n lack every shape (82 % of them near 10^5), and then the rows after
+each shape row are fixed by n % 25 (_NO_SHAPE_TAILS): the ledger differs from
+n to n only in row 0 and the one witness of its three shape rows. For such a
+ledger, json_line and csv_row read the rest of the text from tables built at
+import from the same rows, and encode the witness once; any other ledger is
+written row by row.
 """
 
 from __future__ import annotations
@@ -105,6 +112,59 @@ _JSON_ROW_PREFIX = tuple(
     for name in CHECK_NAMES
 )
 
+# Ledger rows that depend on nothing but n % 25, or on no prime at all, are
+# shared: a row is an immutable pair, so every RadicandForm can hold the same one.
+_NO_PRIME_1_MOD_5 = (True, "none divides n")
+#: per n % 25, the row "n = +-1,+-7 mod 25" of Forms II and III, and its negation for Form I
+_HYPER_ROW = tuple((r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25))
+_NOT_HYPER_ROW = tuple((not passed, witness) for passed, witness in _HYPER_ROW)
+#: a row about p or q when the shape fails: there is no p or q to test
+_NO_PRIME = (False, "-")
+_PASSED = itemgetter(0)  # a ledger row's passed flag
+#: per n % 25, the rows after each family's shape row (CHECK_NAMES 2-4, 6-10 and 12-13)
+#: as they read when n lacks that shape
+_NO_SHAPE_TAILS = tuple(
+    ((_NO_PRIME, _NO_PRIME, _NOT_HYPER_ROW[r]), (_HYPER_ROW[r], *(_NO_PRIME,) * 4), (_NO_PRIME, _HYPER_ROW[r]))
+    for r in range(25)
+)
+
+
+def _rows_json(start: int, rows) -> str:
+    """The compact JSON of the ledger rows checks[start:start + len(rows)], comma-separated."""
+    return ",".join([prefix[passed] + _json_str(witness) + "}"
+                     for prefix, (passed, witness) in zip(_JSON_ROW_PREFIX[start:], rows)])
+
+
+def _rows_csv(rows) -> str:
+    """The pass or fail cells of ledger rows, comma-separated."""
+    return ",".join(["pass" if passed else "fail" for passed, _ in rows])
+
+
+# A ledger whose n lacks every family shape is fixed by n % 25, but for row 0
+# and the witness of its three shape rows: its text is read from these tables.
+#: per n % 25, the JSON text that follows each shape row's witness in such a ledger
+_NO_SHAPE_JSON = tuple(
+    ("}," + _rows_json(2, tail1) + "," + _JSON_ROW_PREFIX[5][False],
+     "}," + _rows_json(6, tail2) + "," + _JSON_ROW_PREFIX[11][False],
+     "}," + _rows_json(12, tail3) + "]}")
+    for tail1, tail2, tail3 in _NO_SHAPE_TAILS
+)
+#: per n % 25, the 14 CSV cells of such a ledger, for row 0 passed and failed
+_NO_SHAPE_CSV = tuple(
+    tuple(_rows_csv(((passed, ""), (False, ""), *tail1, (False, ""), *tail2, (False, ""), *tail3))
+          for passed in (True, False))
+    for tail1, tail2, tail3 in _NO_SHAPE_TAILS
+)
+
+
+def _lacks_every_shape(checks, r: int) -> bool:
+    """Whether checks is the ledger of an n = r mod 25 that lacks every shape: its three shape
+    rows fail and the rows after them are _NO_SHAPE_TAILS[r], whatever row 0 and the shape
+    witnesses hold."""
+    tail1, tail2, tail3 = _NO_SHAPE_TAILS[r]
+    return (checks[12:] == tail3 and checks[6:11] == tail2 and checks[2:5] == tail1
+            and not (checks[1][0] or checks[5][0] or checks[11][0]))
+
 
 @dataclass(frozen=True, init=False)
 class RadicandForm:
@@ -139,32 +199,35 @@ class RadicandForm:
         }
 
     def json_line(self) -> str:
-        """``json.dumps(self.to_json(), separators=(",", ":"))``, built without the dicts."""
-        rows = ",".join([prefix[passed] + _json_str(witness) + "}"
-                         for prefix, (passed, witness) in zip(_JSON_ROW_PREFIX, self.checks)])
-        e, p, q = self.e, self.p, self.q
-        return (
-            f'{{"n":{self.n},"verdict":{_json_str(self.verdict.value)},'
-            f'"e":{"null" if e is None else e},"p":{"null" if p is None else p},'
-            f'"q":{"null" if q is None else q},"checks":[{rows}]}}'
-        )
+        """``json.dumps(self.to_json(), separators=(",", ":"))``, built without the dicts.
+
+        A ledger that lacks every shape is written from _NO_SHAPE_JSON, and a
+        witness its shape rows share is encoded once; any other row by row.
+        """
+        checks, e, p, q, r = self.checks, self.e, self.p, self.q, self.n % 25
+        head = (f'{{"n":{self.n},"verdict":{_json_str(self.verdict._value_)},'  # _value_: no enum property call
+                f'"e":{"null" if e is None else e},"p":{"null" if p is None else p},'
+                f'"q":{"null" if q is None else q},"checks":[')
+        if not _lacks_every_shape(checks, r):
+            return head + _rows_json(0, checks) + "]}"
+        after1, after2, after3 = _NO_SHAPE_JSON[r]
+        (passed, witness), shape1, shape2, shape3 = checks[0], checks[1][1], checks[5][1], checks[11][1]
+        text1 = _json_str(shape1)
+        text2 = text1 if shape2 == shape1 else _json_str(shape2)
+        text3 = text1 if shape3 == shape1 else _json_str(shape3)
+        return (f"{head}{_JSON_ROW_PREFIX[0][passed]}{_json_str(witness)}}},{_JSON_ROW_PREFIX[1][False]}"
+                f"{text1}{after1}{text2}{after2}{text3}{after3}")
 
     def csv_row(self) -> str:
-        """The `enumerate --csv` row under CSV_HEADER: n, verdict, e, p, q, pass or fail per check."""
-        cells = [str(self.n), self.verdict.value, *("" if v is None else str(v) for v in (self.e, self.p, self.q))]
-        cells.extend("pass" if passed else "fail" for passed, _ in self.checks)
-        return ",".join(cells)
+        """The `enumerate --csv` row under CSV_HEADER: n, verdict, e, p, q, pass or fail per check.
 
-
-# Ledger rows that depend on nothing but n % 25, or on no prime at all, are
-# shared: a row is an immutable pair, so every RadicandForm can hold the same one.
-_NO_PRIME_1_MOD_5 = (True, "none divides n")
-#: per n % 25, the row "n = +-1,+-7 mod 25" of Forms II and III, and its negation for Form I
-_HYPER_ROW = tuple((r in HYPER_MOD_25, f"n % 25 = {r}") for r in range(25))
-_NOT_HYPER_ROW = tuple((not passed, witness) for passed, witness in _HYPER_ROW)
-#: a row about p or q when the shape fails: there is no p or q to test
-_NO_PRIME = (False, "-")
-_PASSED = itemgetter(0)  # a ledger row's passed flag
+        The cells of a ledger that lacks every shape are read from _NO_SHAPE_CSV.
+        """
+        checks, e, p, q, r = self.checks, self.e, self.p, self.q, self.n % 25
+        head = f'{self.n},{self.verdict._value_},{"" if e is None else e},{"" if p is None else p},{"" if q is None else q},'
+        if _lacks_every_shape(checks, r):
+            return head + _NO_SHAPE_CSV[r][not checks[0][0]]
+        return head + _rows_csv(checks)
 
 
 def is_fifth_power_free(n: int) -> bool:
@@ -209,7 +272,8 @@ def classify_factored(n: int, fac: dict[int, int]) -> RadicandForm:
     At most one family shape fits n, and the number of primes and the first
     two of them tell which. The verdict is that family when every one of its
     rows passes (CHECK_NAMES 1-4 for Form I, 5-10 for Form II, 11-13 for
-    Form III), and NONE otherwise.
+    Form III), and NONE otherwise. The rows of a family whose shape n lacks
+    are its failed shape row and the _NO_SHAPE_TAILS of n % 25.
     """
     bad = None
     parts = []
@@ -223,17 +287,11 @@ def classify_factored(n: int, fac: dict[int, int]) -> RadicandForm:
         if bad is None and p % 5 == 1:
             bad = p
     no_bad = _NO_PRIME_1_MOD_5 if bad is None else (False, f"{bad} = 1 mod 5 divides n")
-    n25 = n % 25
     witness = "n = " + " * ".join(parts)
-    shape, no_shape = (True, witness), (False, witness)
-    hyper, not_hyper = _HYPER_ROW[n25], _NOT_HYPER_ROW[n25]
-
-    # each family's rows in the order of CHECK_NAMES, as they read when n lacks its shape
-    form1 = (no_shape, _NO_PRIME, _NO_PRIME, not_hyper)
-    form2 = (no_shape, hyper, _NO_PRIME, _NO_PRIME, _NO_PRIME, _NO_PRIME)
-    form3 = (no_shape, _NO_PRIME, hyper)
-    # n has at most one of the three shapes; the rows of that family decide the verdict
-    rows = None
+    # the ledger of an n that lacks every shape; the family whose shape n has replaces its rows
+    shape1 = shape2 = shape3 = (False, witness)
+    tail1, tail2, tail3 = _NO_SHAPE_TAILS[n % 25]
+    family = None
     if len(fac) == 2:
         (a, ea), (b, eb) = fac.items()
         if 5 in fac:
@@ -242,36 +300,33 @@ def classify_factored(n: int, fac: dict[int, int]) -> RadicandForm:
             p, ep = (b, eb) if a == 5 else (a, ea)
             if ep == 1:
                 r5, r25 = p % 5, p % 25
-                form1 = rows = (
-                    shape,
-                    (r5 == 4, f"{p} % 5 = {r5}"),
-                    (r25 != 24, f"{p} % 25 = {r25}"),
-                    not_hyper,
-                )
-                family, q = Verdict.FORM_I, None
+                shape1 = (True, witness)
+                tail1 = (r5 == 4, f"{p} % 5 = {r5}"), (r25 != 24, f"{p} % 25 = {r25}"), tail1[2]
+                family, rows, q = Verdict.FORM_I, tail1, None
         elif (a % 5 == 4) != (b % 5 == 4):
             # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
             (p, e), (q, eq) = ((a, ea), (b, eb)) if a % 5 == 4 else ((b, eb), (a, ea))
             if eq == 1:
                 p25, q5, q25 = p % 25, q % 5, q % 25
-                form2 = rows = (
-                    shape,
-                    hyper,
+                shape2 = (True, witness)
+                tail2 = (
+                    tail2[0],
                     (True, f"{p} % 5 = {p % 5}"),
                     (p25 != 24, f"{p} % 25 = {p25}"),
                     (q5 in (2, 3), f"{q} % 5 = {q5}"),
                     (q25 not in (7, 18), f"{q} % 25 = {q25}"),
                 )
-                family = Verdict.FORM_II
+                family, rows = Verdict.FORM_II, tail2
     elif len(fac) == 1 and 5 not in fac:
         # Form III: n = p^e
         ((p, e),) = fac.items()
         r25 = p % 25
-        form3 = rows = (shape, (r25 == 24, f"{p} % 25 = {r25}"), hyper)
-        family, q = Verdict.FORM_III, None
+        shape3 = (True, witness)
+        tail3 = (r25 == 24, f"{p} % 25 = {r25}"), tail3[1]
+        family, rows, q = Verdict.FORM_III, tail3, None
 
-    checks = (no_bad, *form1, *form2, *form3)
-    if rows is not None and all(map(_PASSED, rows)):
+    checks = (no_bad, shape1, *tail1, shape2, *tail2, shape3, *tail3)
+    if family is not None and all(map(_PASSED, rows)):
         return RadicandForm(n, family, e, p, q, checks, fac)
     return RadicandForm(n, Verdict.NONE, None, None, None, checks, fac)
 

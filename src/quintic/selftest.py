@@ -125,6 +125,13 @@ def _suite_symbols(limit: int = 42, triples: int = 200) -> SuiteResult:
                 res.note(s == symbols.brute_force_symbol(a, q), f"oracle {p} {a!r}")
                 zeros += s == 0
             res.note(zeros == (rf.order() - 1) // 5, f"fifth-power count above {p}")
+    # classgroup.generator_certificate reads the symbol of a rational integer
+    # prime to p at a prime above p = 4 mod 5 as 0: seeded p in (100, 10^4),
+    # a = 5 and a seeded a in [2, 100)
+    seeded = random.Random(2718)
+    nonzero = [(a, p) for p in seeded.sample([p for p in sieve_primes(10**4) if p > 100 and p % 5 == 4], 8)
+               for a in (5, seeded.randrange(2, 100)) if symbols.quintic_symbol(CycInt(a), factor_rational_prime(p)[0])]
+    res.note(not nonzero, f"rational integers with a nonzero symbol at degree-2 primes: {nonzero}")
     # one fixed seed: a shorter run draws a prefix of a longer run's triples
     rng = random.Random(31415)
     pool = factor_rational_prime(11) + factor_rational_prime(19) + factor_rational_prime(29)

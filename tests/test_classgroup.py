@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import product
 
@@ -195,14 +196,12 @@ def test_certificate_json_shape():
 
 
 @pytest.mark.parametrize("n", [95, 57, 149])
-def test_certificate_raises_if_the_fixed_condition_ever_passes(monkeypatch, n):
-    # every family prime is 4 mod 5, where no rational integer is a quintic
-    # non-residue; a passing condition can only come from a broken symbol layer
-    import quintic.classgroup as cg
-
-    monkeypatch.setattr(cg, "quintic_symbol", lambda a, q: 1)
+def test_certificate_raises_if_the_fixed_condition_ever_passes(n):
+    # the certificate reads the symbol as 0 from p = 4 mod 5, where no rational
+    # integer is a quintic non-residue; at p = 11, 1 mod 5, the condition could
+    # pass, and such a family prime can only come from a broken classifier
     with pytest.raises(InternalCheckError):
-        generator_certificate(classify(n))
+        generator_certificate(dataclasses.replace(classify(n), p=11))
 
 
 def test_certificate_condition_fails_for_every_classified_radicand():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -864,7 +865,7 @@ def test_selftest_summary_pin(runner):
     assert res.stdout.splitlines() == [
         "suite ring: 12800 checks, 0 failures [ok]",
         "suite splitting: 1504 checks, 0 failures [ok]",
-        "suite symbols: 2936 checks, 0 failures [ok]",
+        "suite symbols: 2937 checks, 0 failures [ok]",
         "suite periods: 22 checks, 0 failures [ok]",
         "suite classifier: 38574 checks, 0 failures [ok]",
         "suite capitulation: 11 checks, 0 failures [ok]",
@@ -933,6 +934,62 @@ class _Word(str):
 def test_json_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         _json_text(doc)
+
+
+def csv_row_from_dict(row):
+    """Oracle: the CSV row as the CLI built it from to_json()."""
+    cells = [str(row["n"]), row["verdict"], *("" if row[k] is None else str(row[k]) for k in ("e", "p", "q"))]
+    by_name = {c["name"]: c for c in row["checks"]}
+    for name in radicand.CHECK_NAMES:
+        cells.append("pass" if by_name[name]["passed"] else "fail")
+    return ",".join(cells)
+
+
+def _ledger_forms():
+    """One form per n % 25 and pattern of passed flags over 2..20000, then 5 * 19^2 and 5^3 * 29^2."""
+    found = {}
+    for form in radicand.enumerate_radicands(2, 20000):
+        found.setdefault((form.n % 25, tuple(passed for passed, _ in form.checks)), form)
+    return [*found.values(), radicand.classify(5 * 19**2), radicand.classify(5**3 * 29**2)]
+
+
+def _ledger_variants(form):
+    """form, a form with equal copies of its rows, and forms with differing shape witnesses,
+    with one row after a shape row changed and with one shape row's flag flipped."""
+    yield form
+    # equal rows and witnesses, none of them the object the ledger shares
+    yield dataclasses.replace(form, checks=tuple((passed, witness.encode().decode()) for passed, witness in form.checks))
+    edits = [{1: ('1 "x"', False), 5: ("2 \\ \n", False), 11: ("3 \u00e9\U0001d4b3", False)},
+             {11: ("3", False)}, {1: ("1", False)}, {2: ("x", False)}, {10: ("x", False)}, {13: ("x", False)},
+             {1: ("", True)}, {5: ("", True)}, {11: ("", True)}]
+    for edit in edits:
+        checks = list(form.checks)
+        for i, (text, flip) in edit.items():
+            checks[i] = (checks[i][0] != flip, checks[i][1] + text)
+        yield dataclasses.replace(form, checks=tuple(checks))
+
+
+def test_json_line_and_csv_row_match_their_oracles_on_every_ledger_pattern():
+    names = radicand.CHECK_NAMES
+    no_shape, shaped = set(), set()
+    for base in _ledger_forms():
+        for form in _ledger_variants(base):
+            row = form.to_json()
+            assert form.json_line() == json.dumps(row, separators=(",", ":")), form
+            assert form.csv_row() == csv_row_from_dict(row), form
+        flags = dict(zip(names, (passed for passed, _ in base.checks)))
+        shape = next((name[:5] for name in names if "shape" in name and flags[name]), None)
+        if shape is None:
+            no_shape.add((base.n % 25, flags[names[0]]))
+        else:
+            shaped.add((shape, base.verdict))
+    # every n % 25 lacking every shape, with and without a prime = 1 mod 5 dividing n
+    assert no_shape == {(r, passed) for r in range(25) for passed in (True, False)}
+    # each family shape, with its rows passing and failing
+    assert shaped == {(f"form{i}", verdict) for i, family in enumerate(("I", "II", "III"), 1)
+                      for verdict in (Verdict(family), Verdict.NONE)}
+    # 5 | n with p^2 lacks the Form I shape
+    assert [radicand.classify(n).checks[1][0] for n in (5 * 19**2, 5**3 * 29**2)] == [False, False]
 
 
 def _contract_radicands():

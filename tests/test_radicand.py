@@ -17,6 +17,7 @@ from quintic.radicand import (
     enumerate_radicands,
     is_fifth_power_free,
 )
+from test_cli import csv_row_from_dict
 
 
 def test_fifth_power_free():
@@ -377,15 +378,6 @@ def test_json_shape():
     assert doc["n"] == 57 and doc["verdict"] == "II"
     assert doc["e"] == 1 and doc["p"] == 19 and doc["q"] == 3
     assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
-
-
-def csv_row_from_dict(row):
-    """Oracle: the CSV row as the CLI built it from to_json()."""
-    cells = [str(row["n"]), row["verdict"], *("" if row[k] is None else str(row[k]) for k in ("e", "p", "q"))]
-    by_name = {c["name"]: c for c in row["checks"]}
-    for name in CHECK_NAMES:
-        cells.append("pass" if by_name[name]["passed"] else "fail")
-    return ",".join(cells)
 
 
 def _first_failing_row(form):
