@@ -268,10 +268,11 @@ def report(n, h_gamma, table, out):
 
 
 def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> str:
-    """The output lines of the chunk that starts at start, cut off at hi, as JSONL or CSV text."""
-    line = radicand.RadicandForm.json_line if as_jsonl else radicand.RadicandForm.csv_row
-    forms = radicand.enumerate_radicands(start, min(start + radicand.WINDOW - 1, hi), verdict)
-    lines = [line(form) for form in forms]
+    """The output lines of the chunk that starts at start, cut off at hi, as JSONL or CSV text,
+    each written from its compact ledger; a row the verdict filter drops is never written."""
+    line = radicand.ledger_json if as_jsonl else radicand.ledger_csv
+    ledgers = radicand.enumerate_ledgers(start, min(start + radicand.WINDOW - 1, hi), verdict)
+    lines = [line(n, ledger) for n, _, ledger in ledgers]
     lines.append("")  # one join ends every line in a newline, and leaves a chunk without rows empty
     return "\n".join(lines)
 

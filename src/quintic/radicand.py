@@ -23,17 +23,22 @@ sieve, and classify_factored reads each n's ledger off its dict.
 
 The ledger is positional: CHECK_NAMES[i] names checks[i] = (passed, witness),
 and every RadicandForm holds all 14 rows, whatever its verdict. Each family
-condition is stated once, as its ledger row, and the verdict is read off the
-rows: n can have at most one of the three shapes, and it gets that family
-when every row of the family passes. The three formats of a RadicandForm
-(to_json, json_line and csv_row under CSV_HEADER) are written here.
+condition is stated once, in classify_factored, as its ledger row: n can have
+at most one of the three shapes, and it gets that family when every row of
+the family passes. The rows of a family whose shape n lacks are its failed
+shape row, whose witness is n's factorization, and rows fixed by n % 25
+(_NO_SHAPE_TAILS). So classify_factored returns a compact ledger: the
+verdict, e, p, q, row 0, that witness, which shape n has if any, and that
+family's own rows. classify and enumerate_radicands expand it into the
+RadicandForm, whose three formats (to_json, json_line and csv_row under
+CSV_HEADER) are written here row by row.
 
-Most n lack every shape (82 % of them near 10^5), and then the rows after
-each shape row are fixed by n % 25 (_NO_SHAPE_TAILS): the ledger differs from
-n to n only in row 0 and the one witness of its three shape rows. For such a
-ledger, json_line and csv_row read the rest of the text from tables built at
-import from the same rows, and encode the witness once; any other ledger is
-written row by row.
+`enumerate` builds no RadicandForm: enumerate_ledgers drops each n whose
+verdict a filter excludes, and ledger_json or ledger_csv writes each row it
+keeps from the compact ledger. The text of each family n lacks, and of all
+three for the 82 % of n near 10^5 that lack every shape, comes from tables
+by n % 25 built at import from the same rows; the rows of the family whose
+shape n has are written one by one.
 """
 
 from __future__ import annotations
@@ -121,6 +126,12 @@ _NOT_HYPER_ROW = tuple((not passed, witness) for passed, witness in _HYPER_ROW)
 #: a row about p or q when the shape fails: there is no p or q to test
 _NO_PRIME = (False, "-")
 _PASSED = itemgetter(0)  # a ledger row's passed flag
+#: the verdict of a compact ledger by its shape (0 for none, then Forms I, II and III) when
+#: its family's rows all pass, NONE first; a tuple, since looking up an Enum member by
+#: name costs about 0.1 µs
+_VERDICTS = (Verdict.NONE, Verdict.FORM_I, Verdict.FORM_II, Verdict.FORM_III)
+#: the CHECK_NAMES index of each family's shape row (Forms I, II and III); its other rows follow
+_SHAPE_ROWS = (1, 5, 11)
 #: per n % 25, the rows after each family's shape row (CHECK_NAMES 2-4, 6-10 and 12-13)
 #: as they read when n lacks that shape
 _NO_SHAPE_TAILS = tuple(
@@ -140,30 +151,24 @@ def _rows_csv(rows) -> str:
     return ",".join(["pass" if passed else "fail" for passed, _ in rows])
 
 
-# A ledger whose n lacks every family shape is fixed by n % 25, but for row 0
-# and the witness of its three shape rows: its text is read from these tables.
-#: per n % 25, the JSON text that follows each shape row's witness in such a ledger
+# The rows of a family whose shape n lacks are fixed by n % 25, but for the
+# witness of the failed shape row: their text is read from these tables.
+#: per n % 25 and family, the JSON of the family's rows when n lacks its shape,
+#: as the text before and after the shape row's witness
+_LACKING_JSON = tuple(
+    tuple((_JSON_ROW_PREFIX[row][False], "}," + _rows_json(row + 1, tail))
+          for row, tail in zip(_SHAPE_ROWS, tails))
+    for tails in _NO_SHAPE_TAILS
+)
+#: per n % 25 and family, the CSV cells of the family's rows when n lacks its shape
+_LACKING_CSV = tuple(tuple(_rows_csv(((False, ""), *tail)) for tail in tails) for tails in _NO_SHAPE_TAILS)
+#: per n % 25, for an n that lacks every shape: the JSON after each witness of
+#: its three shape rows, and the 14 CSV cells for row 0 passed and failed
 _NO_SHAPE_JSON = tuple(
-    ("}," + _rows_json(2, tail1) + "," + _JSON_ROW_PREFIX[5][False],
-     "}," + _rows_json(6, tail2) + "," + _JSON_ROW_PREFIX[11][False],
-     "}," + _rows_json(12, tail3) + "]}")
-    for tail1, tail2, tail3 in _NO_SHAPE_TAILS
+    (after1 + "," + before2, after2 + "," + before3, after3 + "]}")
+    for (_, after1), (before2, after2), (before3, after3) in _LACKING_JSON
 )
-#: per n % 25, the 14 CSV cells of such a ledger, for row 0 passed and failed
-_NO_SHAPE_CSV = tuple(
-    tuple(_rows_csv(((passed, ""), (False, ""), *tail1, (False, ""), *tail2, (False, ""), *tail3))
-          for passed in (True, False))
-    for tail1, tail2, tail3 in _NO_SHAPE_TAILS
-)
-
-
-def _lacks_every_shape(checks, r: int) -> bool:
-    """Whether checks is the ledger of an n = r mod 25 that lacks every shape: its three shape
-    rows fail and the rows after them are _NO_SHAPE_TAILS[r], whatever row 0 and the shape
-    witnesses hold."""
-    tail1, tail2, tail3 = _NO_SHAPE_TAILS[r]
-    return (checks[12:] == tail3 and checks[6:11] == tail2 and checks[2:5] == tail1
-            and not (checks[1][0] or checks[5][0] or checks[11][0]))
+_NO_SHAPE_CSV = tuple(tuple(cell + "," + ",".join(cells) for cell in ("pass", "fail")) for cells in _LACKING_CSV)
 
 
 @dataclass(frozen=True, init=False)
@@ -199,35 +204,49 @@ class RadicandForm:
         }
 
     def json_line(self) -> str:
-        """``json.dumps(self.to_json(), separators=(",", ":"))``, built without the dicts.
-
-        A ledger that lacks every shape is written from _NO_SHAPE_JSON, and a
-        witness its shape rows share is encoded once; any other row by row.
-        """
-        checks, e, p, q, r = self.checks, self.e, self.p, self.q, self.n % 25
-        head = (f'{{"n":{self.n},"verdict":{_json_str(self.verdict._value_)},'  # _value_: no enum property call
-                f'"e":{"null" if e is None else e},"p":{"null" if p is None else p},'
-                f'"q":{"null" if q is None else q},"checks":[')
-        if not _lacks_every_shape(checks, r):
-            return head + _rows_json(0, checks) + "]}"
-        after1, after2, after3 = _NO_SHAPE_JSON[r]
-        (passed, witness), shape1, shape2, shape3 = checks[0], checks[1][1], checks[5][1], checks[11][1]
-        text1 = _json_str(shape1)
-        text2 = text1 if shape2 == shape1 else _json_str(shape2)
-        text3 = text1 if shape3 == shape1 else _json_str(shape3)
-        return (f"{head}{_JSON_ROW_PREFIX[0][passed]}{_json_str(witness)}}},{_JSON_ROW_PREFIX[1][False]}"
-                f"{text1}{after1}{text2}{after2}{text3}{after3}")
+        """``json.dumps(self.to_json(), separators=(",", ":"))``, written row by row without
+        the dicts: the reference for ledger_json."""
+        e, p, q = self.e, self.p, self.q
+        return (f'{{"n":{self.n},"verdict":{_json_str(self.verdict.value)},"e":{"null" if e is None else e},'
+                f'"p":{"null" if p is None else p},"q":{"null" if q is None else q},"checks":['
+                + _rows_json(0, self.checks) + "]}")
 
     def csv_row(self) -> str:
-        """The `enumerate --csv` row under CSV_HEADER: n, verdict, e, p, q, pass or fail per check.
+        """The `enumerate --csv` row under CSV_HEADER: n, verdict, e, p, q, pass or fail per
+        check, written row by row: the reference for ledger_csv."""
+        e, p, q = self.e, self.p, self.q
+        return (f'{self.n},{self.verdict.value},{"" if e is None else e},{"" if p is None else p},'
+                f'{"" if q is None else q},' + _rows_csv(self.checks))
 
-        The cells of a ledger that lacks every shape are read from _NO_SHAPE_CSV.
-        """
-        checks, e, p, q, r = self.checks, self.e, self.p, self.q, self.n % 25
-        head = f'{self.n},{self.verdict._value_},{"" if e is None else e},{"" if p is None else p},{"" if q is None else q},'
-        if _lacks_every_shape(checks, r):
-            return head + _NO_SHAPE_CSV[r][not checks[0][0]]
-        return head + _rows_csv(checks)
+
+def ledger_json(n: int, ledger) -> str:
+    """The `enumerate` JSONL row of n, written from its compact ledger: the json_line of its
+    RadicandForm. The families n lacks are read from _LACKING_JSON, or all three from
+    _NO_SHAPE_JSON, with the witness encoded once."""
+    verdict, e, p, q, (passed, why), witness, shape, rows = ledger
+    text = _json_str(witness)
+    head = (f'{{"n":{n},"verdict":{_json_str(verdict._value_)},'  # _value_: no enum property call
+            f'"e":{"null" if e is None else e},"p":{"null" if p is None else p},'
+            f'"q":{"null" if q is None else q},"checks":[{_JSON_ROW_PREFIX[0][passed]}{_json_str(why)}}},')
+    if not shape:
+        after1, after2, after3 = _NO_SHAPE_JSON[n % 25]
+        return f"{head}{_JSON_ROW_PREFIX[1][False]}{text}{after1}{text}{after2}{text}{after3}"
+    families = [before + text + after for before, after in _LACKING_JSON[n % 25]]
+    families[shape - 1] = _rows_json(_SHAPE_ROWS[shape - 1], ((True, witness), *rows))
+    return head + ",".join(families) + "]}"
+
+
+def ledger_csv(n: int, ledger) -> str:
+    """The `enumerate --csv` row of n, written from its compact ledger: the csv_row of its
+    RadicandForm. The cells of the families n lacks are read from _LACKING_CSV, or all 14
+    from _NO_SHAPE_CSV."""
+    verdict, e, p, q, (passed, _), _, shape, rows = ledger
+    head = f'{n},{verdict._value_},{"" if e is None else e},{"" if p is None else p},{"" if q is None else q},'
+    if not shape:
+        return head + _NO_SHAPE_CSV[n % 25][not passed]
+    families = list(_LACKING_CSV[n % 25])
+    families[shape - 1] = "pass," + _rows_csv(rows)
+    return head + ("pass," if passed else "fail,") + ",".join(families)
 
 
 def is_fifth_power_free(n: int) -> bool:
@@ -247,7 +266,7 @@ def radicand_factorization(n: int) -> dict[int, int]:
 
     The one place a radicand is factored n by n: classify keeps the result
     in its RadicandForm, and the factor command passes it to factor_radicand.
-    The other is the factorize_window sieve of enumerate_radicands.
+    The other is the factorize_window sieve of enumerate_ledgers.
     """
     if n < 2:
         raise InputError(f"radicand must be >= 2, got {n}")
@@ -258,22 +277,27 @@ def classify(n: int) -> RadicandForm:
     """Check n against the three family shapes and return the verdict ledger.
 
     n is factored once, by radicand_factorization, and classify_factored
-    reads the ledger off the factorization.
+    reads the compact ledger off the factorization.
     """
-    return classify_factored(n, radicand_factorization(n))
+    fac = radicand_factorization(n)
+    return _expand(n, fac, classify_factored(n, fac))
 
 
-def classify_factored(n: int, fac: dict[int, int]) -> RadicandForm:
-    """classify(n), given fac = factorize(n); the RadicandForm keeps fac.
+def classify_factored(n: int, fac: dict[int, int]):
+    """The compact ledger of n, given fac = factorize(n): the tuple
+    (verdict, e, p, q, row 0, witness, shape, rows).
 
     One pass over the primes of fac, which factorize returns ascending,
-    checks that no exponent reaches 5, finds the least prime = 1 mod 5 and
-    writes the witness "n = p^a * ..."; nothing is sorted or scanned again.
-    At most one family shape fits n, and the number of primes and the first
-    two of them tell which. The verdict is that family when every one of its
-    rows passes (CHECK_NAMES 1-4 for Form I, 5-10 for Form II, 11-13 for
-    Form III), and NONE otherwise. The rows of a family whose shape n lacks
-    are its failed shape row and the _NO_SHAPE_TAILS of n % 25.
+    checks that no exponent reaches 5, finds the least prime = 1 mod 5 for
+    row 0 and writes the witness "n = p^a * ..."; nothing is sorted or
+    scanned again. At most one family shape fits n, and the number of primes
+    and the first two of them tell which: shape is 1, 2 or 3 for Form I, II
+    or III, and 0 when n lacks every shape. rows are that family's rows after
+    its shape row (CHECK_NAMES 2-4, 6-10 or 12-13), () for shape 0. The
+    verdict is that family when every one of its rows passes, and NONE
+    otherwise, with e, p and q None. The other rows of the full ledger follow
+    from n % 25 (_expand); this is the one place that states the family
+    conditions.
     """
     bad = None
     parts = []
@@ -288,10 +312,7 @@ def classify_factored(n: int, fac: dict[int, int]) -> RadicandForm:
             bad = p
     no_bad = _NO_PRIME_1_MOD_5 if bad is None else (False, f"{bad} = 1 mod 5 divides n")
     witness = "n = " + " * ".join(parts)
-    # the ledger of an n that lacks every shape; the family whose shape n has replaces its rows
-    shape1 = shape2 = shape3 = (False, witness)
-    tail1, tail2, tail3 = _NO_SHAPE_TAILS[n % 25]
-    family = None
+    shape, rows = 0, ()
     if len(fac) == 2:
         (a, ea), (b, eb) = fac.items()
         if 5 in fac:
@@ -300,48 +321,57 @@ def classify_factored(n: int, fac: dict[int, int]) -> RadicandForm:
             p, ep = (b, eb) if a == 5 else (a, ea)
             if ep == 1:
                 r5, r25 = p % 5, p % 25
-                shape1 = (True, witness)
-                tail1 = (r5 == 4, f"{p} % 5 = {r5}"), (r25 != 24, f"{p} % 25 = {r25}"), tail1[2]
-                family, rows, q = Verdict.FORM_I, tail1, None
+                shape, q = 1, None
+                rows = (r5 == 4, f"{p} % 5 = {r5}"), (r25 != 24, f"{p} % 25 = {r25}"), _NOT_HYPER_ROW[n % 25]
         elif (a % 5 == 4) != (b % 5 == 4):
             # Form II: n = p^e * q with exactly one of the two primes = 4 mod 5
             (p, e), (q, eq) = ((a, ea), (b, eb)) if a % 5 == 4 else ((b, eb), (a, ea))
             if eq == 1:
                 p25, q5, q25 = p % 25, q % 5, q % 25
-                shape2 = (True, witness)
-                tail2 = (
-                    tail2[0],
+                shape = 2
+                rows = (
+                    _HYPER_ROW[n % 25],
                     (True, f"{p} % 5 = {p % 5}"),
                     (p25 != 24, f"{p} % 25 = {p25}"),
                     (q5 in (2, 3), f"{q} % 5 = {q5}"),
                     (q25 not in (7, 18), f"{q} % 25 = {q25}"),
                 )
-                family, rows = Verdict.FORM_II, tail2
     elif len(fac) == 1 and 5 not in fac:
         # Form III: n = p^e
         ((p, e),) = fac.items()
         r25 = p % 25
-        shape3 = (True, witness)
-        tail3 = (r25 == 24, f"{p} % 25 = {r25}"), tail3[1]
-        family, rows, q = Verdict.FORM_III, tail3, None
+        shape, q = 3, None
+        rows = (r25 == 24, f"{p} % 25 = {r25}"), _HYPER_ROW[n % 25]
 
-    checks = (no_bad, shape1, *tail1, shape2, *tail2, shape3, *tail3)
-    if family is not None and all(map(_PASSED, rows)):
-        return RadicandForm(n, family, e, p, q, checks, fac)
-    return RadicandForm(n, Verdict.NONE, None, None, None, checks, fac)
+    if shape and all(map(_PASSED, rows)):
+        return _VERDICTS[shape], e, p, q, no_bad, witness, shape, rows
+    return _VERDICTS[0], None, None, None, no_bad, witness, shape, rows
 
 
-def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
-    """Yield the RadicandForm of each fifth-power-free n in [lo, hi], ascending.
+def _expand(n: int, fac: dict[int, int], ledger) -> RadicandForm:
+    """The RadicandForm of n from fac and its compact ledger: every family takes its failed
+    shape row and the _NO_SHAPE_TAILS of n % 25, but the one whose shape n has."""
+    verdict, e, p, q, no_bad, witness, shape, rows = ledger
+    lacking = (False, witness)
+    families = [(lacking, *tail) for tail in _NO_SHAPE_TAILS[n % 25]]
+    if shape:
+        families[shape - 1] = ((True, witness), *rows)
+    return RadicandForm(n, verdict, e, p, q, (no_bad, *families[0], *families[1], *families[2]), fac)
+
+
+def enumerate_ledgers(lo: int, hi: int, verdict: Verdict | None = None):
+    """Yield (n, fac, ledger) for each fifth-power-free n in [lo, hi], ascending: its
+    factorization and its compact ledger (classify_factored).
 
     The range is taken WINDOW numbers at a time. A window [a, b] with no
     residue skip (verdict None or NONE), b below intarith.CERTIFIED_BELOW and
     isqrt(b) <= SIEVE_RATIO * (b - a + 1) is factored by one factorize_window
     sieve, whose dicts classify_factored reads; factorize cannot fail there.
-    Every other window is classified n by n. With ``verdict`` I, II or III,
+    Every other window is factored n by n. With ``verdict`` I, II or III,
     an n below CERTIFIED_BELOW whose residue mod 25 is outside
     VERDICT_MOD_25[verdict] ({0, 20}, {7, 18} or {1, 24}) is skipped
-    unfactored. The fifth-power check of classify_factored skips n. An n
+    unfactored, and with any ``verdict`` an n whose ledger has another is
+    dropped. The fifth-power check of classify_factored skips n. An n
     whose factorization cannot be certified is still skipped when a fifth
     power divides it, which _refusal_stands decides from the trial split
     the error carries; otherwise the error stands. Since factorize can only
@@ -363,15 +393,24 @@ def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
             if n < skip_below and n % 25 not in classes:
                 continue
             try:
-                form = classify(n) if fac is None else classify_factored(n, fac)
+                if fac is None:
+                    fac = radicand_factorization(n)
+                ledger = classify_factored(n, fac)
             except NotFifthPowerFree:
                 continue
             except (FactorizationError, BoundExceeded) as refusal:
                 if _refusal_stands(*refusal.split):
                     raise
                 continue
-            if verdict is None or form.verdict is verdict:
-                yield form
+            if verdict is None or ledger[0] is verdict:
+                yield n, fac, ledger
+
+
+def enumerate_radicands(lo: int, hi: int, verdict: Verdict | None = None):
+    """Yield the RadicandForm of each fifth-power-free n in [lo, hi], ascending, with
+    ``verdict`` if one is given: the forms of enumerate_ledgers."""
+    for n, fac, ledger in enumerate_ledgers(lo, hi, verdict):
+        yield _expand(n, fac, ledger)
 
 
 def _refusal_stands(smooth: dict[int, int], m: int) -> bool:

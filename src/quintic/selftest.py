@@ -177,14 +177,22 @@ def _suite_periods(limit: int = 100) -> SuiteResult:
 
 
 def _suite_classifier(limit: int = 20000) -> SuiteResult:
+    """classify against crosscheck_verdicts per n; enumerate_radicands, which sieves, against
+    classify; and the rows enumerate writes from a compact ledger against the form's own."""
     res = SuiteResult("classifier")
+    listed = radicand.enumerate_radicands(2, limit)
     for n in range(2, limit + 1):
         if not radicand.is_fifth_power_free(n):
             continue
-        verdict = radicand.classify(n).verdict.value
+        form = radicand.classify(n)
         matches = radicand.crosscheck_verdicts(n)
         res.note(len(matches) <= 1, f"exclusivity at {n}")
-        res.note(verdict == (matches[0] if matches else "none"), f"oracle at {n}")
+        res.note(form.verdict.value == (matches[0] if matches else "none"), f"oracle at {n}")
+        other = next(listed, None)
+        res.note(other == form and other.factorization == form.factorization, f"enumerate_radicands at {n}")
+        ledger = radicand.classify_factored(n, form.factorization)
+        res.note(radicand.ledger_json(n, ledger) == form.json_line()
+                 and radicand.ledger_csv(n, ledger) == form.csv_row(), f"row text at {n}")
     return res
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import random
@@ -420,6 +421,36 @@ def test_enumerate_up_to_1e5_is_the_per_n_classification(runner, forms_up_to_1e5
     assert res.stdout_bytes == want.encode()
 
 
+#: sha256 of the output of `enumerate 2 5000 --form F` as JSONL and as CSV, recorded while
+#: every row was still written from a RadicandForm
+_FILTERED_DIGESTS = {
+    ("I", "--jsonl"): "731af24fc423c9d563fe40b71a859b2610926cac6905ac366b030562e1b38078",
+    ("I", "--csv"): "59e51121526361c5d5d315af533298a909718141bcbd58eea16dcd53b29e60ce",
+    ("II", "--jsonl"): "1ca042d3fe608582c5c4e6f866692a7db691e93e6cff8f6a7cacd614a6108ea2",
+    ("II", "--csv"): "2838ab7264087e25ad8661564e4e25163deb6a38d0b13b560807321532e95d36",
+    ("III", "--jsonl"): "5f68e30da58eb287243d2621d9843ee582563c1bfc8caca96eabc54b33ea2643",
+    ("III", "--csv"): "52cc99327b3814da6438769f08f32617914746fb9083eef0528038e69cf74963",
+    ("none", "--jsonl"): "d98eada66d84701e003bbedce0197582decf12a98e462729ecc698eff80ce957",
+    ("none", "--csv"): "abc8e00f11f7532d1be49c3ad6b33eefd67caa937f926f71b4a2b21ec02ee120",
+}
+
+
+@pytest.mark.parametrize("form, fmt", _FILTERED_DIGESTS, ids=[f"{form}-{fmt[2:]}" for form, fmt in _FILTERED_DIGESTS])
+def test_a_filtered_enumerate_writes_only_the_rows_it_keeps(runner, monkeypatch, form, fmt):
+    # the verdict is read off the compact ledger first: the row writer runs once per written
+    # row, and no RadicandForm is built, for a dropped n or a kept one
+    written = record_calls(monkeypatch, radicand.ledger_json if fmt == "--jsonl" else radicand.ledger_csv)
+    built = []
+    init = radicand.RadicandForm.__init__
+    monkeypatch.setattr(radicand.RadicandForm, "__init__", lambda self, n, *args: built.append(n) or init(self, n, *args))
+    res = invoke(runner, "enumerate", "2", "5000", "--form", form, fmt)
+    assert (res.exit_code, res.stderr_bytes, built) == (0, b"", [])
+    rows = res.stdout.splitlines()
+    kept = [int(row.split(",")[0]) for row in rows[1:]] if fmt == "--csv" else [json.loads(row)["n"] for row in rows]
+    assert written == kept and len(kept) > 10
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _FILTERED_DIGESTS[form, fmt]
+
+
 def test_enumerate_refuses_an_uncertifiable_n_without_the_fifth_power_loop(runner, monkeypatch):
     # 10^38 + 7 = 751 * m with m below 10^36: one integer fifth root of m decides it
     calls = record_calls(monkeypatch, radicand.is_fifth_power_free)
@@ -585,7 +616,7 @@ def test_a_refusal_in_a_real_process_pool_fails_as_in_serial(runner):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_1_is_an_input_error(runner, monkeypatch, workers):
     calls = []
-    monkeypatch.setattr(radicand, "enumerate_radicands", lambda *args: calls.append(args) or iter(()))
+    monkeypatch.setattr(radicand, "enumerate_ledgers", lambda *args: calls.append(args) or iter(()))
     res = runner.invoke(main, ["enumerate", "2", "1000", "--workers", workers])
     assert res.exit_code == 2 and res.stdout_bytes == b""
     assert json.loads(res.stderr_bytes)["error"] == {
@@ -628,7 +659,7 @@ def test_a_wide_window_is_not_split_into_chunks_up_front(runner, monkeypatch):
     def refuse(lo, hi, verdict):
         raise InputError(f"refused [{lo}, {hi}]")
 
-    monkeypatch.setattr(radicand, "enumerate_radicands", refuse)
+    monkeypatch.setattr(radicand, "enumerate_ledgers", refuse)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SubmittingPool)
     monkeypatch.setattr(_SubmittingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -867,7 +898,7 @@ def test_selftest_summary_pin(runner):
         "suite splitting: 1504 checks, 0 failures [ok]",
         "suite symbols: 2937 checks, 0 failures [ok]",
         "suite periods: 22 checks, 0 failures [ok]",
-        "suite classifier: 38574 checks, 0 failures [ok]",
+        "suite classifier: 77148 checks, 0 failures [ok]",
         "suite capitulation: 11 checks, 0 failures [ok]",
     ]
 
@@ -945,12 +976,20 @@ def csv_row_from_dict(row):
     return ",".join(cells)
 
 
-def _ledger_forms():
-    """One form per n % 25 and pattern of passed flags over 2..20000, then 5 * 19^2 and 5^3 * 29^2."""
+#: n of Form I shape with p < 5, where 5 is the second prime of the factorization; 5 | n
+#: with p^2, which lacks the Form I shape; and the least n of Form II shape = 6 and 11 mod 25
+_SHAPE_EDGE_CASES = (*(c * 5**e for c in (2, 3) for e in range(1, 5)), 5 * 19**2, 5**3 * 29**2,
+                     19**2 * 71, 19**2 * 101)
+
+
+def _ledger_cases():
+    """(n, fac, ledger) as enumerate_ledgers gives them, one per n % 25 and pattern of passed
+    flags over 2..20000, then each of _SHAPE_EDGE_CASES."""
     found = {}
-    for form in radicand.enumerate_radicands(2, 20000):
-        found.setdefault((form.n % 25, tuple(passed for passed, _ in form.checks)), form)
-    return [*found.values(), radicand.classify(5 * 19**2), radicand.classify(5**3 * 29**2)]
+    for n, fac, ledger in radicand.enumerate_ledgers(2, 20000):
+        form = radicand.classify(n)
+        found.setdefault((n % 25, tuple(passed for passed, _ in form.checks)), (n, fac, ledger))
+    return [*found.values(), *(next(radicand.enumerate_ledgers(n, n)) for n in _SHAPE_EDGE_CASES)]
 
 
 def _ledger_variants(form):
@@ -970,9 +1009,15 @@ def _ledger_variants(form):
 
 
 def test_json_line_and_csv_row_match_their_oracles_on_every_ledger_pattern():
+    # enumerate's writers from the compact ledger, and the form's own row-by-row writers
     names = radicand.CHECK_NAMES
-    no_shape, shaped = set(), set()
-    for base in _ledger_forms():
+    no_shape, shaped, family_rows = set(), set(), set()
+    for n, fac, ledger in _ledger_cases():
+        base = radicand.classify(n)
+        assert fac == base.factorization, n
+        row = base.to_json()
+        assert radicand.ledger_json(n, ledger) == json.dumps(row, separators=(",", ":")), n
+        assert radicand.ledger_csv(n, ledger) == csv_row_from_dict(row), n
         for form in _ledger_variants(base):
             row = form.to_json()
             assert form.json_line() == json.dumps(row, separators=(",", ":")), form
@@ -980,16 +1025,28 @@ def test_json_line_and_csv_row_match_their_oracles_on_every_ledger_pattern():
         flags = dict(zip(names, (passed for passed, _ in base.checks)))
         shape = next((name[:5] for name in names if "shape" in name and flags[name]), None)
         if shape is None:
-            no_shape.add((base.n % 25, flags[names[0]]))
+            no_shape.add((n % 25, flags[names[0]]))
         else:
-            shaped.add((shape, base.verdict))
+            shaped.add((shape, n % 25, base.verdict))
+            family_rows.update((name, flags[name]) for name in names if name.startswith(shape))
     # every n % 25 lacking every shape, with and without a prime = 1 mod 5 dividing n
     assert no_shape == {(r, passed) for r in range(25) for passed in (True, False)}
-    # each family shape, with its rows passing and failing
-    assert shaped == {(f"form{i}", verdict) for i, family in enumerate(("I", "II", "III"), 1)
-                      for verdict in (Verdict(family), Verdict.NONE)}
-    # 5 | n with p^2 lacks the Form I shape
-    assert [radicand.classify(n).checks[1][0] for n in (5 * 19**2, 5**3 * 29**2)] == [False, False]
+    # each family shape at every n % 25 it can take, with its rows passing and failing:
+    # 5 | n for Form I, and 5 does not divide n = p^e * q or p^e
+    assert {(shape, r) for shape, r, _ in shaped} == {
+        (f"form{i}", r) for i in (1, 2, 3) for r in range(25) if (r % 5 == 0) == (i == 1)}
+    assert {(shape, verdict) for shape, _, verdict in shaped} == {
+        (f"form{i}", verdict) for i, family in enumerate(("I", "II", "III"), 1)
+        for verdict in (Verdict(family), Verdict.NONE)}
+    # each row of a family whose shape n has, passing and failing, but the shape row, which
+    # passes, form1-n-not-pm1pm7-mod-25, which 5 | n passes, and form2-p-4-mod-5, which
+    # names the prime = 4 mod 5
+    always = {"form1-shape-5e-p", "form2-shape-pe-q", "form3-shape-pe", "form1-n-not-pm1pm7-mod-25",
+              "form2-p-4-mod-5"}
+    assert family_rows == {(name, passed) for name in names[1:] for passed in (True, False)
+                           if passed or name not in always}
+    # 2 * 5^e and 3 * 5^e have the Form I shape; 5 | n with p^2 lacks it
+    assert [radicand.classify(n).checks[1][0] for n in _SHAPE_EDGE_CASES[:10]] == [True] * 8 + [False, False]
 
 
 def _contract_radicands():

@@ -4,8 +4,8 @@ classify keeps n's factorization in its RadicandForm, and every per-radicand
 function reads it from there, so the package factors each n once:
 - radicand_factorization, which refuses n < 2 first, is the one caller of
   factorize;
-- enumerate_radicands, which sieves a dense window at once, is the one
-  caller of factorize_window.
+- enumerate_ledgers, which sieves a dense window at once for `enumerate`
+  and for enumerate_radicands, is the one caller of factorize_window.
 
 Inside src/quintic each name may therefore appear only in intarith, which
 defines it, and in radicand, which imports it for its one caller. A use under
@@ -23,7 +23,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quintic"
 #: each factoring function of intarith, with the one radicand function that calls it
 CALLERS = {
     "factorize": "radicand_factorization",
-    "factorize_window": "enumerate_radicands",
+    "factorize_window": "enumerate_ledgers",
 }
 
 
