@@ -261,12 +261,6 @@ TAU2_PROOF_NOTE = (
     "tau^4 = 1 and is superseded by the computed involution."
 )
 
-HYPOTHESIS_NOTE = (
-    "family verdicts are necessary-condition candidates: the (5,5) shape of the "
-    "5-class group and the rank-1 ambiguous hypothesis are assumed, not computed"
-)
-
-
 RESIDUE_READING_NOTE = (
     "residue conditions at p = -1 mod 5 are evaluated in the residue field "
     "F_{p^2} of a prime above p; every rational integer is a fifth power "

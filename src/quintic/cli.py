@@ -3,6 +3,11 @@
 All commands emit deterministic JSON envelopes (fixed key order, LF line
 endings); identical inputs produce byte-identical output. Exit codes:
 0 success, 1 internal invariant failure, 2 input error.
+
+Importing this module loads no other quintic module but ``errors``: each
+command imports the modules it runs in its own body, so ``--help``,
+``--version``, a usage error and a ``classify`` never compile the genus,
+symbol and class-group code.
 """
 
 from __future__ import annotations
@@ -13,16 +18,16 @@ import os
 import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__, classgroup, genus, radicand, selftest
-from .classgroup import HYPOTHESIS_NOTE, RESIDUE_READING_NOTE, TAU2_PROOF_NOTE
-from .cyclo import CycInt
+from . import __version__
 from .errors import InputError, QuinticError
-from .primes import factor_radicand, factor_rational_prime
-from .radicand import Verdict
-from .symbols import quintic_symbol, residue_field
+
+if TYPE_CHECKING:
+    from .cyclo import CycInt
+    from .radicand import Verdict
 
 _ENUM_BATCH = 64  # chunks per worker handed to the pool at a time
 _SYMBOL_LEGEND = {str(i): f"value zeta^{i}" + (" (a is a fifth power)" if i == 0 else "") for i in range(5)}
@@ -165,8 +170,10 @@ def _h_gamma_opts(fn):
 @_out_opt
 def classify(n, out):
     """Classify the radicand N into family I, II, III or none."""
+    from . import radicand
+
     form = radicand.classify(n)
-    _emit("classify", {"n": n}, form.to_json(), [HYPOTHESIS_NOTE], out)
+    _emit("classify", {"n": n}, form.to_json(), [radicand.HYPOTHESIS_NOTE], out)
 
 
 @main.command()
@@ -175,10 +182,15 @@ def classify(n, out):
 @_out_opt
 def factor(n, out):
     """Factor N over Z[zeta5]: unit times prime powers."""
+    from . import radicand
+    from .primes import factor_radicand
+
     _emit("factor", {"n": n}, factor_radicand(n, radicand.radicand_factorization(n)), [], out)
 
 
 def _parse_cyc(text: str) -> CycInt:
+    from .cyclo import CycInt
+
     parts = text.split(",")
     try:
         if len(parts) == 1:
@@ -199,6 +211,9 @@ def symbol(a, p, out):
 
     A is a rational integer or four comma-separated power-basis coordinates.
     """
+    from .primes import factor_rational_prime
+    from .symbols import quintic_symbol, residue_field
+
     elem = _parse_cyc(a)
     rows = []
     for q in factor_rational_prime(p):
@@ -215,6 +230,8 @@ def symbol(a, p, out):
 
 def _resolve_h_gamma(n, h_gamma, table):
     """--h-gamma, else n's line in --table; a given table is read and checked either way."""
+    from . import genus
+
     if h_gamma is not None and h_gamma < 1:
         raise InputError(f"--h-gamma must be >= 1, got {h_gamma}")
     h = genus.load_class_number_table(table).get(n) if table is not None else None
@@ -228,11 +245,13 @@ def _resolve_h_gamma(n, h_gamma, table):
 @_out_opt
 def genus_cmd(n, h_gamma, table, out):
     """Genus-field report for N: r, 5^r, period polynomials, d, q*, generators."""
+    from . import genus, radicand
+
     h = _resolve_h_gamma(n, h_gamma, table)
     form = radicand.classify(n)
     report = genus.build_genus_report(form)
     report["corollary"] = _section(genus.corollary_report, form, h) if h is not None else None
-    _emit("genus", {"n": n, "h_gamma": h}, report, [HYPOTHESIS_NOTE], out)
+    _emit("genus", {"n": n, "h_gamma": h}, report, [radicand.HYPOTHESIS_NOTE], out)
 
 
 @main.command()
@@ -242,9 +261,12 @@ def genus_cmd(n, h_gamma, table, out):
 def report(n, h_gamma, table, out):
     """Full pipeline for N: classification, factorization, genus, generators,
     admissible capitulation types."""
+    from . import classgroup, genus, radicand
+    from .primes import factor_radicand
+
     h = _resolve_h_gamma(n, h_gamma, table)
     form = radicand.classify(n)
-    warnings = [HYPOTHESIS_NOTE, TAU2_PROOF_NOTE]
+    warnings = [radicand.HYPOTHESIS_NOTE, classgroup.TAU2_PROOF_NOTE]
     doc = {
         "radicand": form.to_json(),
         "factorization": factor_radicand(n, form.factorization),
@@ -252,10 +274,10 @@ def report(n, h_gamma, table, out):
         "corollary": _section(genus.corollary_report, form, h) if h is not None else None,
         "capitulation": None,
     }
-    if form.verdict is not Verdict.NONE:
+    if form.verdict is not radicand.Verdict.NONE:
         certificate = _section(classgroup.generator_certificate, form)
         if "error" not in certificate:
-            warnings.append(RESIDUE_READING_NOTE)
+            warnings.append(classgroup.RESIDUE_READING_NOTE)
         doc["capitulation"] = {
             "n": n,
             "form": form.verdict.value,
@@ -270,6 +292,8 @@ def report(n, h_gamma, table, out):
 def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> str:
     """The output lines of the chunk that starts at start, cut off at hi, as JSONL or CSV text,
     each written from its compact ledger; a row the verdict filter drops is never written."""
+    from . import radicand
+
     line = radicand.ledger_json if as_jsonl else radicand.ledger_csv
     ledgers = radicand.enumerate_ledgers(start, min(start + radicand.WINDOW - 1, hi), verdict)
     lines = [line(n, ledger) for n, _, ledger in ledgers]
@@ -290,13 +314,15 @@ def _row_chunk(start: int, hi: int, verdict: Verdict | None, as_jsonl: bool) -> 
 @_out_opt
 def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
     """Classify every fifth-power-free N in [LO, HI], ascending."""
+    from . import radicand
+
     if from_n is not None:
         lo = max(lo, from_n)
     if not (2 <= lo <= hi):
         raise InputError(f"invalid range [{lo}, {hi}]")
     if workers < 1:
         raise InputError(f"--workers must be >= 1, got {workers}")
-    verdict = None if form_filter is None else Verdict(form_filter)
+    verdict = None if form_filter is None else radicand.Verdict(form_filter)
     rows = functools.partial(_row_chunk, hi=hi, verdict=verdict, as_jsonl=as_jsonl)
     pieces = [] if as_jsonl else [radicand.CSV_HEADER + "\n"]  # held to the end: a failed window writes no row
     starts = range(lo, hi + 1, radicand.WINDOW)  # fixed chunks: output order never depends on them
@@ -317,10 +343,14 @@ def enumerate_cmd(lo, hi, form_filter, as_jsonl, from_n, workers, out):
 
 
 @main.command("selftest")
-@click.option("--suite", "suite_name", type=click.Choice(sorted(selftest.SUITES)), default=None,
+# sorted(selftest.SUITES), written out so that parsing the command line imports no suite
+@click.option("--suite", "suite_name", default=None,
+              type=click.Choice(["capitulation", "classifier", "periods", "ring", "splitting", "symbols"]),
               help="Run a single suite instead of all of them.")
 def selftest_cmd(suite_name):
     """Run the oracle-equivalence and invariant suites; exit 0 iff all pass."""
+    from . import selftest
+
     names = None if suite_name is None else [suite_name]
     results = selftest.run(names)
     failed = False

@@ -67,6 +67,13 @@ class Verdict(Enum):
     NONE = "none"
 
 
+#: the warning on every document that carries a verdict
+HYPOTHESIS_NOTE = (
+    "family verdicts are necessary-condition candidates: the (5,5) shape of the "
+    "5-class group and the rank-1 ambiguous hypothesis are assumed, not computed"
+)
+
+
 #: residues mod 25 equal to +-1 or +-7 (the rational hyperprimary classes)
 HYPER_MOD_25 = frozenset(c % 25 for c in HYPERPRIMARY_CLASSES)
 

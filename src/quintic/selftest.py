@@ -213,7 +213,9 @@ def _suite_capitulation() -> SuiteResult:
         for i, (v, field) in enumerate(zip(lines, classgroup.FIELD_NAMES, strict=True), 1)
     ]
     # every report serves the same three lists, so one must leave them as they were
-    from .cli import report  # imported here: cli imports this module
+    # imported here: under `python -m quintic.cli` the CLI is __main__, and no other suite
+    # needs it compiled a second time as quintic.cli
+    from .cli import report
 
     report.callback(n=149, h_gamma=None, table=None, out=os.devnull)
     res.note(classgroup.ADMISSIBLE_TYPES == [list(t) for t in types], "served admissible types")

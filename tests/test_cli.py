@@ -207,9 +207,9 @@ def _injected_fault(*args):
 @pytest.mark.parametrize("target, args", [
     ("quintic.radicand.classify", ["classify", "95"]),
     ("quintic.radicand.classify_factored", ["enumerate", "2", "50"]),
-    ("quintic.cli.factor_radicand", ["factor", "95"]),
-    ("quintic.cli.factor_radicand", ["report", "149"]),
-    ("quintic.cli.quintic_symbol", ["symbol", "3", "11"]),
+    ("quintic.primes.factor_radicand", ["factor", "95"]),
+    ("quintic.primes.factor_radicand", ["report", "149"]),
+    ("quintic.symbols.quintic_symbol", ["symbol", "3", "11"]),
     ("quintic.genus.build_genus_report", ["genus", "11"]),
 ], ids=["classify", "enumerate", "factor", "report", "symbol", "genus"])
 def test_an_internal_check_failure_is_an_error_document(runner, monkeypatch, target, args):
@@ -743,7 +743,8 @@ def test_importing_the_cli_loads_no_multiprocessing():
 
 def test_importing_the_cli_runs_no_classgroup_oracle():
     # report's capitulation lists are built from literals, so a fresh import
-    # calls none of the functions the capitulation suite checks them against
+    # calls none of the functions the capitulation suite checks them against;
+    # the CLI imports classgroup only when report runs, so the probe imports it
     code = (
         "import sys\n"
         "called = set()\n"
@@ -752,6 +753,7 @@ def test_importing_the_cli_runs_no_classgroup_oracle():
         "        called.add(frame.f_code.co_name)\n"
         "sys.setprofile(watch)\n"
         "import quintic.cli\n"
+        "import quintic.classgroup\n"
         "sys.setprofile(None)\n"
         "print(*sorted(called))\n"
     )

@@ -3,8 +3,9 @@
 A module-level function or class, or a method, that nothing in the package
 names is code no command runs. Names are matched as identifiers (a bare
 name or an attribute), anywhere in the package except inside the
-definition itself and in the ``__init__`` re-exports. Dunder methods are
-called by the language and are not checked.
+definition itself. Dunder methods, and module-level dunder functions such
+as the package's ``__getattr__`` (PEP 562), are called by the language and
+are not checked.
 
 A method named like an attribute of a builtin type, of ``array.array`` or of
 an ``enum.Enum`` member would pass on a call to that attribute alone (a
@@ -17,9 +18,8 @@ Every parameter of every function, other than ``self`` and ``cls``, is read
 in the function's body, or is listed with its reason in UNREAD_PARAMETERS.
 
 Every module-level constant (a name a top-level assignment binds, dunders
-aside) is read somewhere in the package outside its own assignment and the
-``__init__`` re-exports, so a flag or a record that goes cannot leave its
-constants behind.
+aside) is read somewhere in the package outside its own assignment, so a
+flag or a record that goes cannot leave its constants behind.
 """
 
 import array
@@ -66,7 +66,7 @@ FOREIGN_ATTRIBUTES = frozenset(
 
 def _definitions(tree: ast.Module, module: str):
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             yield f"{module}.{node.name}", node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
@@ -84,9 +84,7 @@ def _references(tree: ast.Module):
 
 def test_every_definition_is_referenced_in_the_package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    refs = {
-        module: list(_references(tree)) for module, tree in trees.items() if module != "__init__"
-    }
+    refs = {module: list(_references(tree)) for module, tree in trees.items()}
     defined = set()
     unreferenced = []
     for module, tree in trees.items():
@@ -174,7 +172,7 @@ def _reads(tree: ast.Module):
 
 def test_every_module_level_constant_is_read_in_the_package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    reads = {module: list(_reads(tree)) for module, tree in trees.items() if module != "__init__"}
+    reads = {module: list(_reads(tree)) for module, tree in trees.items()}
     unread = [
         f"{module}.{name}"
         for module, tree in trees.items()
